@@ -83,6 +83,7 @@ from .verification import (
     BestResponseReport,
     FixedPointReport,
     bernoulli_oracle,
+    best_response_scan,
     best_response_test,
     fixed_point_check,
     mfg_convergence,

@@ -286,6 +286,32 @@ def cmd_simulate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+def _verify_failures(fp: verification.FixedPointReport, fp_pass: bool,
+                     br: tuple[verification.BestResponseReport, ...],
+                     conv: list[verification.ConvergenceRow],
+                     grown: list[str]) -> list[str]:
+    """One line per failed verify section: the checked values vs tolerances."""
+    lines = []
+    if not fp_pass:
+        parts = [f"{name} {value:.3e} {'<=' if value <= tol else '>'} {tol:g}"
+                 for name, (value, tol) in fp.checks().items()]
+        lines.append("fixed point failed: " + ", ".join(parts))
+    parts = []
+    for rep in br:
+        if rep.violations():
+            c = max(rep.violations(), key=lambda v: v.mean_diff - 3.0 * v.stderr)
+            parts.append(f"agent {rep.agent} cell (dpi={c.dpi:g}, a={c.a:g}, b={c.b:g}) "
+                         f"mean_diff {c.mean_diff:.3e} > 3*stderr {3.0 * c.stderr:.3e}")
+    if parts:
+        lines.append("best response failed: " + "; ".join(parts))
+    if grown:
+        first, last = conv[0], conv[-1]
+        parts = [f"{name} grew from {getattr(first, name):.3e} at n={first.n} "
+                 f"to {getattr(last, name):.3e} at n={last.n}" for name in grown]
+        lines.append("mfg convergence failed: " + ", ".join(parts))
+    return lines
+
+
 def cmd_verify(rc: RunConfig) -> int:
     obj, _ = _load(rc.config)
     p = _require_population(obj)
@@ -294,24 +320,18 @@ def cmd_verify(rc: RunConfig) -> int:
     fp = verification.fixed_point_check(p, e)
     fp_pass = fp.passes()
 
-    br_reports = []
-    br_pass = True
-    for i in range(p.n):
-        try:
-            report = verification.best_response_test(
-                p, e, i, _DEFAULT_DPI, _DEFAULT_AB, rc.paths, rc.seed, grid=rc.grid)
-        except verification.ProfitableDeviationFound as exc:
-            report = exc.report
-            br_pass = False
-        br_reports.append(report.as_dict())
+    br = verification.best_response_scan(
+        p, e, range(p.n), _DEFAULT_DPI, _DEFAULT_AB, rc.paths, rc.seed, grid=rc.grid)
+    br_pass = not any(report.violations() for report in br)
 
     weights = [1.0 / p.n] * p.n
     dist = TypeDistribution(
         horizon=p.horizon, atoms=tuple(zip(weights, p.agents)))
     ns = [p.n * k for k in (1, 2, 4, 8)]
     conv = verification.mfg_convergence(dist, ns)
-    conv_pass = (conv[-1].pi_gap <= conv[0].pi_gap + 1e-12
-                 and conv[-1].beta_gap <= conv[0].beta_gap + 1e-12)
+    grown = [name for name in ("pi_gap", "beta_gap")
+             if not getattr(conv[-1], name) <= getattr(conv[0], name) + 1e-12]
+    conv_pass = not grown
 
     passed = fp_pass and br_pass and conv_pass
     payload = {
@@ -320,13 +340,15 @@ def cmd_verify(rc: RunConfig) -> int:
         "grid": rc.grid,
         "seed": rc.seed,
         "fixed_point": {**fp.as_dict(), "passed": fp_pass},
-        "best_response": {"reports": br_reports, "passed": br_pass},
+        "best_response": {"reports": [r.as_dict() for r in br], "passed": br_pass},
         "mfg_convergence": {"rows": [r.as_dict() for r in conv], "passed": conv_pass},
         "passed": passed,
     }
     with open(rc.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for line in _verify_failures(fp, fp_pass, br, conv, grown):
+        print(f"merton-arena: verify: {line}", file=sys.stderr)
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 

@@ -71,7 +71,8 @@ def block_normals(seed: int, stream: int, path_start: int, count: int,
     u = Generator(bit_gen).random((count, words))
     if words != draws:
         u = u[:, :draws]
-    return ndtri(u + _HALF_ULP)
+    u += _HALF_ULP
+    return ndtri(u)
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:

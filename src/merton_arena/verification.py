@@ -147,12 +147,20 @@ class FixedPointReport:
         return float(max(self.f_gap_ode_closed.max(), self.f_gap_ode_exp.max(),
                          self.f_gap_closed_exp.max()))
 
+    def checks(self, residual_tol: float = 1e-8, gap_tol: float = 1e-8,
+               identity_tol: float = 1e-10) -> dict[str, tuple[float, float]]:
+        """Each checked maximum as (value, tolerance)."""
+        return {
+            "systeq1_max": (self.systeq1_max, residual_tol),
+            "systeq2_max": (self.systeq2_max, residual_tol),
+            "max_f_gap": (self.max_f_gap, gap_tol),
+            "identity_residual": (self.identity_residual, identity_tol),
+        }
+
     def passes(self, residual_tol: float = 1e-8, gap_tol: float = 1e-8,
                identity_tol: float = 1e-10) -> bool:
-        return (self.systeq1_max <= residual_tol
-                and self.systeq2_max <= residual_tol
-                and self.max_f_gap <= gap_tol
-                and self.identity_residual <= identity_tol)
+        return all(value <= tol for value, tol in
+                   self.checks(residual_tol, gap_tol, identity_tol).values())
 
     def as_dict(self) -> dict:
         return {
@@ -305,127 +313,205 @@ class BestResponseReport:
         }
 
 
-def best_response_test(p: Population, e: EquilibriumProfile, i: int,
-                       dpi_grid: Sequence[float], ab_grid: Sequence[float],
-                       paths: int, seed: int, grid: int = 1000,
-                       block_size: int = BLOCK_SIZE) -> BestResponseReport:
-    """Scan deviations of agent i against the equilibrium with paired CRN.
+@dataclass(frozen=True)
+class _DeviationGroup:
+    """One agent's cells that share a dpi, evaluated together on each block.
 
-    Every other agent plays the closed-form equilibrium; agent i plays
-    (pi* + dpi, c*(t) e^(a + b t)) for each cell of dpi_grid x ab_grid^2.
-    Both the perturbed and the equilibrium objective are evaluated on the
-    same Brownian increments, path by path, so the (0, 0, 0) cell differs
-    by exactly zero.  Raises ProfitableDeviationFound if any cell's mean
-    paired difference exceeds +3 standard errors.
+    For delta != 1 a cell's objective on a block is
+    exp_path @ weights[c] + terminal[c] * exp_path[:, -1], so the group
+    costs one GEMM plus a rank-1 term.  For delta = 1 the path part
+    path @ w + eps * path[:, -1] is the same for every cell and
+    ``terminal`` holds each cell's additive constant.
     """
-    validate_population(p)
-    ar = p.arrays()
-    n, T = p.n, p.horizon
-    times = np.linspace(0.0, T, grid + 1)
-    dt = np.diff(times)
-    w = trapezoid_weights(times)
 
-    policies = [ConsumptionPolicy(float(b), float(l), T)
-                for b, l in zip(e.beta, e.lam)]
-    c_eq = np.array([pol.rate(times) for pol in policies])
-    log_c_eq = np.log(c_eq)
-    pi = np.asarray(e.pi, dtype=float)
+    scale: float                 # own * (pi_i + dpi): weight of the agent's own noise
+    weights: np.ndarray | None   # (cells, grid + 1); None at delta = 1
+    terminal: np.ndarray         # (cells,)
 
-    def cum_int(values):
-        """Trapezoid cumulative integral of node values along the grid."""
-        out = np.zeros(len(values))
-        np.cumsum(0.5 * (values[:-1] + values[1:]) * dt, out=out[1:])
-        return out
 
-    # Deterministic node values of each agent's equilibrium log wealth.
-    drift = pi * ar.mu - 0.5 * pi**2 * ar.Sigma
-    det = (np.log(ar.x0)[:, None] + drift[:, None] * times[None, :]
-           - np.array([cum_int(c_eq[k]) for k in range(n)]))
+@dataclass(frozen=True)
+class _AgentScan:
+    """The deterministic half of one agent's scan; path blocks supply the rest."""
 
+    agent: int
+    own_noise: tuple[tuple[int, float], ...]     # (stream, weight) terms
+    others_noise: tuple[tuple[int, float], ...]
+    others_scale: float                          # -theta / n
+    k_pow: float | None                          # 1 - 1/delta; None at delta = 1
+    eps: float
+    w: np.ndarray                                # trapezoid weights
+    groups: tuple[_DeviationGroup, ...]          # dpi = 0 first, (0, 0, 0) its first cell
+    columns: tuple[int, ...]                     # stacked column of each reported cell
+
+
+def _cum_trapezoid(values: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Trapezoid cumulative integral along the last axis, 0 at the first node."""
+    out = np.zeros(values.shape)
+    np.cumsum(0.5 * (values[..., :-1] + values[..., 1:]) * dt, axis=-1,
+              out=out[..., 1:])
+    return out
+
+
+def _agent_scan(i: int, ar, pi: np.ndarray, times: np.ndarray, w: np.ndarray,
+                c_eq: np.ndarray, det: np.ndarray,
+                cells: list[tuple[float, float, float]]) -> _AgentScan:
+    """Stack agent i's deviation cells into groups of equal dpi.
+
+    ``det[k]`` is the deterministic part of agent k's equilibrium log
+    wealth at the grid nodes.  Cell (dpi, a, b) plays pi_i + dpi and
+    consumes c_i(t) e^(a + b t) against everyone else's equilibrium.
+    """
+    n = len(pi)
     theta, delta, eps = float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i])
     own = 1.0 - theta / n
-    k_pow = 1.0 - 1.0 / delta
+    log_c_eq = np.log(c_eq)
     others = [k for k in range(n) if k != i]
     row_others = (log_c_eq[others] + det[others]).sum(axis=0)
     row_others_term = det[others, -1].sum()
-    # Path-dependent weights of the other agents' noise inside the averages.
-    w_nu = pi[others] * ar.nu[others]
-    w_sig = float(np.sum(pi[others] * ar.sigma[others]))
+
+    # Unique cells grouped by dpi; the reference (0, 0, 0) opens group 0.
+    by_dpi: dict[float, list] = {}
+    for cell in dict.fromkeys([(0.0, 0.0, 0.0)] + cells):
+        by_dpi.setdefault(cell[0], []).append(cell)
+    order = [cell for group in by_dpi.values() for cell in group]
+    column = {cell: j for j, cell in enumerate(order)}
+
+    dp, a, b = (np.array(order)[:, k:k + 1] for k in range(3))
+    tilt = a + b * times
+    pi_cell = pi[i] + dp
+    det_cell = (math.log(ar.x0[i])
+                + (pi_cell * ar.mu[i] - 0.5 * pi_cell**2 * ar.Sigma[i]) * times
+                - _cum_trapezoid(c_eq[i] * np.exp(tilt), np.diff(times)))
+    row_run = own * ((log_c_eq[i] + tilt) + det_cell) - (theta / n) * row_others
+    row_term = own * det_cell[:, -1] - (theta / n) * row_others_term
+
+    k_pow = 1.0 - 1.0 / delta if delta != 1.0 else None
+    if k_pow is None:
+        weights = None
+        terminal = np.array([float(r @ w) for r in row_run]) + eps * row_term
+    else:
+        weights = w * np.exp(k_pow * row_run) / k_pow
+        terminal = np.array([eps * math.exp(k_pow * t) / k_pow for t in row_term])
+    groups = []
+    lo = 0
+    for dpi, group in by_dpi.items():
+        hi = lo + len(group)
+        groups.append(_DeviationGroup(
+            scale=own * (pi[i] + dpi),
+            weights=None if weights is None else weights[lo:hi],
+            terminal=terminal[lo:hi]))
+        lo = hi
+
+    w_nu = pi * ar.nu
+    own_noise = ((COMMON_STREAM, ar.sigma[i]),)
+    if ar.nu[i] != 0.0:
+        own_noise += ((agent_stream(i), ar.nu[i]),)
+    others_noise = ((COMMON_STREAM, float(np.sum(pi[others] * ar.sigma[others]))),)
+    others_noise += tuple((agent_stream(k), w_nu[k]) for k in others if w_nu[k] != 0.0)
+    return _AgentScan(agent=i, own_noise=own_noise, others_noise=others_noise,
+                      others_scale=-(theta / n), k_pow=k_pow, eps=eps, w=w,
+                      groups=tuple(groups),
+                      columns=tuple(column[cell] for cell in cells))
+
+
+def _cumulative_noise(seed: int, stream: int, start: int, count: int,
+                      sqrt_dt: np.ndarray) -> np.ndarray:
+    """One stream's Brownian motion at the grid nodes for a block of paths."""
+    dz = block_normals(seed, stream, start, count, len(sqrt_dt))
+    dz *= sqrt_dt
+    out = np.empty((count, len(sqrt_dt) + 1))
+    out[:, 0] = 0.0
+    np.cumsum(dz, axis=1, out=out[:, 1:])
+    return out
+
+
+def _weighted_sum(cum: dict, terms: tuple[tuple[int, float], ...],
+                  out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = sum of weight * cum[stream] over terms, in order."""
+    (stream, weight), *rest = terms
+    np.multiply(cum[stream], weight, out=out)
+    for stream, weight in rest:
+        np.multiply(cum[stream], weight, out=scratch)
+        out += scratch
+
+
+def _scan_block(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray,
+                path: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Paired sums of one block for one agent, per stacked column.
+
+    Returns (sums, sqsums) of the differences against the reference
+    column, plus the sum and square sum of the equilibrium objective.
+    ``noise``, ``base`` and ``path`` are (count, grid + 1) work buffers.
+    """
+    _weighted_sum(cum, scan.own_noise, noise, path)
+    _weighted_sum(cum, scan.others_noise, base, path)
+    base *= scan.others_scale
+    sums, sqsums = [], []
+    j_eq = None
+    for group in scan.groups:
+        np.multiply(noise, group.scale, out=path)
+        path += base
+        if scan.k_pow is None:
+            values = (path @ scan.w + scan.eps * path[:, -1]) + group.terminal[:, None]
+        else:
+            path *= scan.k_pow
+            np.exp(path, out=path)
+            values = group.weights @ path.T
+            values += group.terminal[:, None] * path[:, -1]
+        if j_eq is None:
+            j_eq = values[0].copy()
+        values -= j_eq
+        sums.append(values.sum(axis=1))
+        values *= values
+        sqsums.append(values.sum(axis=1))
+    return (np.concatenate(sums), np.concatenate(sqsums),
+            float(j_eq.sum()), float((j_eq * j_eq).sum()))
+
+
+def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[int],
+                       dpi_grid: Sequence[float], ab_grid: Sequence[float],
+                       paths: int, seed: int, grid: int = 1000,
+                       block_size: int = BLOCK_SIZE) -> tuple[BestResponseReport, ...]:
+    """Scan unilateral deviations of each listed agent with paired CRN.
+
+    Every other agent plays the closed-form equilibrium; the scanned agent
+    plays (pi* + dpi, c*(t) e^(a + b t)) for each cell of
+    dpi_grid x ab_grid^2.  Each path block draws the common stream and
+    every idiosyncratic stream some scanned agent needs once, and all
+    agents are evaluated on those same increments; the perturbed and the
+    equilibrium objective share them path by path, so the (0, 0, 0) cell
+    differs by exactly zero.  Reports come back in the order of ``agents``
+    and do not depend on which other agents are scanned alongside.  No
+    exception is raised for a profitable deviation: check ``violations()``.
+    """
+    validate_population(p)
+    agents = tuple(int(i) for i in agents)
+    for i in agents:
+        if not 0 <= i < p.n:
+            raise ValueError(f"agent index {i} out of range for {p.n} agents")
+    ar = p.arrays()
+    times = np.linspace(0.0, p.horizon, grid + 1)
+    dt = np.diff(times)
+    sqrt_dt = np.sqrt(dt)
+    w = trapezoid_weights(times)
+    pi = np.asarray(e.pi, dtype=float)
+    c_eq = np.array([ConsumptionPolicy(float(b), float(l), p.horizon).rate(times)
+                     for b, l in zip(e.beta, e.lam)])
+    drift = pi * ar.mu - 0.5 * pi**2 * ar.Sigma
+    det = (np.log(ar.x0)[:, None] + drift[:, None] * times[None, :]
+           - _cum_trapezoid(c_eq, dt))
 
     cells = [(float(dp), float(a), float(b))
              for dp in dpi_grid for a in ab_grid for b in ab_grid]
-    ref = (0.0, 0.0, 0.0)
-    groups = sorted({c[0] for c in cells} | {ref[0]})
-    groups.remove(0.0)
-    groups.insert(0, 0.0)  # reference group first so J_eq exists
-
-    def cell_rows(dp, a, b):
-        """Deterministic pieces of a cell: weights/constants per grid node."""
-        c_cell = c_eq[i] * np.exp(a + b * times)
-        log_c_cell = log_c_eq[i] + (a + b * times)
-        pi_cell = pi[i] + dp
-        det_cell = (math.log(ar.x0[i])
-                    + (pi_cell * ar.mu[i] - 0.5 * pi_cell**2 * ar.Sigma[i]) * times
-                    - cum_int(c_cell))
-        row_run = own * (log_c_cell + det_cell) - (theta / n) * row_others
-        row_term = own * det_cell[-1] - (theta / n) * row_others_term
-        return row_run, row_term
-
-    rows = {cell: cell_rows(*cell) for cell in set(cells) | {ref}}
-    if delta != 1.0:
-        w_cells = {c: w * np.exp(k_pow * rows[c][0]) / k_pow for c in rows}
-        coef_cells = {c: eps * math.exp(k_pow * rows[c][1]) / k_pow for c in rows}
-    group_cells = {g: [c for c in cells if c[0] == g] for g in groups}
-
-    sqrt_dt = np.sqrt(dt)
-    n_cells = len(cells)
-    cell_index = {c: j for j, c in enumerate(cells)}
-
-    def cum_noise(seed_, stream, start, count):
-        dZ = sqrt_dt * block_normals(seed_, stream, start, count, grid)
-        out = np.zeros((count, grid + 1))
-        np.cumsum(dZ, axis=1, out=out[:, 1:])
-        return out
+    scans = [_agent_scan(i, ar, pi, times, w, c_eq, det, cells) for i in agents]
+    streams = sorted({stream for scan in scans
+                      for stream, _ in scan.own_noise + scan.others_noise})
 
     def block_task(start):
         count = min(block_size, paths - start)
-        cum_b = cum_noise(seed, COMMON_STREAM, start, count)
-        # Agent i's own (unit-investment) noise and the others' aggregate.
-        noise_raw = ar.sigma[i] * cum_b
-        if ar.nu[i] != 0.0:
-            noise_raw = noise_raw + ar.nu[i] * cum_noise(seed, agent_stream(i),
-                                                         start, count)
-        s_path = w_sig * cum_b
-        for idx, k in enumerate(others):
-            if w_nu[idx] != 0.0:
-                s_path = s_path + w_nu[idx] * cum_noise(seed, agent_stream(k),
-                                                        start, count)
-        base = -(theta / n) * s_path
-
-        def cell_values(exp_path, cell):
-            if delta != 1.0:
-                return exp_path @ w_cells[cell] + coef_cells[cell] * exp_path[:, -1]
-            row_run, row_term = rows[cell]
-            const = float(row_run @ w) + eps * row_term
-            return exp_path @ w + eps * exp_path[:, -1] + const
-
-        sums = np.zeros(n_cells)
-        sqsums = np.zeros(n_cells)
-        eq_sum = eq_sqsum = 0.0
-        j_eq = None
-        for g in groups:
-            path = own * (pi[i] + g) * noise_raw + base
-            exp_path = np.exp(k_pow * path) if delta != 1.0 else path
-            if g == 0.0:
-                j_eq = cell_values(exp_path, ref)
-                eq_sum = float(j_eq.sum())
-                eq_sqsum = float((j_eq * j_eq).sum())
-            for cell in group_cells.get(g, ()):
-                diff = cell_values(exp_path, cell) - j_eq
-                j = cell_index[cell]
-                sums[j] += diff.sum()
-                sqsums[j] += (diff * diff).sum()
-        return count, sums, sqsums, eq_sum, eq_sqsum
+        cum = {s: _cumulative_noise(seed, s, start, count, sqrt_dt) for s in streams}
+        noise, base, path = (np.empty((count, grid + 1)) for _ in range(3))
+        return count, [_scan_block(scan, cum, noise, base, path) for scan in scans]
 
     starts = list(range(0, paths, block_size))
     workers = worker_count()
@@ -434,35 +520,42 @@ def best_response_test(p: Population, e: EquilibriumProfile, i: int,
             results = list(pool.map(block_task, starts))
     else:
         results = [block_task(s) for s in starts]
-
-    total = 0
-    sums = np.zeros(n_cells)
-    sqsums = np.zeros(n_cells)
-    eq_sum = eq_sqsum = 0.0
-    for count, s, sq, es, esq in results:
-        total += count
-        sums += s
-        sqsums += sq
-        eq_sum += es
-        eq_sqsum += esq
+    total = sum(count for count, _ in results)
 
     def mean_stderr(s, sq):
         mean = s / total
         var = max((sq - total * mean * mean) / (total - 1), 0.0) if total > 1 else 0.0
         return mean, math.sqrt(var / total)
 
-    eq_mean, eq_se = mean_stderr(eq_sum, eq_sqsum)
-    out_cells = []
-    for cell in cells:
-        j = cell_index[cell]
-        mean, se = mean_stderr(sums[j], sqsums[j])
-        out_cells.append(BestResponseCell(dpi=cell[0], a=cell[1], b=cell[2],
-                                          mean_diff=mean, stderr=se))
-    report = BestResponseReport(
-        agent=i, paths=total, seed=seed,
-        equilibrium=UtilityEstimate(mean=eq_mean, stderr=eq_se, paths=total),
-        cells=tuple(out_cells),
-    )
+    reports = []
+    for k, scan in enumerate(scans):
+        # Block results summed in block order, whatever the thread count.
+        sums, sqsums, eq_sum, eq_sqsum = (
+            sum(parts) for parts in zip(*(per_agent[k] for _, per_agent in results)))
+        eq_mean, eq_se = mean_stderr(eq_sum, eq_sqsum)
+        out_cells = []
+        for cell, j in zip(cells, scan.columns):
+            mean, se = mean_stderr(sums[j], sqsums[j])
+            out_cells.append(BestResponseCell(dpi=cell[0], a=cell[1], b=cell[2],
+                                              mean_diff=mean, stderr=se))
+        reports.append(BestResponseReport(
+            agent=scan.agent, paths=total, seed=seed,
+            equilibrium=UtilityEstimate(mean=eq_mean, stderr=eq_se, paths=total),
+            cells=tuple(out_cells)))
+    return tuple(reports)
+
+
+def best_response_test(p: Population, e: EquilibriumProfile, i: int,
+                       dpi_grid: Sequence[float], ab_grid: Sequence[float],
+                       paths: int, seed: int, grid: int = 1000,
+                       block_size: int = BLOCK_SIZE) -> BestResponseReport:
+    """Scan deviations of agent i alone (see best_response_scan).
+
+    Raises ProfitableDeviationFound if any cell's mean paired difference
+    exceeds +3 standard errors.
+    """
+    report = best_response_scan(p, e, (i,), dpi_grid, ab_grid, paths, seed,
+                                grid=grid, block_size=block_size)[0]
     for cell in report.violations():
         raise ProfitableDeviationFound((cell.dpi, cell.a, cell.b),
                                        cell.mean_diff, cell.stderr, report)

@@ -18,7 +18,7 @@ from merton_arena import (
     TypeDistribution,
     aggregates_mf,
     beta_mf,
-    best_response_test,
+    best_response_scan,
     classify_regime,
     constant_strategy,
     delta_eff,
@@ -140,9 +140,8 @@ def test_criterion_07_best_response_monte_carlo(ref_n3):
     ab = (-0.2, -0.05, 0.0, 0.05, 0.2)
     worst = -math.inf
     null_ok = True
-    for i in range(ref_n3.n):
-        rep = best_response_test(ref_n3, e, i, dpi, ab, paths=200_000,
-                                 seed=777, grid=1000)
+    for rep in best_response_scan(ref_n3, e, range(ref_n3.n), dpi, ab,
+                                  paths=200_000, seed=777, grid=1000):
         null = [c for c in rep.cells if (c.dpi, c.a, c.b) == (0.0, 0.0, 0.0)][0]
         null_ok = null_ok and null.mean_diff == 0.0 and null.stderr == 0.0
         margins = [c.mean_diff - 3.0 * c.stderr for c in rep.cells]

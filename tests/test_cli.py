@@ -8,7 +8,11 @@ import pytest
 from merton_arena import AgentType, Aggregates, ConsumptionPolicy, Population
 from merton_arena.cli import main, parse_solve_csv
 from merton_arena.nplayer import EquilibriumProfile
-from merton_arena.verification import fixed_point_check
+from merton_arena.verification import (
+    BestResponseReport,
+    FixedPointReport,
+    fixed_point_check,
+)
 
 REF_AGENT = {"x0": 1.0, "delta": 3.0, "theta": 0.8, "eps": 1.0,
              "mu": 5.0, "nu": 0.0, "sigma": 1.0}
@@ -255,6 +259,37 @@ class TestVerify:
         assert payload["best_response"]["passed"] is True
         assert len(payload["best_response"]["reports"]) == 2
         assert payload["mfg_convergence"]["passed"] is True
+
+    def test_failed_section_on_stderr(self, ref_config, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.setattr(FixedPointReport, "passes", lambda self: False)
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--config", ref_config, "--out", str(out),
+                     "--paths", "500", "--grid", "50", "--seed", "12"])
+        assert code == 3
+        assert json.loads(out.read_text())["fixed_point"]["passed"] is False
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        line = lines[0]
+        assert line.startswith("merton-arena: verify: fixed point failed: ")
+        for name in ("systeq1_max", "systeq2_max", "max_f_gap"):
+            assert f"{name} " in line
+            assert " <= 1e-08" in line
+        assert "identity_residual" in line and "1e-10" in line
+
+    def test_best_response_failure_on_stderr(self, ref_config, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.setattr(BestResponseReport, "violations",
+                            lambda self: [self.cells[-1]])
+        code = main(["verify", "--config", ref_config,
+                     "--out", str(tmp_path / "verify.json"),
+                     "--paths", "500", "--grid", "50", "--seed", "12"])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("merton-arena: verify: best response failed: "
+                                   "agent 0 cell (dpi=0.5, a=0.2, b=0.2) mean_diff ")
+        assert "; agent 1 cell" in lines[0] and "> 3*stderr" in lines[0]
 
     def test_invalid_grid_flag(self, ref_config, tmp_path):
         assert main(["verify", "--config", ref_config,

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from merton_arena import (
     AgentType,
@@ -40,6 +42,17 @@ class TestStreams:
         c = block_normals(2, 0, 0, 8, 100)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("draws", [200, 250])
+    def test_inverse_cdf_of_shifted_uniforms(self, draws):
+        # the in-place midpoint shift must give exactly ndtri(u + 2^-54)
+        words = 4 * ((draws + 3) // 4)
+        start, count = 40, 24
+        gen = Generator(Philox(key=np.array([99, 2], dtype=np.uint64),
+                               counter=start * (words // 4)))
+        u = gen.random((count, words))[:, :draws]
+        expected = ndtri(u + 2.0**-54)
+        assert np.array_equal(block_normals(99, 2, start, count, draws), expected)
 
     def test_moments(self):
         z = block_normals(7, 0, 0, 2000, 500)

@@ -11,6 +11,7 @@ from merton_arena import (
     ProfitableDeviationFound,
     TypeDistribution,
     bernoulli_oracle,
+    best_response_scan,
     best_response_test,
     equilibrium_strategy,
     estimate_objective,
@@ -19,6 +20,7 @@ from merton_arena import (
     simulate,
     solve_n,
 )
+from merton_arena import verification
 from merton_arena.nplayer import EquilibriumProfile
 from merton_arena.verification import replicate
 
@@ -164,6 +166,81 @@ class TestBestResponse:
         est = estimate_objective(batch, s, 0, ref_n3)
         assert rep.equilibrium.mean == pytest.approx(est.mean, abs=1e-9)
         assert rep.equilibrium.stderr == pytest.approx(est.stderr, rel=1e-6)
+
+
+class TestBestResponseScan:
+    GRID_DPI = (-0.5, -0.1, 0.0, 0.1, 0.5)
+    GRID_AB = (-0.2, 0.0, 0.2)
+
+    # Per-cell means of the one-agent scan before the shared-noise scan
+    # existed, on dpi (0, 0.5) x a, b in (-0.2, 0.2) (paths=4000, seed=3,
+    # grid=200).  That grid leaves out (0, 0, 0), so the reference column
+    # is an extra one.
+    PINNED_DPI = (0.0, 0.5)
+    PINNED_AB = (-0.2, 0.2)
+    PINNED_MEANS = (
+        (-0.01773221541551384, -0.0024960103017088006, -0.0028843828018308986,
+         -0.022292558075174305, -0.06287371281539299, -0.047338709834789605,
+         -0.0466779242160339, -0.06523275156928399),
+        (-0.04676965145432428, -0.0070778874249787845, -0.008013967971871597,
+         -0.058385887200235666, -0.1730938384081481, -0.13372054899202374,
+         -0.13659713796171188, -0.18889544014006263),
+        (-0.02943615558238155, -0.004442857682234957, -0.004909180004694088,
+         -0.03647901859152736, -0.08626977694532735, -0.06127647904518076,
+         -0.06174280136763989, -0.09331263995447316),
+    )
+    PINNED_EQ = (3.6752275318138925, -8.63394468621851, -0.661506479430248)
+
+    def test_matches_single_agent_scans(self, ref_n3):
+        e = solve_n(ref_n3)
+        args = (self.GRID_DPI, self.GRID_AB)
+        kw = dict(paths=4000, seed=3, grid=200, block_size=1500)
+        together = best_response_scan(ref_n3, e, range(3), *args, **kw)
+        alone = [best_response_test(ref_n3, e, i, *args, **kw) for i in range(3)]
+        assert together == tuple(alone)  # dataclass equality: every field, bitwise
+        subset = best_response_scan(ref_n3, e, (2, 0), *args, **kw)
+        assert subset == (alone[2], alone[0])
+
+    @pytest.mark.parametrize("fixture, streams", [("ref_n3", 4), ("ref_n2", 1)])
+    def test_each_stream_drawn_once_per_block(self, fixture, streams, request,
+                                              monkeypatch):
+        p = request.getfixturevalue(fixture)
+        calls = []
+        draw = verification.block_normals
+
+        def counted(seed, stream, start, count, draws):
+            calls.append((stream, start))
+            return draw(seed, stream, start, count, draws)
+
+        monkeypatch.setattr(verification, "block_normals", counted)
+        best_response_scan(p, solve_n(p), range(p.n), self.GRID_DPI, self.GRID_AB,
+                           paths=300, seed=5, grid=50, block_size=100)
+        assert len(calls) == 3 * streams
+        assert len(set(calls)) == len(calls)
+
+    def test_means_match_recorded_values(self, ref_n3):
+        e = solve_n(ref_n3)
+        reports = best_response_scan(ref_n3, e, range(3), self.PINNED_DPI,
+                                     self.PINNED_AB, paths=4000, seed=3, grid=200)
+        for rep, means, eq in zip(reports, self.PINNED_MEANS, self.PINNED_EQ):
+            got = [c.mean_diff for c in rep.cells]
+            assert got == pytest.approx(means, rel=1e-12, abs=0.0)
+            assert rep.equilibrium.mean == pytest.approx(eq, rel=1e-12, abs=0.0)
+
+    def test_scan_does_not_raise(self, ref_n3):
+        e = solve_n(ref_n3)
+        pi = np.array(e.pi)
+        pi[0] -= 1.0
+        bad = EquilibriumProfile(pi=pi, rho=e.rho, beta=e.beta, lam=e.lam,
+                                 aggregates=e.aggregates)
+        (rep,) = best_response_scan(ref_n3, bad, (0,), (0.0, 1.0), (0.0,),
+                                    paths=20000, seed=23, grid=200)
+        assert rep.violations()
+
+    def test_agent_out_of_range(self, ref_n2):
+        with pytest.raises(ValueError):
+            best_response_scan(ref_n2, solve_n(ref_n2), (2,), (0.0,), (0.0,),
+                               paths=10, seed=0, grid=10)
 
 
 class TestConvergence:
