@@ -5,16 +5,26 @@ below is an exact weighted sum over its atoms.  The representative agent's
 equilibrium constants mirror the finite-game ones with leave-one-out
 averages replaced by distribution-level expectations.  On the single-stock
 path the whole equilibrium reduces to the effective risk tolerance
-delta_eff = (1 - theta/theta_crit) delta + theta/theta_crit.
+delta_eff = (1 - theta/theta_crit) delta + theta/theta_crit.  The formula
+bodies are private functions of the parameter columns ``a``
+(``TypeDistribution.arrays()``, weights ``a.w``); `solve_mf` and
+`aggregates_mf` validate and build the columns once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DegenerateAggregate, IdentityViolation, NotSingleStock
-from .types import AgentType, TypeDistribution, detect_single_stock, validate_distribution
+from .types import (
+    AgentType,
+    TypeDistribution,
+    detect_single_stock,
+    shared_market,
+    validate_distribution,
+)
 
 SINGLE_STOCK_TOL = 1e-10
 
@@ -53,8 +63,7 @@ class MfEquilibrium:
     delta_eff: np.ndarray | None = None
 
 
-def _phi_psi(d: TypeDistribution) -> tuple[float, float]:
-    a = d.arrays()
+def _phi_psi(a: SimpleNamespace) -> tuple[float, float]:
     phi = float(np.dot(a.w, a.delta * a.mu * a.sigma / a.Sigma))
     psi = float(np.dot(a.w, a.theta * (a.delta - 1.0) * a.sigma**2 / a.Sigma))
     if 1.0 + psi <= 0.0:
@@ -62,13 +71,11 @@ def _phi_psi(d: TypeDistribution) -> tuple[float, float]:
     return phi, psi
 
 
-def _pi_vector(d: TypeDistribution, ratio: float) -> np.ndarray:
-    a = d.arrays()
+def _pi_vector(a: SimpleNamespace, ratio: float) -> np.ndarray:
     return (a.delta * a.mu - a.theta * (a.delta - 1.0) * a.sigma * ratio) / a.Sigma
 
 
-def _rho_vector(d: TypeDistribution, agg: MfAggregates) -> np.ndarray:
-    a = d.arrays()
+def _rho_vector(a: SimpleNamespace, agg: MfAggregates) -> np.ndarray:
     r = agg.ratio
     one_m = 1.0 - 1.0 / a.delta
     tilted_mu = a.mu - a.sigma * r * a.theta * one_m
@@ -80,6 +87,23 @@ def _rho_vector(d: TypeDistribution, agg: MfAggregates) -> np.ndarray:
     )
 
 
+def _aggregates(a: SimpleNamespace) -> MfAggregates:
+    phi, psi = _phi_psi(a)
+    avg_theta_dm1 = float(np.dot(a.w, a.theta * (a.delta - 1.0)))
+    log_eps_delta = float(np.dot(a.w, a.delta * np.log(a.eps)))
+
+    pi = _pi_vector(a, phi / (1.0 + psi))
+    avg_mu_pi = float(np.dot(a.w, a.mu * pi))
+    avg_sigma2_pi2 = float(np.dot(a.w, a.Sigma * pi**2))
+
+    partial = MfAggregates(phi, psi, avg_theta_dm1, 0.0, log_eps_delta,
+                           avg_mu_pi, avg_sigma2_pi2)
+    rho = _rho_vector(a, partial)
+    avg_delta_rho = float(np.dot(a.w, a.delta * rho))
+    return MfAggregates(phi, psi, avg_theta_dm1, avg_delta_rho, log_eps_delta,
+                        avg_mu_pi, avg_sigma2_pi2)
+
+
 def aggregates_mf(d: TypeDistribution) -> MfAggregates:
     """All moments of the distribution used by the equilibrium formulas.
 
@@ -88,22 +112,7 @@ def aggregates_mf(d: TypeDistribution) -> MfAggregates:
     expectations consumed by the rho/beta/lambda formulas (E[delta rho] is
     evaluated at the equilibrium investments).
     """
-    validate_distribution(d)
-    a = d.arrays()
-    phi, psi = _phi_psi(d)
-    avg_theta_dm1 = float(np.dot(a.w, a.theta * (a.delta - 1.0)))
-    log_eps_delta = float(np.dot(a.w, a.delta * np.log(a.eps)))
-
-    pi = _pi_vector(d, phi / (1.0 + psi))
-    avg_mu_pi = float(np.dot(a.w, a.mu * pi))
-    avg_sigma2_pi2 = float(np.dot(a.w, a.Sigma * pi**2))
-
-    partial = MfAggregates(phi, psi, avg_theta_dm1, 0.0, log_eps_delta,
-                           avg_mu_pi, avg_sigma2_pi2)
-    rho = _rho_vector(d, partial)
-    avg_delta_rho = float(np.dot(a.w, a.delta * rho))
-    return MfAggregates(phi, psi, avg_theta_dm1, avg_delta_rho, log_eps_delta,
-                        avg_mu_pi, avg_sigma2_pi2)
+    return _aggregates(validate_distribution(d))
 
 
 def pi_star_mf(t: AgentType, agg: MfAggregates) -> float:
@@ -121,7 +130,7 @@ def rho_mf(t: AgentType, agg: MfAggregates, d: TypeDistribution) -> float:
     sums; rho = 0 whenever delta = 1.
     """
     a = d.arrays()
-    pi = _pi_vector(d, agg.ratio)
+    pi = _pi_vector(a, agg.ratio)
     avg_mu_pi = float(np.dot(a.w, a.mu * pi))
     avg_sigma2_pi2 = float(np.dot(a.w, a.Sigma * pi**2))
     r = agg.ratio
@@ -167,7 +176,10 @@ def theta_crit_mf(d: TypeDistribution) -> float:
     """Critical competition weight (1 + E[theta(delta-1)]) / E[delta]."""
     if detect_single_stock(d) is None:
         raise NotSingleStock("theta_crit is defined only for single-stock distributions")
-    a = d.arrays()
+    return _theta_crit(d.arrays())
+
+
+def _theta_crit(a: SimpleNamespace) -> float:
     num = 1.0 + float(np.dot(a.w, a.theta * (a.delta - 1.0)))
     return num / float(np.dot(a.w, a.delta))
 
@@ -188,21 +200,20 @@ def solve_mf(d: TypeDistribution) -> MfEquilibrium:
     verifies beta = (mu^2 / 2 sigma^2) delta_eff (1 - delta_eff) per atom
     to within ``SINGLE_STOCK_TOL``.
     """
-    validate_distribution(d)
-    agg = aggregates_mf(d)
-    a = d.arrays()
-    pi = _pi_vector(d, agg.ratio)
-    rho = _rho_vector(d, agg)
+    a = validate_distribution(d)
+    agg = _aggregates(a)
+    pi = _pi_vector(a, agg.ratio)
+    rho = _rho_vector(a, agg)
     denom = 1.0 + agg.avg_theta_dm1
     beta = a.theta * (a.delta - 1.0) * agg.avg_delta_rho / denom - a.delta * rho
     lam = np.exp(-a.delta * np.log(a.eps)
                  + agg.log_eps_delta * a.theta * (a.delta - 1.0) / denom)
 
-    market = detect_single_stock(d)
+    market = shared_market(a)
     tc = None
     deff = None
     if market is not None:
-        tc = theta_crit_mf(d)
+        tc = _theta_crit(a)
         x = a.theta / tc
         deff = (1.0 - x) * a.delta + x
         merton_beta = market.mu**2 / (2.0 * market.sigma**2) * deff * (1.0 - deff)

@@ -5,15 +5,20 @@ drift/volatility aggregates (phi, psi), the constant investment fractions
 pi*, the per-agent rates rho, and the consumption-curve constants (beta,
 lambda).  In the single-stock case the same equilibrium collapses to a
 formula driven by one critical competition level theta_crit.
+
+The formula bodies are private functions of the parameter columns ``a``
+(``Population.arrays()``) and n; the public names are thin wrappers, and
+`solve_n` validates and builds the columns once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DegenerateAggregate, IdentityViolation, NotSingleStock
-from .types import Population, detect_single_stock, validate_population
+from .types import Population, detect_single_stock, shared_market, validate_population
 
 IDENTITY_TOL = 1e-10
 
@@ -49,27 +54,40 @@ class EquilibriumProfile:
     theta_crit: float | None = None
 
 
+def _gamma(a: SimpleNamespace, n: int) -> np.ndarray:
+    return 1.0 / (1.0 - (1.0 - a.theta / n) * (1.0 - 1.0 / a.delta))
+
+
 def gamma_n(p: Population) -> np.ndarray:
     """Exponents gamma_i = 1 / (1 - (1 - theta_i/n)(1 - 1/delta_i)).
 
     Always positive for valid inputs; equals delta_i when theta_i = 0 and
     equals 1 when delta_i = 1.
     """
-    a = p.arrays()
-    n = p.n
-    return 1.0 / (1.0 - (1.0 - a.theta / n) * (1.0 - 1.0 / a.delta))
+    return _gamma(p.arrays(), p.n)
 
 
-def aggregates_n(p: Population) -> Aggregates:
-    """Compute (phi, psi) for a finite population."""
-    a = p.arrays()
-    n = p.n
-    denom = a.sigma**2 + a.nu**2 * (1.0 + (a.delta - 1.0) * a.theta / n)
+def _invest_denom(a: SimpleNamespace, n: int) -> np.ndarray:
+    return a.sigma**2 + a.nu**2 * (1.0 + (a.delta - 1.0) * a.theta / n)
+
+
+def _aggregates(a: SimpleNamespace, n: int) -> Aggregates:
+    denom = _invest_denom(a, n)
     phi = float(np.mean(a.delta * a.mu * a.sigma / denom))
     psi = float(np.mean(a.theta * (a.delta - 1.0) * a.sigma**2 / denom))
     if 1.0 + psi <= 0.0:
         raise DegenerateAggregate(f"1 + psi = {1.0 + psi!r} <= 0")
     return Aggregates(phi=phi, psi=psi)
+
+
+def aggregates_n(p: Population) -> Aggregates:
+    """Compute (phi, psi) for a finite population."""
+    return _aggregates(p.arrays(), p.n)
+
+
+def _invest(a: SimpleNamespace, n: int, agg: Aggregates) -> np.ndarray:
+    return (a.delta * a.mu - a.theta * (a.delta - 1.0) * a.sigma * agg.ratio) \
+        / _invest_denom(a, n)
 
 
 def invest_n(p: Population, agg: Aggregates) -> np.ndarray:
@@ -78,21 +96,10 @@ def invest_n(p: Population, agg: Aggregates) -> np.ndarray:
     Values may be negative (shorting) or exceed one (leverage); the
     strategy space is all of the reals.
     """
-    a = p.arrays()
-    n = p.n
-    denom = a.sigma**2 + a.nu**2 * (1.0 + (a.delta - 1.0) * a.theta / n)
-    return (a.delta * a.mu - a.theta * (a.delta - 1.0) * a.sigma * agg.ratio) / denom
+    return _invest(p.arrays(), p.n, agg)
 
 
-def rho_n(p: Population, pi: np.ndarray) -> np.ndarray:
-    """Per-agent rates rho_i evaluated at the equilibrium investments.
-
-    Each rho_i aggregates the other agents' investments through leave-one-out
-    averages; the squared idiosyncratic term carries a 1/n^2 coefficient so
-    that it vanishes at the mean-field rate.  rho_i = 0 whenever delta_i = 1.
-    """
-    a = p.arrays()
-    n = p.n
+def _rho(a: SimpleNamespace, n: int, pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
 
     s_sigma_pi = np.sum(a.sigma * pi)
@@ -108,7 +115,8 @@ def rho_n(p: Population, pi: np.ndarray) -> np.ndarray:
     one_m = 1.0 - 1.0 / a.delta
     denom = 1.0 - (1.0 - a.theta / n) * one_m
     # denom = 1/gamma_i > 0 for delta > 0, theta in [0,1], n >= 2
-    assert np.all(denom > 0.0)
+    if not np.all(denom > 0.0):
+        raise DegenerateAggregate(f"1/gamma = {float(np.min(denom))!r} <= 0")
 
     tilted_mu = a.mu - a.sigma * a.theta * one_m * hat_sigma_pi
     term_a = (1.0 - a.theta / n) * tilted_mu**2 / (2.0 * a.Sigma * denom)
@@ -118,31 +126,51 @@ def rho_n(p: Population, pi: np.ndarray) -> np.ndarray:
     return one_m * (term_a + term_b + term_c + term_d)
 
 
-def beta_lambda_n(p: Population, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Consumption constants (beta_i, lambda_i).
+def rho_n(p: Population, pi: np.ndarray) -> np.ndarray:
+    """Per-agent rates rho_i evaluated at the equilibrium investments.
 
-    beta_i mixes the population average of delta*rho with the agent's own
-    rate; lambda_i is built from the geometric mean of eps_k^delta_k,
-    computed in log space to avoid overflow.  beta_i = 0 whenever
-    delta_i = 1, and lambda_i > 0 always.
+    Each rho_i aggregates the other agents' investments through leave-one-out
+    averages; the squared idiosyncratic term carries a 1/n^2 coefficient so
+    that it vanishes at the mean-field rate.  rho_i = 0 whenever delta_i = 1.
+    Raises DegenerateAggregate when some 1/gamma_i <= 0, which valid inputs
+    cannot produce.
     """
-    a = p.arrays()
+    return _rho(p.arrays(), p.n, pi)
+
+
+def _beta_lambda(a: SimpleNamespace, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = np.asarray(rho, dtype=float)
     avg_delta_rho = float(np.mean(a.delta * rho))
     denom = 1.0 + float(np.mean(a.theta * (a.delta - 1.0)))
-    assert denom > 0.0
+    if not denom > 0.0:
+        raise DegenerateAggregate(f"1 + mean(theta (delta - 1)) = {denom!r} <= 0")
     beta = a.theta * (a.delta - 1.0) * avg_delta_rho / denom - a.delta * rho
     log_geo = float(np.mean(a.delta * np.log(a.eps)))
     lam = np.exp(-a.delta * np.log(a.eps) + log_geo * a.theta * (a.delta - 1.0) / denom)
     return beta, lam
 
 
+def beta_lambda_n(p: Population, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Consumption constants (beta_i, lambda_i).
+
+    beta_i mixes the population average of delta*rho with the agent's own
+    rate; lambda_i is built from the geometric mean of eps_k^delta_k,
+    computed in log space to avoid overflow.  beta_i = 0 whenever
+    delta_i = 1, and lambda_i > 0 always.  Raises DegenerateAggregate when
+    1 + mean(theta (delta - 1)) <= 0, which valid inputs cannot produce.
+    """
+    return _beta_lambda(p.arrays(), rho)
+
+
+def _theta_crit(a: SimpleNamespace) -> float:
+    return (1.0 + float(np.mean(a.theta * (a.delta - 1.0)))) / float(np.mean(a.delta))
+
+
 def theta_crit_n(p: Population) -> float:
     """Critical competition weight for a single-stock population."""
     if detect_single_stock(p) is None:
         raise NotSingleStock("theta_crit is defined only when all agents share one stock")
-    a = p.arrays()
-    return (1.0 + float(np.mean(a.theta * (a.delta - 1.0)))) / float(np.mean(a.delta))
+    return _theta_crit(p.arrays())
 
 
 def single_stock_invest_n(p: Population) -> np.ndarray:
@@ -151,7 +179,7 @@ def single_stock_invest_n(p: Population) -> np.ndarray:
     if market is None:
         raise NotSingleStock("population does not share a single stock")
     a = p.arrays()
-    tc = theta_crit_n(p)
+    tc = _theta_crit(a)
     return (a.delta - (a.theta / tc) * (a.delta - 1.0)) * market.mu / market.sigma**2
 
 
@@ -161,8 +189,7 @@ def single_stock_beta_n(p: Population) -> np.ndarray:
     if market is None:
         raise NotSingleStock("population does not share a single stock")
     a = p.arrays()
-    tc = theta_crit_n(p)
-    ratio = a.theta / tc
+    ratio = a.theta / _theta_crit(a)
     return (
         market.mu**2
         / (2.0 * market.sigma**2)
@@ -172,10 +199,13 @@ def single_stock_beta_n(p: Population) -> np.ndarray:
     )
 
 
+def _identity_residual(a: SimpleNamespace, pi: np.ndarray, agg: Aggregates) -> float:
+    return abs(float(np.mean(a.sigma * pi)) - agg.ratio)
+
+
 def identity_residual(p: Population, pi: np.ndarray, agg: Aggregates) -> float:
     """|mean(sigma_k pi_k) - phi/(1+psi)|, zero in exact arithmetic."""
-    a = p.arrays()
-    return abs(float(np.mean(a.sigma * pi)) - agg.ratio)
+    return _identity_residual(p.arrays(), pi, agg)
 
 
 def solve_n(p: Population) -> EquilibriumProfile:
@@ -185,14 +215,15 @@ def solve_n(p: Population) -> EquilibriumProfile:
     computations, then asserts the volatility identity
     mean(sigma pi*) = phi/(1+psi) to within ``IDENTITY_TOL``.
     """
-    validate_population(p)
-    agg = aggregates_n(p)
-    pi = invest_n(p, agg)
-    rho = rho_n(p, pi)
-    beta, lam = beta_lambda_n(p, rho)
-    resid = identity_residual(p, pi, agg)
+    a = validate_population(p)
+    n = p.n
+    agg = _aggregates(a, n)
+    pi = _invest(a, n, agg)
+    rho = _rho(a, n, pi)
+    beta, lam = _beta_lambda(a, rho)
+    resid = _identity_residual(a, pi, agg)
     if resid > IDENTITY_TOL:
         raise IdentityViolation(f"volatility identity residual {resid:.3e}")
-    tc = theta_crit_n(p) if detect_single_stock(p) is not None else None
+    tc = _theta_crit(a) if shared_market(a) is not None else None
     return EquilibriumProfile(pi=pi, rho=rho, beta=beta, lam=lam,
                               aggregates=agg, theta_crit=tc)

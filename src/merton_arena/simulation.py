@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -187,10 +188,9 @@ class UtilityEstimate:
     paths: int
 
 
-def _deterministic_segments(p: Population, s: StrategyProfile,
+def _deterministic_segments(ar: SimpleNamespace, s: StrategyProfile,
                             times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent, per-segment drift minus consumption integral, plus pi."""
-    ar = p.arrays()
     m = len(times) - 1
     dt = np.diff(times)
     pi_seg = s.investment_segments(m)
@@ -208,16 +208,15 @@ def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
     Blocks partition [0, paths); identical inputs give identical blocks
     regardless of block size thanks to the per-path counter windows.
     """
-    validate_population(p)
+    ar = validate_population(p)
     if not isinstance(grid, (int, np.integer)) or grid < 2:
         raise InvalidGrid(f"grid must be an integer >= 2, got {grid}")
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     if s.n != p.n:
         raise ValueError(f"strategy has {s.n} agents, population has {p.n}")
-    ar = p.arrays()
     times = np.linspace(0.0, p.horizon, grid + 1)
-    det_seg, pi_seg = _deterministic_segments(p, s, times)
+    det_seg, pi_seg = _deterministic_segments(ar, s, times)
     sqrt_dt = np.sqrt(np.diff(times))
     log_x0 = np.log(ar.x0)
 

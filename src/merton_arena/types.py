@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
 )
 
 _WEIGHT_TOL = 1e-12
+_AGENT_FIELDS = ("x0", "delta", "theta", "eps", "mu", "nu", "sigma")
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,8 @@ class Population:
         return len(self.agents)
 
     def arrays(self) -> SimpleNamespace:
-        """Per-field numpy views of the agent parameters."""
-        out = SimpleNamespace()
-        for name in ("x0", "delta", "theta", "eps", "mu", "nu", "sigma"):
-            setattr(out, name, np.array([getattr(a, name) for a in self.agents]))
-        out.Sigma = out.sigma**2 + out.nu**2
-        return out
+        """Fresh float64 columns of the agent parameters, plus Sigma."""
+        return _columns(self.agents)
 
     def to_dict(self) -> dict:
         return {"horizon": self.horizon, "agents": [a.to_dict() for a in self.agents]}
@@ -107,10 +105,8 @@ class TypeDistribution:
         return tuple(a for _, a in self.atoms)
 
     def arrays(self) -> SimpleNamespace:
-        out = SimpleNamespace()
-        for name in ("x0", "delta", "theta", "eps", "mu", "nu", "sigma"):
-            setattr(out, name, np.array([getattr(a, name) for _, a in self.atoms]))
-        out.Sigma = out.sigma**2 + out.nu**2
+        """Fresh float64 columns of the atom parameters, plus Sigma and weights w."""
+        out = _columns(self.types)
         out.w = self.weights
         return out
 
@@ -121,6 +117,15 @@ class TypeDistribution:
         }
 
 
+def _columns(agents: tuple[AgentType, ...]) -> SimpleNamespace:
+    """One float64 array per agent field, in agent order, plus Sigma = sigma^2 + nu^2."""
+    out = SimpleNamespace(**{
+        name: np.fromiter(map(attrgetter(name), agents), dtype=float, count=len(agents))
+        for name in _AGENT_FIELDS})
+    out.Sigma = out.sigma**2 + out.nu**2
+    return out
+
+
 @dataclass(frozen=True)
 class SingleStockMarket:
     """Shared (mu, sigma) when every agent trades the same stock (nu = 0)."""
@@ -129,33 +134,50 @@ class SingleStockMarket:
     sigma: float
 
 
-def validate_population(p: Population) -> None:
+def _failing(a: SimpleNamespace) -> np.ndarray:
+    """Mask of the agents whose AgentType.check raises: its comparisons, NaN included."""
+    ok = (a.x0 > 0) & (a.delta > 0) & (a.eps > 0) & (a.mu > 0)
+    ok &= (0.0 <= a.theta) & (a.theta <= 1.0)
+    return ~ok | (a.nu < 0) | (a.sigma < 0) | (a.sigma + a.nu <= 0)
+
+
+def validate_population(p: Population) -> SimpleNamespace:
     """Check every agent invariant plus n >= 2 and T > 0.
 
     Raises the subclass of ValidationError naming the first violation;
-    returns None when the population is valid.
+    returns the parameter columns (``p.arrays()``) when the population is
+    valid, so callers build them once.
     """
     if p.n < 2:
         raise TooFewAgents(p.n)
     if not p.horizon > 0:
         raise NonPositiveParameter("horizon")
-    for i, agent in enumerate(p.agents):
-        agent.check(i)
+    a = p.arrays()
+    for i in np.flatnonzero(_failing(a)):
+        p.agents[i].check(int(i))
+    return a
 
 
-def validate_distribution(d: TypeDistribution) -> None:
-    """Check atom validity, positive weights and unit total weight."""
+def validate_distribution(d: TypeDistribution) -> SimpleNamespace:
+    """Check atom validity, positive weights and unit total weight.
+
+    Returns the parameter columns (``d.arrays()``) when the distribution
+    is valid.
+    """
     if not d.horizon > 0:
         raise NonPositiveParameter("horizon")
     if len(d.atoms) == 0:
         raise InvalidWeights("distribution has no atoms")
-    for i, (w, atom) in enumerate(d.atoms):
+    a = d.arrays()
+    for i in np.flatnonzero(_failing(a) | ~(a.w > 0)):
+        w, atom = d.atoms[i]
         if not w > 0:
             raise InvalidWeights(f"atom {i} has nonpositive weight {w}")
-        atom.check(i)
-    total = math.fsum(w for w, _ in d.atoms)
+        atom.check(int(i))
+    total = math.fsum(a.w.tolist())
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise InvalidWeights(f"weights sum to {total!r}, expected 1")
+    return a
 
 
 def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket | None:
@@ -173,6 +195,13 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
     return SingleStockMarket(first.mu, first.sigma)
 
 
+def shared_market(a: SimpleNamespace) -> SingleStockMarket | None:
+    """detect_single_stock on parameter columns already built (same exact test)."""
+    if np.all(a.nu == 0.0) and np.all(a.mu == a.mu[0]) and np.all(a.sigma == a.sigma[0]):
+        return SingleStockMarket(float(a.mu[0]), float(a.sigma[0]))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # JSON config schema (consumed by the CLI)
 #
@@ -180,9 +209,6 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
 #                  "eps":, "mu":, "nu":, "sigma":}, ...]}
 #   distribution: {"horizon": T, "atoms": [{"weight":, "x0":, ...}, ...]}
 # ---------------------------------------------------------------------------
-
-_AGENT_FIELDS = ("x0", "delta", "theta", "eps", "mu", "nu", "sigma")
-
 
 def _agent_from_dict(entry: dict, index: int) -> AgentType:
     missing = [k for k in _AGENT_FIELDS if k not in entry]

@@ -1,4 +1,7 @@
 """Shared fixtures and random-input generators for the test suite."""
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -63,3 +66,23 @@ def random_population(rng: np.random.Generator, n: int | None = None,
 
 def single_atom(agent: AgentType, horizon: float = 1.0) -> TypeDistribution:
     return TypeDistribution(horizon=horizon, atoms=((1.0, agent),))
+
+
+def random_distribution(rng: np.random.Generator, atoms: int,
+                        **agent_kwargs) -> TypeDistribution:
+    """Atoms drawn like random_population's agents, with random positive weights."""
+    raw = rng.uniform(0.5, 1.5, atoms)
+    weights = (raw / math.fsum(raw)).tolist()
+    if agent_kwargs.get("single_stock"):
+        agent_kwargs.setdefault("mu", float(rng.uniform(0.5, 4.0)))
+        agent_kwargs.setdefault("sigma", float(rng.uniform(0.5, 2.0)))
+    return TypeDistribution(horizon=float(rng.uniform(0.25, 2.0)),
+                            atoms=tuple((w, random_agent(rng, **agent_kwargs)) for w in weights))
+
+
+def profile_sha256(e) -> str:
+    """Digest of the float64 bytes of pi, rho, beta and lam, in that order."""
+    h = hashlib.sha256()
+    for name in ("pi", "rho", "beta", "lam"):
+        h.update(np.ascontiguousarray(getattr(e, name), dtype=np.float64).tobytes())
+    return h.hexdigest()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import single_atom
+from conftest import profile_sha256, random_distribution, single_atom
 from merton_arena import (
     AgentType,
     NotSingleStock,
@@ -249,3 +249,15 @@ class TestConvergenceToMeanField:
             gaps.append(abs(e.beta[0] - m.beta[0]))
         ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
         assert np.all((ratios >= 0.4) & (ratios <= 0.6))
+
+
+class TestRecordedOutputs:
+    """solve_mf output bytes, recorded before the formulas read prebuilt columns."""
+
+    @pytest.mark.parametrize("seed, single_stock, digest", [
+        (1002, False, "7705aa527e792f55149458f1fc3f814ffb237a760cc79aa68aee7dccaf3d5ce7"),
+        (1003, True, "e44b6c143841a00dad207c79ae7cc0ed0418e2ab38e2e3ce503637d834bf631f"),
+    ])
+    def test_bytes_unchanged(self, seed, single_stock, digest):
+        d = random_distribution(np.random.default_rng(seed), 1000, single_stock=single_stock)
+        assert profile_sha256(solve_mf(d)) == digest

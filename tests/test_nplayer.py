@@ -4,10 +4,16 @@ The reference two-agent population has exactly rational equilibrium
 constants, frozen here as fractions: pi* = 75/13, rho = 25/13,
 beta = -375/169, lambda = 1.
 """
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_population
+import merton_arena
+from conftest import profile_sha256, random_population
 from merton_arena import (
     AgentType,
     NotSingleStock,
@@ -253,3 +259,62 @@ class TestEpsScaling:
         # investments, rates and beta do not depend on eps at all
         assert np.all(e2.pi == e.pi)
         assert np.all(e2.beta == e.beta)
+
+
+class TestRecordedOutputs:
+    """solve_n output bytes, recorded before the formulas read prebuilt columns."""
+
+    @pytest.mark.parametrize("seed, single_stock, digest", [
+        (1000, False, "26c48ad44137d111275e5fbc5c1a3ca77c94ad79d35bb0ad25ecf6acf017bb9f"),
+        (1001, True, "a4e27ca4d986881dd67f08771359f21160d3ab2492bd2b5e06949e5eacee64f4"),
+    ])
+    def test_bytes_unchanged(self, seed, single_stock, digest):
+        p = random_population(np.random.default_rng(seed), n=1000, single_stock=single_stock)
+        assert profile_sha256(solve_n(p)) == digest
+
+
+class TestNoRetainedState:
+    def test_solve_n_retains_nothing(self):
+        rng = np.random.default_rng(8)
+        warm, p = random_population(rng, n=1000), random_population(rng, n=1000)
+        package = os.path.dirname(merton_arena.__file__)
+        only_package = [tracemalloc.Filter(True, os.path.join(package, "*"))]
+        tracemalloc.start()
+        try:
+            solve_n(warm)  # steady state of numpy's own small caches
+            before = tracemalloc.take_snapshot().filter_traces(only_package)
+            solve_n(p)
+            after = tracemalloc.take_snapshot().filter_traces(only_package)
+        finally:
+            tracemalloc.stop()
+        assert sum(s.size_diff for s in after.compare_to(before, "lineno")) == 0
+
+
+class TestRaisedInvariants:
+    def test_raised_under_optimize_flag(self):
+        # theta = 3, delta = 0.1 bypasses validation; the invariants must
+        # still raise with assertions stripped (python -O).
+        code = (
+            "import numpy as np\n"
+            "from merton_arena import AgentType, DegenerateAggregate, Population\n"
+            "from merton_arena.nplayer import beta_lambda_n, rho_n\n"
+            "if __debug__:\n"
+            "    raise SystemExit('assertions are on')\n"
+            "a = AgentType(x0=1.0, delta=0.1, theta=3.0, eps=1.0, mu=1.0, nu=0.2, sigma=0.5)\n"
+            "p = Population(1.0, (a, a))\n"
+            "for call in (lambda: rho_n(p, np.ones(2)), lambda: beta_lambda_n(p, np.zeros(2))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except DegenerateAggregate as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit('no DegenerateAggregate')\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(merton_arena.__file__))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        rho_msg, beta_msg = out.stdout.splitlines()
+        assert rho_msg == "1/gamma = -3.5 <= 0"
+        assert beta_msg.startswith("1 + mean(theta (delta - 1)) = -1.7")

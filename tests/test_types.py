@@ -1,7 +1,10 @@
 """Validation, single-stock detection, and the JSON config schema."""
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merton_arena import (
     AgentType,
@@ -161,3 +164,92 @@ class TestImmutability:
         arrs = p.arrays()
         arrs.delta[0] = 99.0
         assert p.agents[0].delta == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Vectorized validators against the per-agent loops they replaced
+# ---------------------------------------------------------------------------
+
+def loop_validate_population(p):
+    if p.n < 2:
+        raise TooFewAgents(p.n)
+    if not p.horizon > 0:
+        raise NonPositiveParameter("horizon")
+    for i, a in enumerate(p.agents):
+        a.check(i)
+
+
+def loop_validate_distribution(d):
+    if not d.horizon > 0:
+        raise NonPositiveParameter("horizon")
+    if len(d.atoms) == 0:
+        raise InvalidWeights("distribution has no atoms")
+    for i, (w, a) in enumerate(d.atoms):
+        if not w > 0:
+            raise InvalidWeights(f"atom {i} has nonpositive weight {w}")
+        a.check(i)
+    total = math.fsum(w for w, _ in d.atoms)
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidWeights(f"weights sum to {total!r}, expected 1")
+
+
+def outcome(validate, obj):
+    """None when valid, else the raised class, message and fields."""
+    try:
+        validate(obj)
+    except ValidationError as exc:
+        return (type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "field", None))
+    return None
+
+
+FIELDS = ("x0", "delta", "theta", "eps", "mu", "nu", "sigma")
+BAD_VALUES = st.sampled_from([0.0, -0.0, -1.0, -1e-300, 5e-324, 1.5, 2.0,
+                              math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def corrupted(draw, min_size):
+    """(horizon, agents, weights) with 0-3 fields, weights or the horizon corrupted."""
+    size = draw(st.integers(min_size, 6))
+    unit = st.floats(0.0, 1.0)
+    agents = [dict(x0=draw(st.floats(0.1, 3.0)), delta=draw(st.floats(0.1, 5.0)),
+                   theta=draw(unit), eps=draw(st.floats(0.1, 4.0)),
+                   mu=draw(st.floats(0.1, 4.0)), nu=draw(st.sampled_from([0.0, 0.5])),
+                   sigma=draw(st.floats(0.5, 2.0)))
+              for _ in range(size)]
+    raw = [draw(st.floats(0.5, 1.5)) for _ in range(size)]
+    weights = [w / math.fsum(raw) for w in raw]
+    horizon = 1.0
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, size - 1))
+        target = draw(st.sampled_from(FIELDS + ("weight", "weight", "horizon")))
+        if target == "weight":
+            weights[i] = draw(BAD_VALUES | st.floats(0.01, 1.0))
+        elif target == "horizon":
+            horizon = draw(BAD_VALUES)
+        else:
+            agents[i][target] = draw(BAD_VALUES)
+    return horizon, [AgentType(**a) for a in agents], weights
+
+
+class TestVectorizedValidators:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(corrupted(min_size=2))
+    def test_population_matches_loop(self, case):
+        horizon, agents, _ = case
+        p = Population(horizon, tuple(agents))
+        assert outcome(validate_population, p) == outcome(loop_validate_population, p)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(corrupted(min_size=1))
+    def test_distribution_matches_loop(self, case):
+        horizon, agents, weights = case
+        d = TypeDistribution(horizon, tuple(zip(weights, agents)))
+        assert outcome(validate_distribution, d) == outcome(loop_validate_distribution, d)
+
+    def test_valid_input_returns_columns(self):
+        p = pop(agent(), agent(delta=2.0))
+        cols = validate_population(p)
+        assert cols.delta.tolist() == [3.0, 2.0]
+        d = TypeDistribution(1.0, ((0.25, agent()), (0.75, agent(mu=1.0))))
+        assert validate_distribution(d).w.tolist() == [0.25, 0.75]

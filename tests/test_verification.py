@@ -1,4 +1,6 @@
 """ODE oracle, fixed-point residuals, best-response scan, convergence."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import random_population, single_atom
 from merton_arena import (
     AgentType,
     BernoulliInputs,
+    ConsumptionPolicy,
     NonReplicableWeights,
     Population,
     ProfitableDeviationFound,
@@ -16,13 +19,14 @@ from merton_arena import (
     equilibrium_strategy,
     estimate_objective,
     fixed_point_check,
+    gamma_n,
     mfg_convergence,
     simulate,
     solve_n,
 )
 from merton_arena import verification
-from merton_arena.nplayer import EquilibriumProfile
-from merton_arena.verification import replicate
+from merton_arena.nplayer import EquilibriumProfile, identity_residual
+from merton_arena.verification import FixedPointReport, replicate
 
 
 def const(value):
@@ -286,3 +290,157 @@ class TestConvergence:
         assert pop.n == 6
         assert pop.agents[0] == d.types[0]
         assert pop.agents[5] == d.types[1]
+
+
+# ---------------------------------------------------------------------------
+# Batched RK4 kernel and the O(n) fixed-point check against explicit references
+# ---------------------------------------------------------------------------
+
+def scalar_rk4(gamma, a, b, horizon, steps):
+    """The one-equation float loop the batched kernel must reproduce bitwise.
+
+    ``a`` and ``b`` are lists on the half-step grid (2 steps + 1 points).
+    """
+    h = -horizon / steps
+    u = [0.0] * (steps + 1)
+    u[steps] = 1.0
+    g = -gamma
+    for j in range(steps, 0, -1):
+        uj = u[j]
+        a0, b0 = a[2 * j], b[2 * j]
+        am, bm = a[2 * j - 1], b[2 * j - 1]
+        a1, b1 = a[2 * j - 2], b[2 * j - 2]
+        k1 = g * (a0 * uj + b0)
+        k2 = g * (am * (uj + 0.5 * h * k1) + bm)
+        k3 = g * (am * (uj + 0.5 * h * k2) + bm)
+        k4 = g * (a1 * (uj + h * k3) + b1)
+        u[j - 1] = uj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(u)
+
+
+def reference_fixed_point(p, e, steps):
+    """Fixed-point check with O(n^2) leave-one-out closures, one oracle call per agent.
+
+    Returns the report fields plus, per field, the magnitude of the
+    quantities whose difference it measures: value factors for the gaps,
+    consumption for the best-response residual, the ODE terms for the
+    defect.  The O(n) check may differ from this reference by rounding of
+    those quantities only.
+    """
+    ar = p.arrays()
+    n, T = p.n, p.horizon
+    gammas = gamma_n(p)
+    policies = [ConsumptionPolicy(float(b), float(l), T) for b, l in zip(e.beta, e.lam)]
+    times = np.linspace(0.0, T, steps + 1)
+    c_nodes = np.array([pol.rate(times) for pol in policies])
+    log_c = np.log(c_nodes)
+    chat_full = c_nodes.mean(axis=0)
+    idx = np.unique(np.append(np.arange(0, steps + 1, max(1, steps // 1000)), steps))
+    out = {"systeq1_max": 0.0, "systeq2_max": 0.0, "f_gap_ode_closed": [],
+           "f_gap_ode_exp": [], "f_gap_closed_exp": []}
+    scale = {"systeq1_max": 0.0, "systeq2_max": 0.0, "f_gap": []}
+    for i in range(n):
+        others = [k for k in range(n) if k != i]
+
+        def hat_minus(t, _o=others):
+            return sum(policies[k].rate(t) for k in _o) / n
+
+        def bar_minus(t, _o=others):
+            return np.exp(sum(np.log(policies[k].rate(t)) for k in _o) / n)
+
+        inputs = BernoulliInputs(gamma=float(gammas[i]), theta=float(ar.theta[i]),
+                                 delta=float(ar.delta[i]), eps=float(ar.eps[i]),
+                                 rho=float(e.rho[i]), hat_c_minus=hat_minus,
+                                 bar_c_minus=bar_minus)
+        _, f_ode = bernoulli_oracle(inputs, T, steps)
+        a_vals, b_vals, gamma = inputs.a(times), inputs.b(times), inputs.gamma
+        big_a = verification._reverse_cumulative(a_vals, times)
+        weight = np.exp(gamma * big_a)
+        tail = verification._reverse_cumulative(gamma * b_vals / weight, times)
+        f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
+        shrink = e.rho[i] + ar.theta[i] * (1.0 - 1.0 / ar.delta[i]) * chat_full \
+            + c_nodes[i] / ar.delta[i]
+        f_exp = np.exp(verification._reverse_cumulative(shrink, times))
+        out["f_gap_ode_closed"].append(np.max(np.abs(f_ode - f_closed)))
+        out["f_gap_ode_exp"].append(np.max(np.abs(f_ode - f_exp)))
+        out["f_gap_closed_exp"].append(np.max(np.abs(f_closed - f_exp)))
+        scale["f_gap"].append(max(np.max(f_ode), np.max(f_closed), np.max(f_exp)))
+        log_bar_minus = (log_c.sum(axis=0) - log_c[i]) / n
+        best = np.exp(-gamma * np.log(ar.eps[i])
+                      - gamma * ar.theta[i] * (1.0 - 1.0 / ar.delta[i]) * log_bar_minus
+                      - gamma * np.log(f_ode))
+        terms = (-shrink * f_exp, a_vals * f_exp, b_vals * f_exp ** (1.0 - gamma))
+        out["systeq1_max"] = max(out["systeq1_max"],
+                                 float(np.max(np.abs(c_nodes[i] - best)[idx])))
+        out["systeq2_max"] = max(out["systeq2_max"], float(np.max(np.abs(sum(terms))[idx])))
+        scale["systeq1_max"] = max(scale["systeq1_max"], float(np.max(c_nodes[i][idx])))
+        scale["systeq2_max"] = max(scale["systeq2_max"],
+                                   max(float(np.max(np.abs(x)[idx])) for x in terms))
+    out["identity_residual"] = identity_residual(p, e.pi, e.aggregates)
+    return out, scale
+
+
+class TestBatchedOracle:
+    @staticmethod
+    def agent_inputs(rng, count):
+        """Smooth positive coefficient curves, one BernoulliInputs per agent."""
+        inputs = []
+        for _ in range(count):
+            c0, c1, w = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(1.0, 6.0)
+            inputs.append(BernoulliInputs(
+                gamma=float(rng.uniform(0.3, 3.0)), theta=float(rng.uniform(0.0, 1.0)),
+                delta=float(rng.uniform(0.3, 5.0)), eps=float(rng.uniform(0.25, 4.0)),
+                rho=float(rng.uniform(-1.0, 1.0)),
+                hat_c_minus=lambda t, c0=c0, c1=c1, w=w: c0 + c1 * np.sin(w * t),
+                bar_c_minus=lambda t, c0=c0, w=w: c0 * np.exp(0.1 * np.cos(w * t))))
+        return inputs
+
+    @pytest.mark.parametrize("copies", [1, 5])  # 5 and 25 equations: both kernel paths
+    def test_batched_equals_per_agent_bitwise(self, copies):
+        assert 5 < verification._VECTOR_ROWS <= 25
+        steps, horizon = 1300, 1.3  # three coefficient chunks
+        assert steps > 2 * verification._RK4_CHUNK
+        inputs = self.agent_inputs(np.random.default_rng(11), 5) * copies
+        half = np.linspace(0.0, horizon, 2 * steps + 1)
+        a = np.column_stack([inp.a(half) for inp in inputs])
+        b = np.column_stack([inp.b(half) for inp in inputs])
+        gammas = np.array([inp.gamma for inp in inputs])
+        u = verification._rk4_backward(
+            gammas, lambda lo, hi: (a[2 * lo:2 * hi + 1], b[2 * lo:2 * hi + 1]), steps, horizon)
+        for k, inp in enumerate(inputs):
+            _, f = bernoulli_oracle(inp, horizon, steps)
+            assert np.array_equal(u[:, k] ** (1.0 / inp.gamma), f)
+            ref = scalar_rk4(inp.gamma, a[:, k].tolist(), b[:, k].tolist(), horizon, steps)
+            assert np.array_equal(u[:, k], ref)
+
+    @pytest.mark.parametrize("n, seed", [(5, 1), (5, 2), (32, 3)])
+    def test_fixed_point_matches_quadratic_reference(self, n, seed):
+        # Leave-one-out sums are now full sums minus own: summation order,
+        # hence rounding, differs; the report agrees with the reference to
+        # 1e-12 of the magnitudes each field compares.
+        p = random_population(np.random.default_rng(seed), n=n)
+        e = solve_n(p)
+        rep = fixed_point_check(p, e, steps=2000)
+        ref, scale = reference_fixed_point(p, e, steps=2000)
+        assert rep.identity_residual == ref["identity_residual"]
+        for field in ("systeq1_max", "systeq2_max"):
+            assert abs(getattr(rep, field) - ref[field]) <= 1e-12 * scale[field], field
+        for field in ("f_gap_ode_closed", "f_gap_ode_exp", "f_gap_closed_exp"):
+            diff = np.abs(getattr(rep, field) - np.array(ref[field]))
+            assert np.all(diff <= 1e-12 * np.array(scale["f_gap"])), field
+        assert rep.passes() == FixedPointReport(
+            systeq1_max=ref["systeq1_max"], systeq2_max=ref["systeq2_max"],
+            identity_residual=ref["identity_residual"],
+            **{f: np.array(ref[f]) for f in ("f_gap_ode_closed", "f_gap_ode_exp",
+                                             "f_gap_closed_exp")}).passes()
+
+    def test_fixed_point_peak_memory(self):
+        p = random_population(np.random.default_rng(3), n=32)
+        e = solve_n(p)
+        tracemalloc.start()
+        try:
+            fixed_point_check(p, e, steps=10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
