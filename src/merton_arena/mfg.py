@@ -22,7 +22,6 @@ from .types import (
     AgentType,
     TypeDistribution,
     detect_single_stock,
-    shared_market,
     validate_distribution,
 )
 
@@ -209,7 +208,7 @@ def solve_mf(d: TypeDistribution) -> MfEquilibrium:
     lam = np.exp(-a.delta * np.log(a.eps)
                  + agg.log_eps_delta * a.theta * (a.delta - 1.0) / denom)
 
-    market = shared_market(a)
+    market = detect_single_stock(d)
     tc = None
     deff = None
     if market is not None:

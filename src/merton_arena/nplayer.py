@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateAggregate, IdentityViolation, NotSingleStock
-from .types import Population, detect_single_stock, shared_market, validate_population
+from .types import Population, detect_single_stock, validate_population
 
 IDENTITY_TOL = 1e-10
 
@@ -224,6 +224,6 @@ def solve_n(p: Population) -> EquilibriumProfile:
     resid = _identity_residual(a, pi, agg)
     if resid > IDENTITY_TOL:
         raise IdentityViolation(f"volatility identity residual {resid:.3e}")
-    tc = _theta_crit(a) if shared_market(a) is not None else None
+    tc = _theta_crit(a) if detect_single_stock(p) is not None else None
     return EquilibriumProfile(pi=pi, rho=rho, beta=beta, lam=lam,
                               aggregates=agg, theta_crit=tc)

@@ -195,13 +195,6 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
     return SingleStockMarket(first.mu, first.sigma)
 
 
-def shared_market(a: SimpleNamespace) -> SingleStockMarket | None:
-    """detect_single_stock on parameter columns already built (same exact test)."""
-    if np.all(a.nu == 0.0) and np.all(a.mu == a.mu[0]) and np.all(a.sigma == a.sigma[0]):
-        return SingleStockMarket(float(a.mu[0]), float(a.sigma[0]))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # JSON config schema (consumed by the CLI)
 #

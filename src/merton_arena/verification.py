@@ -75,29 +75,23 @@ class BernoulliInputs:
         return math.exp(-self.gamma * math.log(self.eps)) / self.gamma * bar**expo
 
 
-# From this many equations on, one numpy pass per step beats a float loop per
-# equation: at 10^4 steps on a 2-core VM the pass takes about 0.25 s whatever
-# the count, the float loop about 10 ms per equation.
-_VECTOR_ROWS = 24
 _RK4_CHUNK = 512  # steps whose coefficients are held at once
 
 
 def _rk4_backward(gamma: np.ndarray, coefficients: Callable, steps: int,
                   horizon: float) -> np.ndarray:
-    """Classical RK4 for u'/gamma + a u + b = 0, u(T) = 1, for m equations at once.
+    """Classical RK4 for u'/gamma + a u + b = 0, u(T) = 1, for m equations.
 
     ``coefficients(lo, hi)`` returns (a, b) on the half-step grid from node
     lo to node hi: (2 (hi - lo) + 1, m) arrays, column k for equation k,
     nodes at even rows and midpoints at odd rows.  They are asked for a
-    chunk of steps at a time, so memory beyond u stays O(chunk m).  From
-    ``_VECTOR_ROWS`` equations on, one loop over the steps updates all of
-    them together; fewer run one float loop each.  Both loops spell out
-    the same arithmetic, so every column is bitwise what it would be
-    alone.  Returns u as (steps + 1, m).
+    chunk of steps at a time, so memory beyond u stays O(chunk m).  Each
+    equation runs its own float loop, so every column is bitwise what it
+    would be alone.  Returns u as (steps + 1, m).
     """
     m = len(gamma)
     h = -horizon / steps
-    neg_gamma = -np.asarray(gamma, dtype=float)
+    neg_gamma = (-np.asarray(gamma, dtype=float)).tolist()
     u = np.empty((steps + 1, m))
     u[steps] = 1.0
     for hi in range(steps, 0, -_RK4_CHUNK):
@@ -105,27 +99,17 @@ def _rk4_backward(gamma: np.ndarray, coefficients: Callable, steps: int,
         a, b = coefficients(lo, hi)
         if np.any(b < 0.0):
             raise ValueError("coefficient b(t) must be nonnegative")
-        if m < _VECTOR_ROWS:
-            for k in range(m):
-                al, bl, g = a[:, k].tolist(), b[:, k].tolist(), float(neg_gamma[k])
-                col = u[lo:hi + 1, k].tolist()
-                for j in range(hi - lo, 0, -1):
-                    uj, am, bm = col[j], al[2 * j - 1], bl[2 * j - 1]
-                    k1 = g * (al[2 * j] * uj + bl[2 * j])
-                    k2 = g * (am * (uj + 0.5 * h * k1) + bm)
-                    k3 = g * (am * (uj + 0.5 * h * k2) + bm)
-                    k4 = g * (al[2 * j - 2] * (uj + h * k3) + bl[2 * j - 2])
-                    col[j - 1] = uj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                u[lo:hi + 1, k] = col
-        else:
-            g = neg_gamma
+        for k in range(m):
+            al, bl, g = a[:, k].tolist(), b[:, k].tolist(), neg_gamma[k]
+            col = u[lo:hi + 1, k].tolist()
             for j in range(hi - lo, 0, -1):
-                uj, am, bm = u[lo + j], a[2 * j - 1], b[2 * j - 1]
-                k1 = g * (a[2 * j] * uj + b[2 * j])
+                uj, am, bm = col[j], al[2 * j - 1], bl[2 * j - 1]
+                k1 = g * (al[2 * j] * uj + bl[2 * j])
                 k2 = g * (am * (uj + 0.5 * h * k1) + bm)
                 k3 = g * (am * (uj + 0.5 * h * k2) + bm)
-                k4 = g * (a[2 * j - 2] * (uj + h * k3) + b[2 * j - 2])
-                u[lo + j - 1] = uj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k4 = g * (al[2 * j - 2] * (uj + h * k3) + bl[2 * j - 2])
+                col[j - 1] = uj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u[lo:hi + 1, k] = col
     if np.any(u <= 0.0):
         raise NonPositiveSolution("linearized value factor hit a nonpositive value")
     return u
@@ -225,8 +209,8 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
 
     The curves are evaluated once on the half-step grid; each agent's
     leave-one-out averages are the full sums minus its own term, and the
-    RK4 oracle runs for all agents at once, taking the coefficients of
-    `BernoulliInputs` a chunk of steps at a time.
+    RK4 oracle takes the coefficients of `BernoulliInputs` for all agents
+    a chunk of steps at a time.
     """
     ar = validate_population(p)
     if steps < 2:

@@ -395,12 +395,10 @@ class TestBatchedOracle:
                 bar_c_minus=lambda t, c0=c0, w=w: c0 * np.exp(0.1 * np.cos(w * t))))
         return inputs
 
-    @pytest.mark.parametrize("copies", [1, 5])  # 5 and 25 equations: both kernel paths
-    def test_batched_equals_per_agent_bitwise(self, copies):
-        assert 5 < verification._VECTOR_ROWS <= 25
+    def test_batched_equals_per_agent_bitwise(self):
         steps, horizon = 1300, 1.3  # three coefficient chunks
         assert steps > 2 * verification._RK4_CHUNK
-        inputs = self.agent_inputs(np.random.default_rng(11), 5) * copies
+        inputs = self.agent_inputs(np.random.default_rng(11), 5)
         half = np.linspace(0.0, horizon, 2 * steps + 1)
         a = np.column_stack([inp.a(half) for inp in inputs])
         b = np.column_stack([inp.b(half) for inp in inputs])
@@ -443,4 +441,5 @@ class TestBatchedOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        # About 10.7e6 bytes with 512-step coefficient chunks; 28.8e6 unchunked.
+        assert peak <= 12e6
