@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .types import (
     AgentType,
     Population,
     TypeDistribution,
+    _columns,
+    _from_config,
     detect_single_stock,
-    load_config,
 )
 
 EXIT_OK = 0
@@ -76,7 +78,7 @@ class RunConfig:
 
 
 def _write_csv(path: str, comments: list[str], header: list[str],
-               rows: list[list]) -> None:
+               rows: Iterable[Sequence]) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     for row in rows:
@@ -87,18 +89,6 @@ def _write_csv(path: str, comments: list[str], header: list[str],
 
 def _config_echo(obj) -> str:
     return "config: " + json.dumps(obj.to_dict(), sort_keys=True)
-
-
-def _require_population(obj) -> Population:
-    if not isinstance(obj, Population):
-        raise ValidationError("this command needs a population config ('agents' list)")
-    return obj
-
-
-def _require_distribution(obj) -> TypeDistribution:
-    if not isinstance(obj, TypeDistribution):
-        raise ValidationError("this command needs a distribution config ('atoms' list)")
-    return obj
 
 
 def _representative(d: TypeDistribution, overrides: dict | None) -> AgentType:
@@ -113,10 +103,18 @@ def _representative(d: TypeDistribution, overrides: dict | None) -> AgentType:
     return base
 
 
-def _load(path: str) -> tuple[Population | TypeDistribution, dict]:
+_CONFIG_KINDS = {Population: "a population config ('agents' list)",
+                 TypeDistribution: "a distribution config ('atoms' list)"}
+
+
+def _load(path: str, kind: type) -> tuple[Population | TypeDistribution, dict]:
+    """The config file parsed once: the object, which must be a ``kind``, and its raw dict."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return load_config(path), raw
+    obj = _from_config(raw)
+    if not isinstance(obj, kind):
+        raise ValidationError(f"this command needs {_CONFIG_KINDS[kind]}")
+    return obj, raw
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +122,7 @@ def _load(path: str) -> tuple[Population | TypeDistribution, dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_solve_n(rc: RunConfig) -> int:
-    obj, _ = _load(rc.config)
-    p = _require_population(obj)
+    p, _ = _load(rc.config, Population)
     e = nplayer.solve_n(p)
     comments = [
         "merton-arena solve-n",
@@ -167,8 +164,7 @@ def parse_solve_csv(path: str) -> dict:
 
 
 def cmd_curves(rc: RunConfig) -> int:
-    obj, raw = _load(rc.config)
-    d = _require_distribution(obj)
+    d, raw = _load(rc.config, TypeDistribution)
     rep = _representative(d, raw.get("representative"))
     deltas = rc.deltas if rc.deltas is not None else np.array([0.5, 1.0, 2.0, 3.0, 5.0])
     agg = mfg.aggregates_mf(d)
@@ -190,50 +186,39 @@ def cmd_curves(rc: RunConfig) -> int:
 
 
 def _single_stock_grid(rc: RunConfig, d: TypeDistribution, raw: dict):
+    """theta_crit and the columns (delta, theta, delta_eff, beta, lambda) of the grid, delta fastest."""
     market = detect_single_stock(d)
     if market is None:
         raise ValidationError("regime/sweep need a single-stock distribution")
-    rep = _representative(d, raw.get("representative"))
+    t = _columns((_representative(d, raw.get("representative")),))
     tc = mfg.theta_crit_mf(d)
     agg = mfg.aggregates_mf(d)
     deltas = rc.deltas if rc.deltas is not None else np.linspace(0.05, 6.0, 120)
     thetas = rc.thetas if rc.thetas is not None else np.linspace(0.0, 1.0, 21)
-    return market, rep, tc, agg, deltas, thetas
+    t.delta, t.theta = np.tile(deltas, len(thetas)), np.repeat(thetas, len(deltas))
+    deff = nplayer._delta_eff(t, tc)
+    lam = nplayer._lambda(t, agg.log_eps_delta, agg.avg_theta_dm1)
+    if not np.all(lam > 0):
+        raise ValueError(f"lambda must be positive, got {lam[~(lam > 0)][0]}")
+    return tc, t.delta, t.theta, deff, nplayer._single_stock_beta(market, deff), lam
 
 
 def cmd_regime(rc: RunConfig) -> int:
-    obj, raw = _load(rc.config)
-    d = _require_distribution(obj)
-    market, rep, tc, agg, deltas, thetas = _single_stock_grid(rc, d, raw)
+    d, raw = _load(rc.config, TypeDistribution)
+    tc, delta, theta, deff, beta, lam = _single_stock_grid(rc, d, raw)
     comments = ["merton-arena regime", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
-    rows = []
-    for th in thetas:
-        for dv in deltas:
-            t = dataclasses.replace(rep, delta=float(dv), theta=float(th))
-            deff = mfg.delta_eff(t, tc)
-            beta = market.mu**2 / (2.0 * market.sigma**2) * deff * (1.0 - deff)
-            lam = mfg.lambda_mf(t, agg)
-            regime = policy.classify_regime(beta, lam)
-            rows.append([dv, th, regime.value, beta, deff])
+    rows = zip(delta.tolist(), theta.tolist(), policy._regimes(beta, lam).tolist(),
+               beta.tolist(), deff.tolist())
     _write_csv(rc.out, comments, ["delta", "theta", "regime", "beta", "delta_eff"], rows)
     return EXIT_OK
 
 
 def cmd_sweep(rc: RunConfig) -> int:
-    obj, raw = _load(rc.config)
-    d = _require_distribution(obj)
-    market, rep, tc, agg, deltas, thetas = _single_stock_grid(rc, d, raw)
+    d, raw = _load(rc.config, TypeDistribution)
+    tc, delta, theta, _, beta, lam = _single_stock_grid(rc, d, raw)
     comments = ["merton-arena sweep", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
-    half = 0.5 * d.horizon
-    rows = []
-    for th in thetas:
-        for dv in deltas:
-            t = dataclasses.replace(rep, delta=float(dv), theta=float(th))
-            deff = mfg.delta_eff(t, tc)
-            beta = market.mu**2 / (2.0 * market.sigma**2) * deff * (1.0 - deff)
-            lam = mfg.lambda_mf(t, agg)
-            c_mid = policy.ConsumptionPolicy(beta, lam, d.horizon).rate(half)
-            rows.append([dv, th, beta, lam, c_mid])
+    c_mid = policy._rate(beta, lam, 0.5 * d.horizon)  # time to go at t = T/2
+    rows = zip(delta.tolist(), theta.tolist(), beta.tolist(), lam.tolist(), c_mid.tolist())
     _write_csv(rc.out, comments, ["delta", "theta", "beta", "lambda", "c_mid"], rows)
     return EXIT_OK
 
@@ -252,8 +237,7 @@ def _strategy_from_config(p: Population, raw: dict) -> simulation.StrategyProfil
 
 
 def cmd_simulate(rc: RunConfig) -> int:
-    obj, raw = _load(rc.config)
-    p = _require_population(obj)
+    p, raw = _load(rc.config, Population)
     s = _strategy_from_config(p, raw)
     keep = np.unique(np.round(np.linspace(0, rc.grid, rc.time_grid)).astype(int))
     times = np.linspace(0.0, p.horizon, rc.grid + 1)
@@ -313,8 +297,7 @@ def _verify_failures(fp: verification.FixedPointReport, fp_pass: bool,
 
 
 def cmd_verify(rc: RunConfig) -> int:
-    obj, _ = _load(rc.config)
-    p = _require_population(obj)
+    p, _ = _load(rc.config, Population)
     e = nplayer.solve_n(p)
 
     fp = verification.fixed_point_check(p, e)

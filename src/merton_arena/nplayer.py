@@ -1,4 +1,4 @@
-"""Closed-form strong equilibrium of the finite-population game.
+"""Closed-form strong equilibrium of the game, finite and mean-field.
 
 Every quantity here is an explicit function of the agent parameters: the
 drift/volatility aggregates (phi, psi), the constant investment fractions
@@ -6,19 +6,24 @@ pi*, the per-agent rates rho, and the consumption-curve constants (beta,
 lambda).  In the single-stock case the same equilibrium collapses to a
 formula driven by one critical competition level theta_crit.
 
-The formula bodies are private functions of the parameter columns ``a``
-(``Population.arrays()``) and n; the public names are thin wrappers, and
-`solve_n` validates and builds the columns once.
+One formula family serves both games.  Each body is a private function of
+the parameter columns ``a`` (``Population.arrays()``), the agent count
+``n`` and an averaging function ``avg``: the n-agent game is ``np.mean``
+at finite n, and its mean-field limit (`mfg`) is ``math.inf`` with the
+atom-weighted average ``np.dot(a.w, .)``.  Only rho has a second body, the
+limit form in `mfg`.  The public names are thin wrappers, and `solve_n`
+validates and builds the columns once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateAggregate, IdentityViolation, NotSingleStock
-from .types import Population, detect_single_stock, validate_population
+from .types import Population, SingleStockMarket, detect_single_stock, validate_population
 
 IDENTITY_TOL = 1e-10
 
@@ -67,14 +72,15 @@ def gamma_n(p: Population) -> np.ndarray:
     return _gamma(p.arrays(), p.n)
 
 
-def _invest_denom(a: SimpleNamespace, n: int) -> np.ndarray:
+def _invest_denom(a: SimpleNamespace, n: float) -> np.ndarray:
+    # At n = inf this is bitwise a.Sigma: the theta/n term is exactly +-0.
     return a.sigma**2 + a.nu**2 * (1.0 + (a.delta - 1.0) * a.theta / n)
 
 
-def _aggregates(a: SimpleNamespace, n: int) -> Aggregates:
+def _aggregates(a: SimpleNamespace, n: float, avg: Callable) -> Aggregates:
     denom = _invest_denom(a, n)
-    phi = float(np.mean(a.delta * a.mu * a.sigma / denom))
-    psi = float(np.mean(a.theta * (a.delta - 1.0) * a.sigma**2 / denom))
+    phi = float(avg(a.delta * a.mu * a.sigma / denom))
+    psi = float(avg(a.theta * (a.delta - 1.0) * a.sigma**2 / denom))
     if 1.0 + psi <= 0.0:
         raise DegenerateAggregate(f"1 + psi = {1.0 + psi!r} <= 0")
     return Aggregates(phi=phi, psi=psi)
@@ -82,10 +88,10 @@ def _aggregates(a: SimpleNamespace, n: int) -> Aggregates:
 
 def aggregates_n(p: Population) -> Aggregates:
     """Compute (phi, psi) for a finite population."""
-    return _aggregates(p.arrays(), p.n)
+    return _aggregates(p.arrays(), p.n, np.mean)
 
 
-def _invest(a: SimpleNamespace, n: int, agg: Aggregates) -> np.ndarray:
+def _invest(a: SimpleNamespace, n: float, agg: Aggregates) -> np.ndarray:
     return (a.delta * a.mu - a.theta * (a.delta - 1.0) * a.sigma * agg.ratio) \
         / _invest_denom(a, n)
 
@@ -100,8 +106,6 @@ def invest_n(p: Population, agg: Aggregates) -> np.ndarray:
 
 
 def _rho(a: SimpleNamespace, n: int, pi: np.ndarray) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-
     s_sigma_pi = np.sum(a.sigma * pi)
     s_mu_pi = np.sum(a.mu * pi)
     s_Sigma_pi2 = np.sum(a.Sigma * pi**2)
@@ -135,19 +139,27 @@ def rho_n(p: Population, pi: np.ndarray) -> np.ndarray:
     Raises DegenerateAggregate when some 1/gamma_i <= 0, which valid inputs
     cannot produce.
     """
-    return _rho(p.arrays(), p.n, pi)
+    return _rho(p.arrays(), p.n, np.asarray(pi, dtype=float))
 
 
-def _beta_lambda(a: SimpleNamespace, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rho = np.asarray(rho, dtype=float)
-    avg_delta_rho = float(np.mean(a.delta * rho))
-    denom = 1.0 + float(np.mean(a.theta * (a.delta - 1.0)))
-    if not denom > 0.0:
-        raise DegenerateAggregate(f"1 + mean(theta (delta - 1)) = {denom!r} <= 0")
-    beta = a.theta * (a.delta - 1.0) * avg_delta_rho / denom - a.delta * rho
-    log_geo = float(np.mean(a.delta * np.log(a.eps)))
-    lam = np.exp(-a.delta * np.log(a.eps) + log_geo * a.theta * (a.delta - 1.0) / denom)
-    return beta, lam
+def _moments(a: SimpleNamespace, rho: np.ndarray, avg: Callable) -> tuple[float, float, float]:
+    """E[delta rho], E[theta (delta - 1)] and E[delta log eps], the averages beta and lambda read."""
+    avg_theta_dm1 = float(avg(a.theta * (a.delta - 1.0)))
+    if not 1.0 + avg_theta_dm1 > 0.0:
+        raise DegenerateAggregate(
+            f"1 + mean(theta (delta - 1)) = {1.0 + avg_theta_dm1!r} <= 0")
+    return float(avg(a.delta * rho)), avg_theta_dm1, float(avg(a.delta * np.log(a.eps)))
+
+
+def _beta(t: SimpleNamespace, rho: np.ndarray, avg_delta_rho: float,
+          avg_theta_dm1: float) -> np.ndarray:
+    return t.theta * (t.delta - 1.0) * avg_delta_rho / (1.0 + avg_theta_dm1) - t.delta * rho
+
+
+def _lambda(t: SimpleNamespace, log_eps_delta: float, avg_theta_dm1: float) -> np.ndarray:
+    # log space: the geometric mean of eps_k^delta_k enters through E[delta log eps]
+    return np.exp(-t.delta * np.log(t.eps)
+                  + log_eps_delta * t.theta * (t.delta - 1.0) / (1.0 + avg_theta_dm1))
 
 
 def beta_lambda_n(p: Population, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,44 +171,50 @@ def beta_lambda_n(p: Population, rho: np.ndarray) -> tuple[np.ndarray, np.ndarra
     delta_i = 1, and lambda_i > 0 always.  Raises DegenerateAggregate when
     1 + mean(theta (delta - 1)) <= 0, which valid inputs cannot produce.
     """
-    return _beta_lambda(p.arrays(), rho)
+    a = p.arrays()
+    rho = np.asarray(rho, dtype=float)
+    avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, np.mean)
+    return (_beta(a, rho, avg_delta_rho, avg_theta_dm1),
+            _lambda(a, log_eps_delta, avg_theta_dm1))
 
 
-def _theta_crit(a: SimpleNamespace) -> float:
-    return (1.0 + float(np.mean(a.theta * (a.delta - 1.0)))) / float(np.mean(a.delta))
+def _theta_crit(a: SimpleNamespace, avg: Callable) -> float:
+    return (1.0 + float(avg(a.theta * (a.delta - 1.0)))) / float(avg(a.delta))
+
+
+def _delta_eff(t: SimpleNamespace, theta_crit: float) -> np.ndarray:
+    x = t.theta / theta_crit
+    return (1.0 - x) * t.delta + x
+
+
+def _single_stock_beta(market: SingleStockMarket, deff: np.ndarray) -> np.ndarray:
+    return market.mu**2 / (2.0 * market.sigma**2) * deff * (1.0 - deff)
+
+
+def _single_stock(p: Population) -> tuple[SingleStockMarket, SimpleNamespace, float]:
+    """The shared market, the columns and theta_crit of a single-stock population."""
+    market = detect_single_stock(p)
+    if market is None:
+        raise NotSingleStock("population does not share a single stock")
+    a = p.arrays()
+    return market, a, _theta_crit(a, np.mean)
 
 
 def theta_crit_n(p: Population) -> float:
     """Critical competition weight for a single-stock population."""
-    if detect_single_stock(p) is None:
-        raise NotSingleStock("theta_crit is defined only when all agents share one stock")
-    return _theta_crit(p.arrays())
+    return _single_stock(p)[2]
 
 
 def single_stock_invest_n(p: Population) -> np.ndarray:
-    """Corollary form of pi* for a shared stock: (delta - (theta/theta_crit)(delta-1)) mu/sigma^2."""
-    market = detect_single_stock(p)
-    if market is None:
-        raise NotSingleStock("population does not share a single stock")
-    a = p.arrays()
-    tc = _theta_crit(a)
-    return (a.delta - (a.theta / tc) * (a.delta - 1.0)) * market.mu / market.sigma**2
+    """Corollary form of pi* for a shared stock: delta_eff mu / sigma^2."""
+    market, a, tc = _single_stock(p)
+    return _delta_eff(a, tc) * market.mu / market.sigma**2
 
 
 def single_stock_beta_n(p: Population) -> np.ndarray:
-    """Corollary form of beta for a shared stock."""
-    market = detect_single_stock(p)
-    if market is None:
-        raise NotSingleStock("population does not share a single stock")
-    a = p.arrays()
-    ratio = a.theta / _theta_crit(a)
-    return (
-        market.mu**2
-        / (2.0 * market.sigma**2)
-        * (1.0 - a.delta)
-        * (1.0 - ratio)
-        * (a.delta - ratio * (a.delta - 1.0))
-    )
+    """Corollary form of beta for a shared stock: (mu^2 / 2 sigma^2) delta_eff (1 - delta_eff)."""
+    market, a, tc = _single_stock(p)
+    return _single_stock_beta(market, _delta_eff(a, tc))
 
 
 def _identity_residual(a: SimpleNamespace, pi: np.ndarray, agg: Aggregates) -> float:
@@ -208,6 +226,21 @@ def identity_residual(p: Population, pi: np.ndarray, agg: Aggregates) -> float:
     return _identity_residual(p.arrays(), pi, agg)
 
 
+def _solve(a: SimpleNamespace, n: int, theta_crit: float | None = None) -> EquilibriumProfile:
+    """`solve_n` on validated columns of n agents."""
+    agg = _aggregates(a, n, np.mean)
+    pi = _invest(a, n, agg)
+    rho = _rho(a, n, pi)
+    avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, np.mean)
+    beta = _beta(a, rho, avg_delta_rho, avg_theta_dm1)
+    lam = _lambda(a, log_eps_delta, avg_theta_dm1)
+    resid = _identity_residual(a, pi, agg)
+    if resid > IDENTITY_TOL:
+        raise IdentityViolation(f"volatility identity residual {resid:.3e}")
+    return EquilibriumProfile(pi=pi, rho=rho, beta=beta, lam=lam, aggregates=agg,
+                              theta_crit=theta_crit)
+
+
 def solve_n(p: Population) -> EquilibriumProfile:
     """Full equilibrium for a finite population.
 
@@ -216,14 +249,5 @@ def solve_n(p: Population) -> EquilibriumProfile:
     mean(sigma pi*) = phi/(1+psi) to within ``IDENTITY_TOL``.
     """
     a = validate_population(p)
-    n = p.n
-    agg = _aggregates(a, n)
-    pi = _invest(a, n, agg)
-    rho = _rho(a, n, pi)
-    beta, lam = _beta_lambda(a, rho)
-    resid = _identity_residual(a, pi, agg)
-    if resid > IDENTITY_TOL:
-        raise IdentityViolation(f"volatility identity residual {resid:.3e}")
-    tc = _theta_crit(a) if detect_single_stock(p) is not None else None
-    return EquilibriumProfile(pi=pi, rho=rho, beta=beta, lam=lam,
-                              aggregates=agg, theta_crit=tc)
+    tc = _theta_crit(a, np.mean) if detect_single_stock(p) is not None else None
+    return _solve(a, p.n, tc)

@@ -53,6 +53,18 @@ def _check_domain(policy: ConsumptionPolicy, t: np.ndarray) -> None:
         raise OutOfDomain(f"t must lie in [0, {policy.horizon}]")
 
 
+def _rate(beta, lam, tau):
+    """c at time to go tau = T - t; broadcasts over beta, lambda and tau.
+
+    Where |beta tau| < 1e-12 the discarded general form is evaluated at
+    beta = 1, so a column with beta = 0 never divides 0 by 0.
+    """
+    small = np.abs(beta * tau) < _BRANCH_TOL
+    b = np.where(small, 1.0, beta)
+    general = 1.0 / (-np.expm1(-b * tau) / b + np.exp(-b * tau) / lam)
+    return np.where(small, 1.0 / (tau + 1.0 / lam), general)
+
+
 def consumption_rate(policy: ConsumptionPolicy, t):
     """Consumption rate c(t); strictly positive, with c(T) = lambda.
 
@@ -60,14 +72,7 @@ def consumption_rate(policy: ConsumptionPolicy, t):
     """
     t_arr = np.asarray(t, dtype=float)
     _check_domain(policy, t_arr)
-    tau = policy.horizon - t_arr
-    beta, lam = policy.beta, policy.lam
-    small = np.abs(beta * tau) < _BRANCH_TOL
-    if beta == 0.0:
-        out = 1.0 / (tau + 1.0 / lam)
-    else:
-        general = 1.0 / (-np.expm1(-beta * tau) / beta + np.exp(-beta * tau) / lam)
-        out = np.where(small, 1.0 / (tau + 1.0 / lam), general)
+    out = _rate(policy.beta, policy.lam, policy.horizon - t_arr)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -86,6 +91,14 @@ def cumulative_consumption(policy: ConsumptionPolicy, t):
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def _regimes(beta, lam) -> np.ndarray:
+    """Regime values (``Regime.value``) for columns of (beta, lambda > 0)."""
+    tol = _REGIME_TOL * np.maximum(1.0, np.abs(lam))
+    return np.select([beta < lam - tol, beta > lam + tol],
+                     [Regime.INCREASING.value, Regime.DECREASING.value],
+                     Regime.CONSTANT.value)
+
+
 def classify_regime(beta: float, lam: float) -> Regime:
     """Monotonicity of c(t): the sign of lambda - beta decides it.
 
@@ -94,12 +107,7 @@ def classify_regime(beta: float, lam: float) -> Regime:
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    tol = _REGIME_TOL * max(1.0, abs(lam))
-    if beta < lam - tol:
-        return Regime.INCREASING
-    if beta > lam + tol:
-        return Regime.DECREASING
-    return Regime.CONSTANT
+    return Regime(_regimes(beta, lam).item())
 
 
 def delta_band(mu: float, sigma: float, theta: float,

@@ -309,7 +309,14 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     The time integral uses trapezoid quadrature on the batch grid; the
     consumption rates must be strictly positive there (DomainError
     otherwise, since the utility argument would leave its domain).
+    Raises ValueError when i is not an agent of p, or when the batch or
+    the strategy has a different agent count from p.
     """
+    if not 0 <= i < p.n:
+        raise ValueError(f"agent index {i} out of range for {p.n} agents")
+    for name, count in (("batch", batch.log_wealth.shape[1]), ("strategy", s.n)):
+        if count != p.n:
+            raise ValueError(f"{name} has {count} agents, population has {p.n}")
     ar = p.arrays()
     c_nodes = s.consumption_on(batch.times)
     if np.any(c_nodes <= 0.0):

@@ -223,12 +223,15 @@ def distribution_from_dict(cfg: dict) -> TypeDistribution:
     return TypeDistribution(horizon=float(cfg["horizon"]), atoms=atoms)
 
 
-def load_config(path: str) -> Population | TypeDistribution:
-    """Parse a JSON config file into a Population or TypeDistribution."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+def _from_config(cfg: dict) -> Population | TypeDistribution:
     if "agents" in cfg:
         return population_from_dict(cfg)
     if "atoms" in cfg:
         return distribution_from_dict(cfg)
     raise ValidationError("config must contain an 'agents' or 'atoms' list")
+
+
+def load_config(path: str) -> Population | TypeDistribution:
+    """Parse a JSON config file into a Population or TypeDistribution."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _from_config(json.load(fh))

@@ -14,14 +14,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound
+from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound, TooFewAgents
 from .mfg import MfEquilibrium, solve_mf
-from .nplayer import EquilibriumProfile, _gamma, _identity_residual, solve_n
+# solve_n is unused here but stays an attribute: benchmarks/tracing.py wraps verification.solve_n.
+from .nplayer import EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
 from .policy import ConsumptionPolicy
 from .simulation import (
     BLOCK_SIZE,
@@ -615,21 +617,21 @@ class ConvergenceRow:
                 "lambda_gap": self.lambda_gap}
 
 
-def replicate(d: TypeDistribution, n: int) -> Population:
-    """An n-agent population realizing the distribution's weights exactly."""
-    counts = []
-    for w, _ in d.atoms:
-        c = w * n
-        c_int = round(c)
-        if abs(c - c_int) > _WEIGHT_INT_TOL or c_int < 1:
-            raise NonReplicableWeights(
-                f"weight {w} cannot be realized with {n} agents"
-            )
-        counts.append(c_int)
+def _counts(d: TypeDistribution, n: int) -> list[int]:
+    """Agents per atom when n agents realize the distribution's weights exactly."""
+    counts = [round(w * n) for w, _ in d.atoms]
+    for (w, _), c in zip(d.atoms, counts):
+        if abs(w * n - c) > _WEIGHT_INT_TOL or c < 1:
+            raise NonReplicableWeights(f"weight {w} cannot be realized with {n} agents")
     if sum(counts) != n:
         raise NonReplicableWeights(f"weights do not partition {n} agents")
+    return counts
+
+
+def replicate(d: TypeDistribution, n: int) -> Population:
+    """An n-agent population realizing the distribution's weights exactly."""
     agents = []
-    for (w, atom), c in zip(d.atoms, counts):
+    for (_, atom), c in zip(d.atoms, _counts(d, n)):
         agents.extend([atom] * c)
     return Population(horizon=d.horizon, agents=tuple(agents))
 
@@ -639,16 +641,19 @@ def mfg_convergence(d: TypeDistribution, ns: Sequence[int],
     """Gap table |x^(n) - x^MF| for x in (pi, beta, lambda) over a list of n.
 
     Each n must replicate the distribution weights exactly; agents are
-    matched to their atoms when measuring gaps.
+    matched to their atoms when measuring gaps.  The n-agent game is
+    solved on the atom columns repeated by their agent counts, the same
+    numbers as ``solve_n(replicate(d, n))`` without building n agents.
     """
-    validate_distribution(d)
+    a = validate_distribution(d)
     if mf is None:
         mf = solve_mf(d)
     rows = []
     for n in ns:
-        pop = replicate(d, n)
-        e = solve_n(pop)
-        idx = np.repeat(np.arange(len(d.atoms)), [round(w * n) for w, _ in d.atoms])
+        idx = np.repeat(np.arange(len(d.atoms)), _counts(d, n))
+        if n < 2:
+            raise TooFewAgents(n)
+        e = _solve(SimpleNamespace(**{k: v[idx] for k, v in vars(a).items()}), n)
         rows.append(ConvergenceRow(
             n=n,
             pi_gap=float(np.max(np.abs(e.pi - mf.pi[idx]))),

@@ -1,11 +1,20 @@
 """Command-line interface: outputs, exit codes, determinism, round-trips."""
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from merton_arena import AgentType, Aggregates, ConsumptionPolicy, Population
+from merton_arena import (
+    AgentType,
+    Aggregates,
+    ConsumptionPolicy,
+    Population,
+    aggregates_mf,
+    distribution_from_dict,
+    theta_crit_mf,
+)
 from merton_arena.cli import main, parse_solve_csv
 from merton_arena.nplayer import EquilibriumProfile
 from merton_arena.verification import (
@@ -207,6 +216,87 @@ class TestSweep:
                 pol = ConsumptionPolicy(12.5 * delta * (1.0 - delta), 1.0, 1.0)
                 assert c_mid == pytest.approx(pol.rate(0.5), rel=1e-12)
         assert seen == 8
+
+
+# Three atoms on one stock with eps != 1, and a representative override, so
+# lambda varies over the grid; theta_crit = 2.2 / 3.25 is not a round number.
+GRID_CONFIG = {
+    "horizon": 1.5,
+    "atoms": [
+        {"weight": 0.5, "x0": 1.0, "delta": 2.0, "theta": 0.6, "eps": 1.3,
+         "mu": 2.0, "nu": 0.0, "sigma": 0.7},
+        {"weight": 0.25, "x0": 1.0, "delta": 0.5, "theta": 0.2, "eps": 0.6,
+         "mu": 2.0, "nu": 0.0, "sigma": 0.7},
+        {"weight": 0.25, "x0": 1.0, "delta": 6.0, "theta": 0.3, "eps": 2.0,
+         "mu": 2.0, "nu": 0.0, "sigma": 0.7},
+    ],
+    "representative": {"eps": 1.7},
+}
+
+
+def reference_grid_csv(command, config, deltas, thetas):
+    """The per-cell loop of the regime/sweep commands, with scalar formulas."""
+    d = distribution_from_dict(config)
+    rep = dataclasses.replace(d.types[0], **config.get("representative", {}))
+    tc, agg = theta_crit_mf(d), aggregates_mf(d)
+    mu, sigma = d.types[0].mu, d.types[0].sigma
+    lines = [f"# merton-arena {command}",
+             "# config: " + json.dumps(d.to_dict(), sort_keys=True),
+             f"# theta_crit = {format(tc, '.17g')}"]
+    lines.append("delta,theta,regime,beta,delta_eff" if command == "regime"
+                 else "delta,theta,beta,lambda,c_mid")
+    for th in thetas:
+        for dv in deltas:
+            t = dataclasses.replace(rep, delta=float(dv), theta=float(th))
+            x = t.theta / tc
+            deff = (1.0 - x) * t.delta + x
+            beta = mu**2 / (2.0 * sigma**2) * deff * (1.0 - deff)
+            lam = float(np.exp(-t.delta * np.log(t.eps) + agg.log_eps_delta * t.theta
+                               * (t.delta - 1.0) / (1.0 + agg.avg_theta_dm1)))
+            if command == "regime":
+                tol = 1e-12 * max(1.0, abs(lam))
+                regime = ("increasing" if beta < lam - tol else
+                          "decreasing" if beta > lam + tol else "constant")
+                row = [dv, th, regime, beta, deff]
+            else:
+                tau = np.float64(d.horizon) - np.float64(0.5 * d.horizon)
+                if abs(beta * tau) < 1e-12:
+                    c_mid = 1.0 / (tau + 1.0 / lam)
+                else:
+                    c_mid = 1.0 / (-np.expm1(-beta * tau) / beta + np.exp(-beta * tau) / lam)
+                row = [dv, th, beta, lam, c_mid]
+            lines.append(",".join(x if isinstance(x, str) else format(float(x), ".17g")
+                                  for x in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestGridColumns:
+    """regime/sweep evaluate the grid as columns; bytes equal the per-cell loop."""
+
+    @pytest.mark.parametrize("command", ["regime", "sweep"])
+    @pytest.mark.parametrize("config", [REGIME_CONFIG, GRID_CONFIG])
+    def test_bytes_equal_per_cell_loop(self, tmp_path, command, config):
+        tc = theta_crit_mf(distribution_from_dict(config))
+        # theta = theta_crit (beta = 0, the small |beta tau| branch) and delta = 1
+        deltas = np.linspace(0.5, 1.5, 5)
+        thetas = np.linspace(0.0, tc, 5)
+        assert thetas[-1] == tc and deltas[2] == 1.0
+        cfg = write_json(tmp_path, "grid.json", config)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--delta-range", "0.5:1.5:5", "--theta-range", f"0:{tc!r}:5"]) == 0
+        expected = reference_grid_csv(command, config, deltas, thetas)
+        assert out.read_text() == expected
+        beta_col = 3 if command == "regime" else 2
+        assert float(expected.splitlines()[-1].split(",")[beta_col]) == 0.0
+
+    @pytest.mark.parametrize("command", ["regime", "sweep"])
+    def test_default_grid_bytes(self, tmp_path, command):
+        cfg = write_json(tmp_path, "grid.json", GRID_CONFIG)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text() == reference_grid_csv(
+            command, GRID_CONFIG, np.linspace(0.05, 6.0, 120), np.linspace(0.0, 1.0, 21))
 
 
 class TestSimulate:

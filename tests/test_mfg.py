@@ -1,6 +1,8 @@
 """Mean-field equilibrium: examples, single-stock closed forms, properties."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import profile_sha256, random_distribution, single_atom
 from merton_arena import (
@@ -261,3 +263,24 @@ class TestRecordedOutputs:
     def test_bytes_unchanged(self, seed, single_stock, digest):
         d = random_distribution(np.random.default_rng(seed), 1000, single_stock=single_stock)
         assert profile_sha256(solve_mf(d)) == digest
+
+
+class TestWrappersMatchSolve:
+    """The per-agent wrappers evaluate the same formula bodies as solve_mf."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), atoms=st.integers(1, 12),
+           single_stock=st.booleans())
+    def test_bitwise_per_atom(self, seed, atoms, single_stock):
+        d = random_distribution(np.random.default_rng(seed), atoms, single_stock=single_stock)
+        m = solve_mf(d)
+        agg = aggregates_mf(d)
+        assert agg == m.aggregates
+        for j, t in enumerate(d.types):
+            assert pi_star_mf(t, agg) == m.pi[j]
+            assert rho_mf(t, agg, d) == m.rho[j]
+            assert beta_mf(t, agg) == m.beta[j]
+            assert lambda_mf(t, agg) == m.lam[j]
+            if single_stock:
+                assert delta_eff(t, m.theta_crit) == m.delta_eff[j]
+        assert (m.delta_eff is not None) == single_stock

@@ -223,6 +223,25 @@ class TestEstimateObjective:
         gap = abs(means[500].mean - means[2000].mean)
         assert gap <= 3.0 * max(means[500].stderr, means[2000].stderr)
 
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_agent_index_out_of_range(self, i):
+        # a negative index would otherwise score the last agent
+        p = two_agents()
+        s = constant_strategy([0.0, 0.0], [1.0, 1.0])
+        batch = simulate(p, s, grid=10, paths=4, seed=2)
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_objective(batch, s, i, p)
+
+    def test_agent_count_mismatch(self, ref_n3):
+        p = two_agents()
+        s = constant_strategy([0.0, 0.0], [1.0, 1.0])
+        batch = simulate(p, s, grid=10, paths=4, seed=2)
+        s3 = constant_strategy([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="batch has 2 agents, population has 3"):
+            estimate_objective(batch, s3, 0, ref_n3)
+        with pytest.raises(ValueError, match="strategy has 3 agents, population has 2"):
+            estimate_objective(batch, s3, 0, p)
+
 
 class TestTrapezoidWeights:
     def test_uniform_weights(self):

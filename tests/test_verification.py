@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_population, single_atom
+from conftest import random_agent, random_population, single_atom
 from merton_arena import (
     AgentType,
     BernoulliInputs,
@@ -12,6 +12,7 @@ from merton_arena import (
     NonReplicableWeights,
     Population,
     ProfitableDeviationFound,
+    TooFewAgents,
     TypeDistribution,
     bernoulli_oracle,
     best_response_scan,
@@ -22,11 +23,12 @@ from merton_arena import (
     gamma_n,
     mfg_convergence,
     simulate,
+    solve_mf,
     solve_n,
 )
 from merton_arena import verification
 from merton_arena.nplayer import EquilibriumProfile, identity_residual
-from merton_arena.verification import FixedPointReport, replicate
+from merton_arena.verification import ConvergenceRow, FixedPointReport, replicate
 
 
 def const(value):
@@ -290,6 +292,42 @@ class TestConvergence:
         assert pop.n == 6
         assert pop.agents[0] == d.types[0]
         assert pop.agents[5] == d.types[1]
+
+    @pytest.mark.parametrize("seed, single_stock", [(11, False), (12, True), (13, False)])
+    def test_rows_match_replicated_solve(self, seed, single_stock):
+        # the atom-column route must give the rows of the n-agent populations
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 4, size=int(rng.integers(1, 5)))
+        base = int(counts.sum())
+        if single_stock:
+            market = dict(mu=float(rng.uniform(0.5, 4.0)), sigma=float(rng.uniform(0.5, 2.0)))
+        else:
+            market = {}
+        d = TypeDistribution(1.0, tuple(
+            (c / base, random_agent(rng, single_stock=single_stock, **market))
+            for c in counts.tolist()))
+        ns = [base * 2**k for k in range(1, 7)]
+        mf = solve_mf(d)
+        expected = []
+        for n in ns:
+            e = solve_n(replicate(d, n))
+            idx = np.repeat(np.arange(len(d.atoms)), counts * (n // base))
+            expected.append(ConvergenceRow(
+                n=n,
+                pi_gap=float(np.max(np.abs(e.pi - mf.pi[idx]))),
+                beta_gap=float(np.max(np.abs(e.beta - mf.beta[idx]))),
+                lambda_gap=float(np.max(np.abs(e.lam - mf.lam[idx]))),
+            ))
+        assert mfg_convergence(d, ns) == expected
+
+    def test_too_few_agents(self):
+        d = single_atom(self.ATOM_NU)
+        with pytest.raises(TooFewAgents):
+            mfg_convergence(d, [1])
+        with pytest.raises(NonReplicableWeights):
+            mfg_convergence(d, [0])
+        with pytest.raises(TooFewAgents):
+            solve_n(replicate(d, 1))
 
 
 # ---------------------------------------------------------------------------
