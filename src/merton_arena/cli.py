@@ -13,14 +13,18 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import platform
 import sys
+import time
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy
 
-from . import mfg, nplayer, policy, simulation, verification
+from . import __version__, mfg, nplayer, policy, simulation, verification
 from .errors import MertonArenaError, NumericalError, ValidationError
 from .types import (
     AgentType,
@@ -296,22 +300,42 @@ def _verify_failures(fp: verification.FixedPointReport, fp_pass: bool,
     return lines
 
 
+@contextlib.contextmanager
+def _timed(timings: dict, stage: str):
+    """Record the wall time of the enclosed block as timings[stage], in seconds."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
+def _environment() -> dict:
+    """Versions and the worker-thread count a run depends on."""
+    return {"package": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "threads": simulation.worker_count()}
+
+
 def cmd_verify(rc: RunConfig) -> int:
     p, _ = _load(rc.config, Population)
-    e = nplayer.solve_n(p)
+    timings: dict = {}
+    with _timed(timings, "solve"):
+        e = nplayer.solve_n(p)
 
-    fp = verification.fixed_point_check(p, e)
+    with _timed(timings, "fixed_point"):
+        fp = verification.fixed_point_check(p, e)
     fp_pass = fp.passes()
 
-    br = verification.best_response_scan(
-        p, e, range(p.n), _DEFAULT_DPI, _DEFAULT_AB, rc.paths, rc.seed, grid=rc.grid)
+    with _timed(timings, "best_response"):
+        br = verification.best_response_scan(
+            p, e, range(p.n), _DEFAULT_DPI, _DEFAULT_AB, rc.paths, rc.seed, grid=rc.grid)
     br_pass = not any(report.violations() for report in br)
 
     weights = [1.0 / p.n] * p.n
     dist = TypeDistribution(
         horizon=p.horizon, atoms=tuple(zip(weights, p.agents)))
     ns = [p.n * k for k in (1, 2, 4, 8)]
-    conv = verification.mfg_convergence(dist, ns)
+    with _timed(timings, "mfg_convergence"):
+        conv = verification.mfg_convergence(dist, ns)
     grown = [name for name in ("pi_gap", "beta_gap")
              if not getattr(conv[-1], name) <= getattr(conv[0], name) + 1e-12]
     conv_pass = not grown
@@ -326,6 +350,8 @@ def cmd_verify(rc: RunConfig) -> int:
         "best_response": {"reports": [r.as_dict() for r in br], "passed": br_pass},
         "mfg_convergence": {"rows": [r.as_dict() for r in conv], "passed": conv_pass},
         "passed": passed,
+        "timings": timings,
+        "environment": _environment(),
     }
     with open(rc.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -19,6 +19,8 @@ from .errors import OutOfDomain
 
 _BRANCH_TOL = 1e-12
 _REGIME_TOL = 1e-12
+# Exponents below this keep exp (and the sums it feeds) finite, with a rounding margin.
+_EXP_LIMIT = math.log(np.finfo(float).max) - 1e-9
 
 
 class Regime(enum.Enum):
@@ -57,12 +59,31 @@ def _rate(beta, lam, tau):
     """c at time to go tau = T - t; broadcasts over beta, lambda and tau.
 
     Where |beta tau| < 1e-12 the discarded general form is evaluated at
-    beta = 1, so a column with beta = 0 never divides 0 by 0.
+    beta = 1, so a column with beta = 0 never divides 0 by 0.  Where the
+    general form's denominator, below e^(-beta tau) (1/|beta| + 1/lambda),
+    could leave the float range (-beta tau above about 709.8), the same
+    expression multiplied through by e^(beta tau) is evaluated instead:
+    e^(beta tau) / (expm1(beta tau)/beta + 1/lambda), as the exponential
+    of its logarithm so that a subnormal e^(beta tau) loses no digits.
     """
     small = np.abs(beta * tau) < _BRANCH_TOL
     b = np.where(small, 1.0, beta)
-    general = 1.0 / (-np.expm1(-b * tau) / b + np.exp(-b * tau) / lam)
-    return np.where(small, 1.0 / (tau + 1.0 / lam), general)
+    x = b * tau
+
+    def general(x, b, lam):
+        return 1.0 / (-np.expm1(-x) / b + np.exp(-x) / lam)
+
+    flip = np.maximum(np.log(1.0 / np.abs(b) + 1.0 / lam), 0.0) - x > _EXP_LIMIT
+    if flip.any():
+        x, b, lam_x = np.broadcast_arrays(x, b, lam)
+        out = np.empty(x.shape)
+        keep = ~flip
+        out[keep] = general(x[keep], b[keep], lam_x[keep])
+        x, b, lam_x = x[flip], b[flip], lam_x[flip]
+        out[flip] = np.exp(x - np.log(np.expm1(x) / b + 1.0 / lam_x))
+    else:
+        out = general(x, b, lam)
+    return np.where(small, 1.0 / (tau + 1.0 / lam), out)
 
 
 def consumption_rate(policy: ConsumptionPolicy, t):

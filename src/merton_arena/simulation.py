@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
@@ -34,6 +35,8 @@ from .types import Population, validate_population
 DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
 BLOCK_SIZE = 4096
+# Rows of a path block that elementwise passes take at once: about 256 KiB.
+_CHUNK_BYTES = 1 << 18
 
 COMMON_STREAM = 0
 
@@ -43,10 +46,21 @@ _HALF_ULP = 2.0**-54
 
 
 def worker_count() -> int:
-    """Worker threads for path blocks; MERTON_ARENA_THREADS caps it."""
+    """Worker threads for path blocks; MERTON_ARENA_THREADS caps it.
+
+    ``simulate``, ``estimate_objective`` and the best-response scan run
+    their path blocks on this many threads; their results do not depend
+    on it.  Values below 1 mean 1; a value that is not an integer raises
+    ValueError.
+    """
     env = os.environ.get("MERTON_ARENA_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(
+                f"MERTON_ARENA_THREADS must be an integer, got {env!r}") from None
+        return max(1, count)
     return min(4, os.cpu_count() or 1)
 
 
@@ -65,6 +79,8 @@ def block_normals(seed: int, stream: int, path_start: int, count: int,
     produced by the inverse CDF of midpoint-shifted uniforms because each
     uniform double consumes exactly one counter word; rejection sampling
     would consume a variable number and break the per-path alignment.
+    The normals overwrite the uniforms in place, so the result is a view
+    when ``draws`` is not a multiple of four.
     """
     words = 4 * ((draws + 3) // 4)
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
@@ -73,7 +89,7 @@ def block_normals(seed: int, stream: int, path_start: int, count: int,
     if words != draws:
         u = u[:, :draws]
     u += _HALF_ULP
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -200,14 +216,23 @@ def _deterministic_segments(ar: SimpleNamespace, s: StrategyProfile,
     return drift - c_int, pi_seg
 
 
-def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
-                     seed: int,
-                     block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (start, log_wealth, dW, dB) for consecutive path blocks.
+def _map_blocks(fn: Callable, items: Sequence) -> list:
+    """[fn(item) for item in items], on worker_count() threads when that helps.
 
-    Blocks partition [0, paths); identical inputs give identical blocks
-    regardless of block size thanks to the per-path counter windows.
+    Results come back in item order.  Each item is a whole path block, so
+    memory stays bounded per task, and numpy releases the interpreter lock
+    inside the array passes that dominate a block.
     """
+    workers = worker_count()
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _path_model(p: Population, s: StrategyProfile, grid: int,
+                paths: int) -> SimpleNamespace:
+    """Validated inputs plus the per-agent columns a path block needs."""
     ar = validate_population(p)
     if not isinstance(grid, (int, np.integer)) or grid < 2:
         raise InvalidGrid(f"grid must be an integer >= 2, got {grid}")
@@ -217,27 +242,65 @@ def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
         raise ValueError(f"strategy has {s.n} agents, population has {p.n}")
     times = np.linspace(0.0, p.horizon, grid + 1)
     det_seg, pi_seg = _deterministic_segments(ar, s, times)
-    sqrt_dt = np.sqrt(np.diff(times))
-    log_x0 = np.log(ar.x0)
+    return SimpleNamespace(times=times, det_seg=det_seg, pi_seg=pi_seg,
+                           sqrt_dt=np.sqrt(np.diff(times)), log_x0=np.log(ar.x0),
+                           nu=ar.nu, sigma=ar.sigma)
+
+
+def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarray,
+                dW: np.ndarray | None, dB: np.ndarray | None) -> None:
+    """Write paths [start, start + count) into log_wealth (count, n, grid + 1).
+
+    ``dW`` (count, n, grid) and ``dB`` (count, grid) receive the increments
+    when given.  Agents are filled one at a time, a few rows per pass, so
+    the only scratch is one stream's normals, the common increments when
+    they are not kept, and one row chunk.  Each element sees the same IEEE
+    operations as the whole-block expression pi (nu dW + sigma dB) + det,
+    cumulated and shifted by log x0, so results do not depend on the
+    block layout.
+    """
+    count, n, _ = log_wealth.shape
+    grid = len(f.sqrt_dt)
+    z = block_normals(seed, COMMON_STREAM, start, count, grid)
+    db = np.multiply(z, f.sqrt_dt, out=z if dB is None else dB)
+    chunk = max(1, _CHUNK_BYTES // (8 * grid))
+    scratch = np.empty((min(chunk, count), grid))
+    for k in range(n):
+        z = block_normals(seed, agent_stream(k), start, count, grid)
+        dw = z if dW is None else dW[:, k]
+        for r in range(0, count, chunk):
+            rows = slice(r, r + chunk)
+            w, row, inc = dw[rows], log_wealth[rows, k, 1:], scratch[:count - r]
+            np.multiply(z[rows], f.sqrt_dt, out=w)
+            np.multiply(w, f.nu[k], out=row)
+            np.multiply(db[rows], f.sigma[k], out=inc)
+            inc += row
+            inc *= f.pi_seg[k]
+            inc += f.det_seg[k]
+            np.cumsum(inc, axis=1, out=row)
+            row += f.log_x0[k]
+        log_wealth[:, k, 0] = f.log_x0[k]
+
+
+def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
+                     seed: int,
+                     block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (start, log_wealth, dW, dB) for consecutive path blocks.
+
+    Blocks partition [0, paths); identical inputs give identical blocks
+    regardless of block size thanks to the per-path counter windows, and
+    each block equals the same rows of ``simulate``'s batch.
+    """
+    f = _path_model(p, s, grid, paths)
 
     def blocks():
-        start = 0
-        while start < paths:
+        for start in range(0, paths, block_size):
             count = min(block_size, paths - start)
-            dB = sqrt_dt * block_normals(seed, COMMON_STREAM, start, count, grid)
-            dW = np.empty((count, p.n, grid))
-            for k in range(p.n):
-                dW[:, k, :] = sqrt_dt * block_normals(seed, agent_stream(k),
-                                                      start, count, grid)
-            stoch = pi_seg[None, :, :] * (ar.nu[None, :, None] * dW
-                                          + ar.sigma[None, :, None] * dB[:, None, :])
             log_wealth = np.empty((count, p.n, grid + 1))
-            log_wealth[:, :, 0] = log_x0[None, :]
-            np.cumsum(det_seg[None, :, :] + stoch, axis=2,
-                      out=log_wealth[:, :, 1:])
-            log_wealth[:, :, 1:] += log_x0[None, :, None]
+            dW = np.empty((count, p.n, grid))
+            dB = np.empty((count, grid))
+            _fill_block(f, seed, start, log_wealth, dW, dB)
             yield start, log_wealth, dW, dB
-            start += count
 
     return blocks()
 
@@ -249,20 +312,24 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
     """Simulate the n coupled wealth processes under strategy profile s.
 
     Deterministic given the seed: the same inputs reproduce the batch
-    bitwise.  Increments can be dropped to halve memory for large runs.
+    bitwise.  Path blocks are written in place into the batch on
+    ``worker_count()`` threads; the result does not depend on the thread
+    count or the block size.  Increments can be dropped to halve memory
+    for large runs; beyond the batch, each worker holds a few
+    (block_size, grid) arrays.
     """
-    block_iter = iter_path_blocks(p, s, grid, paths, seed, block_size)
-    times = np.linspace(0.0, p.horizon, grid + 1)
+    f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((paths, p.n, grid + 1))
     dW = np.empty((paths, p.n, grid)) if keep_increments else None
     dB = np.empty((paths, grid)) if keep_increments else None
-    for start, lw, w, b in block_iter:
-        stop = start + lw.shape[0]
-        log_wealth[start:stop] = lw
-        if keep_increments:
-            dW[start:stop] = w
-            dB[start:stop] = b
-    return SimulationBatch(times=times, paths=paths, seed=seed,
+
+    def fill(start):
+        rows = slice(start, min(start + block_size, paths))
+        _fill_block(f, seed, start, log_wealth[rows],
+                    None if dW is None else dW[rows], None if dB is None else dB[rows])
+
+    _map_blocks(fill, range(0, paths, block_size))
+    return SimulationBatch(times=f.times, paths=paths, seed=seed,
                            log_wealth=log_wealth, dW=dW, dB=dB)
 
 
@@ -285,19 +352,36 @@ def _objective_paths(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndar
 
     The running integrand is U applied to c_i X_i times the population
     geometric mean of c_k X_k raised to -theta; the terminal term applies
-    U to X_i(T) times the geometric mean wealth raised to -theta.
+    U to X_i(T) times the geometric mean wealth raised to -theta.  The
+    geometric mean is a running row sum over agents in agent order, the
+    order of numpy's reduction over the agent axis, taken a few rows at a
+    time so that the elementwise passes stay in cache; only the quadrature
+    runs on the whole block.
     """
-    log_cx = log_c[None, :, :] + log_wealth
-    mean_cx = log_cx.mean(axis=1)
-    arg_run = log_cx[:, i, :] - theta * mean_cx
+    count, n, nodes = log_wealth.shape
+    k = None if delta == 1.0 else 1.0 - 1.0 / delta
+    chunk = max(1, _CHUNK_BYTES // (8 * nodes))
+    arg_run = np.empty((count, nodes))
+    log_cx = np.empty((min(chunk, count), nodes))
+    for r in range(0, count, chunk):
+        rows = slice(r, r + chunk)
+        lw, arg, cx = log_wealth[rows], arg_run[rows], log_cx[:count - r]
+        np.add(lw[:, 0], log_c[0], out=arg)
+        for j in range(1, n):
+            arg += np.add(lw[:, j], log_c[j], out=cx)
+        arg /= n
+        arg *= theta
+        np.subtract(np.add(lw[:, i], log_c[i], out=cx), arg, out=arg)
+        if k is not None:
+            arg *= k
+            np.exp(arg, out=arg)
     mean_xt = log_wealth[:, :, -1].mean(axis=1)
     arg_term = log_wealth[:, i, -1] - theta * mean_xt
-    if delta == 1.0:
+    if k is None:
         running = arg_run @ weights
         terminal = eps * arg_term
     else:
-        k = 1.0 - 1.0 / delta
-        running = np.exp(k * arg_run) @ weights / k
+        running = arg_run @ weights / k
         terminal = eps * np.exp(k * arg_term) / k
     return running + terminal
 
@@ -309,6 +393,8 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     The time integral uses trapezoid quadrature on the batch grid; the
     consumption rates must be strictly positive there (DomainError
     otherwise, since the utility argument would leave its domain).
+    Path blocks are reduced on ``worker_count()`` threads; the estimate
+    does not depend on the thread count.
     Raises ValueError when i is not an agent of p, or when the batch or
     the strategy has a different agent count from p.
     """
@@ -328,11 +414,13 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     eps = float(ar.eps[i])
 
     values = np.empty(batch.paths)
-    for start in range(0, batch.paths, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, batch.paths)
-        values[start:stop] = _objective_paths(
-            batch.log_wealth[start:stop], log_c, weights, i, theta, delta, eps
-        )
+
+    def reduce(start):
+        rows = slice(start, min(start + BLOCK_SIZE, batch.paths))
+        values[rows] = _objective_paths(batch.log_wealth[rows], log_c, weights,
+                                        i, theta, delta, eps)
+
+    _map_blocks(reduce, range(0, batch.paths, BLOCK_SIZE))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(batch.paths)) if batch.paths > 1 else 0.0
     return UtilityEstimate(mean=mean, stderr=stderr, paths=batch.paths)

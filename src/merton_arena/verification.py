@@ -12,7 +12,6 @@ game approaches its mean-field limit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -29,10 +28,10 @@ from .simulation import (
     BLOCK_SIZE,
     COMMON_STREAM,
     UtilityEstimate,
+    _map_blocks,
     agent_stream,
     block_normals,
     trapezoid_weights,
-    worker_count,
 )
 from .types import Population, TypeDistribution, validate_distribution, validate_population
 
@@ -550,13 +549,7 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
         noise, base, path = (np.empty((count, grid + 1)) for _ in range(3))
         return count, [_scan_block(scan, cum, noise, base, path) for scan in scans]
 
-    starts = list(range(0, paths, block_size))
-    workers = worker_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_task, starts))
-    else:
-        results = [block_task(s) for s in starts]
+    results = _map_blocks(block_task, range(0, paths, block_size))
     total = sum(count for count, _ in results)
 
     def mean_stderr(s, sq):

@@ -2,10 +2,12 @@
 import dataclasses
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from conftest import random_distribution
 from merton_arena import (
     AgentType,
     Aggregates,
@@ -298,6 +300,42 @@ class TestGridColumns:
         assert out.read_text() == reference_grid_csv(
             command, GRID_CONFIG, np.linspace(0.05, 6.0, 120), np.linspace(0.0, 1.0, 21))
 
+    def test_sweep_beyond_exp_range(self, tmp_path):
+        # -beta T/2 passes log(DBL_MAX) ~ 709.8 in 7 cells, where the general
+        # form of c overflows exp and expm1 (RuntimeWarnings are errors here).
+        d = random_distribution(np.random.default_rng(70), 1, single_stock=True)
+        config = d.to_dict()
+        cfg = write_json(tmp_path, "grid.json", config)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        tau = 0.5 * d.horizon
+        _, _, rows = read_table(str(out))
+        cells = np.array([[float(v) for v in row] for row in rows])
+        beyond = -cells[:, 2] * tau > 709.8
+        assert np.count_nonzero(beyond) == 7
+
+        def exact(beta, lam):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                b, big = Decimal(beta), (-Decimal(beta) * Decimal(tau)).exp()
+                return float(1 / (-(big - 1) / b + big / Decimal(lam)))
+
+        c_mid = cells[beyond, 4]
+        ref = np.array([exact(beta, lam) for beta, lam in cells[beyond, 2:4]])
+        assert np.count_nonzero(ref) == 3 and ref.max() < 1e-305
+        np.testing.assert_allclose(c_mid, ref, rtol=1e-12,
+                                   atol=2 * np.finfo(float).smallest_subnormal)
+        # Only those cells differ from the per-cell general form, and only
+        # where the general form underflowed to 0.
+        with np.errstate(over="ignore"):
+            expected = reference_grid_csv("sweep", config, np.linspace(0.05, 6.0, 120),
+                                          np.linspace(0.0, 1.0, 21)).splitlines()
+        got = out.read_text().splitlines()
+        assert len(got) == len(expected)
+        changed = [j for j, (a, b) in enumerate(zip(got, expected)) if a != b]
+        assert len(changed) == 3
+        assert all(expected[j].endswith(",0") for j in changed)
+
 
 class TestSimulate:
     def test_deterministic_override_strategy(self, tmp_path):
@@ -380,6 +418,24 @@ class TestVerify:
         assert lines[0].startswith("merton-arena: verify: best response failed: "
                                    "agent 0 cell (dpi=0.5, a=0.2, b=0.2) mean_diff ")
         assert "; agent 1 cell" in lines[0] and "> 3*stderr" in lines[0]
+
+    def test_timings_and_environment(self, ref_config, tmp_path, monkeypatch):
+        reports = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+            out = tmp_path / f"verify{threads}.json"
+            assert main(["verify", "--config", ref_config, "--out", str(out),
+                         "--paths", "500", "--grid", "50", "--seed", "12"]) == 0
+            payload = json.loads(out.read_text())
+            timings = payload.pop("timings")
+            assert set(timings) == {"solve", "fixed_point", "best_response", "mfg_convergence"}
+            assert all(t >= 0.0 for t in timings.values())
+            env = payload.pop("environment")
+            assert set(env) == {"package", "python", "numpy", "scipy", "threads"}
+            assert env["threads"] == int(threads)
+            reports[threads] = payload
+        # the rest of the report does not depend on the thread count
+        assert reports["1"] == reports["2"]
 
     def test_invalid_grid_flag(self, ref_config, tmp_path):
         assert main(["verify", "--config", ref_config,

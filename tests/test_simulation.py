@@ -1,5 +1,7 @@
 """Exact-path simulation: determinism, common random numbers, analytics."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,19 @@ from merton_arena import (
     solve_n,
     utility,
 )
-from merton_arena.simulation import block_normals, trapezoid_weights
+from conftest import random_population
+from merton_arena.simulation import (
+    BLOCK_SIZE,
+    COMMON_STREAM,
+    StrategyProfile,
+    _deterministic_segments,
+    _objective_paths,
+    agent_stream,
+    block_normals,
+    iter_path_blocks,
+    trapezoid_weights,
+    worker_count,
+)
 
 
 def two_agents(**kw) -> Population:
@@ -249,3 +263,148 @@ class TestTrapezoidWeights:
         w = trapezoid_weights(t)
         assert w == pytest.approx([0.125, 0.25, 0.25, 0.25, 0.125], abs=1e-15)
         assert np.polyval([2.0, 1.0], t) @ w == pytest.approx(2.0, abs=1e-12)
+
+
+def reference_batch(p, s, grid, paths, seed, block_size):
+    """simulate's block code before blocks were written in place (whole-block temporaries)."""
+    ar = p.arrays()
+    times = np.linspace(0.0, p.horizon, grid + 1)
+    det_seg, pi_seg = _deterministic_segments(ar, s, times)
+    sqrt_dt = np.sqrt(np.diff(times))
+    log_x0 = np.log(ar.x0)
+    log_wealth = np.empty((paths, p.n, grid + 1))
+    dW = np.empty((paths, p.n, grid))
+    dB = np.empty((paths, grid))
+    for start in range(0, paths, block_size):
+        count = min(block_size, paths - start)
+        b = sqrt_dt * block_normals(seed, COMMON_STREAM, start, count, grid)
+        w = np.empty((count, p.n, grid))
+        for k in range(p.n):
+            w[:, k, :] = sqrt_dt * block_normals(seed, agent_stream(k), start, count, grid)
+        stoch = pi_seg[None, :, :] * (ar.nu[None, :, None] * w
+                                      + ar.sigma[None, :, None] * b[:, None, :])
+        lw = np.empty((count, p.n, grid + 1))
+        lw[:, :, 0] = log_x0[None, :]
+        np.cumsum(det_seg[None, :, :] + stoch, axis=2, out=lw[:, :, 1:])
+        lw[:, :, 1:] += log_x0[None, :, None]
+        rows = slice(start, start + count)
+        log_wealth[rows], dW[rows], dB[rows] = lw, w, b
+    return log_wealth, dW, dB
+
+
+def reference_objective_paths(log_wealth, log_c, weights, i, theta, delta, eps):
+    """estimate_objective's block reduction before it dropped the log_cx temporary."""
+    log_cx = log_c[None, :, :] + log_wealth
+    mean_cx = log_cx.mean(axis=1)
+    arg_run = log_cx[:, i, :] - theta * mean_cx
+    mean_xt = log_wealth[:, :, -1].mean(axis=1)
+    arg_term = log_wealth[:, i, -1] - theta * mean_xt
+    if delta == 1.0:
+        running = arg_run @ weights
+        terminal = eps * arg_term
+    else:
+        k = 1.0 - 1.0 / delta
+        running = np.exp(k * arg_run) @ weights / k
+        terminal = eps * np.exp(k * arg_term) / k
+    return running + terminal
+
+
+class TestInPlaceBlocks:
+    """simulate and estimate_objective equal the whole-block reference bitwise."""
+
+    GRID, PATHS, SEED = 48, 1000, 17
+
+    @staticmethod
+    def case(n=3, grid=GRID):
+        # agent 0 is a log investor (delta = 1); pi varies by segment
+        p = random_population(np.random.default_rng(21), n=n)
+        p = Population(p.horizon, (dataclasses.replace(p.agents[0], delta=1.0),) + p.agents[1:])
+        base = equilibrium_strategy(p, solve_n(p))
+        pi = base.pi[:, None] * np.linspace(0.8, 1.2, grid)
+        return p, StrategyProfile(pi=pi, consumption=base.consumption)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("block_size", [128, 500, 4096])
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_simulate_equals_reference(self, monkeypatch, threads, block_size, keep):
+        monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+        p, s = self.case()
+        log_wealth, dW, dB = reference_batch(p, s, self.GRID, self.PATHS, self.SEED, block_size)
+        batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED,
+                         keep_increments=keep, block_size=block_size)
+        assert np.array_equal(batch.log_wealth, log_wealth)
+        if keep:
+            assert np.array_equal(batch.dW, dW)
+            assert np.array_equal(batch.dB, dB)
+        else:
+            assert batch.dW is None and batch.dB is None
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_estimate_equals_reference(self, monkeypatch, threads):
+        monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+        p, s = self.case()
+        paths = BLOCK_SIZE + 904  # a full block and a partial one
+        batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED,
+                         keep_increments=False)
+        ar = p.arrays()
+        log_c = np.log(s.consumption_on(batch.times))
+        weights = trapezoid_weights(batch.times)
+        assert ar.delta[0] == 1.0 and np.all(ar.delta[1:] != 1.0)
+        for i in range(p.n):
+            args = (log_c, weights, i, float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i]))
+            blocks = [batch.log_wealth[start:start + BLOCK_SIZE]
+                      for start in range(0, paths, BLOCK_SIZE)]
+            values = np.concatenate([reference_objective_paths(b, *args) for b in blocks])
+            # per path, not only through the mean, which can absorb a last-bit change
+            assert np.array_equal(np.concatenate([_objective_paths(b, *args) for b in blocks]),
+                                  values)
+            est = estimate_objective(batch, s, i, p)
+            assert est.mean == float(values.mean())
+            assert est.stderr == float(values.std(ddof=1) / math.sqrt(paths))
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_peak_memory_is_per_block_row(self, monkeypatch, keep):
+        # Beyond the batch itself, each of the two workers holds at most four
+        # (count, grid) arrays (3.4 measured); one (count, n, grid) temporary
+        # is 16 of them.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        grid, paths, block_size = 200, 2048, 512
+        p, s = self.case(n=16, grid=grid)
+        tracemalloc.start()
+        try:
+            batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED,
+                             keep_increments=keep, block_size=block_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = sum(a.nbytes for a in (batch.log_wealth, batch.dW, batch.dB) if a is not None)
+        row_bytes = block_size * grid * 8
+        assert peak - own <= 2 * 4 * row_bytes
+
+    def test_iter_path_blocks_are_batch_slices(self):
+        p, s = self.case()
+        batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED,
+                         block_size=300)
+        starts = []
+        for start, log_wealth, dW, dB in iter_path_blocks(p, s, self.GRID, self.PATHS,
+                                                          self.SEED, block_size=300):
+            rows = slice(start, start + len(log_wealth))
+            assert np.array_equal(log_wealth, batch.log_wealth[rows])
+            assert np.array_equal(dW, batch.dW[rows])
+            assert np.array_equal(dB, batch.dB[rows])
+            starts.append(start)
+        assert starts == [0, 300, 600, 900]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_non_integer_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("MERTON_ARENA_THREADS", value)
+        with pytest.raises(ValueError,
+                           match=f"MERTON_ARENA_THREADS must be an integer, got '{value}'"):
+            worker_count()
+
+    @pytest.mark.parametrize("value, expected", [("0", 1), ("-3", 1), ("3", 3)])
+    def test_integer_values(self, monkeypatch, value, expected):
+        monkeypatch.setenv("MERTON_ARENA_THREADS", value)
+        assert worker_count() == expected
