@@ -281,8 +281,13 @@ def _verify_failures(fp: verification.FixedPointReport, fp_pass: bool,
     """One line per failed verify section: the checked values vs tolerances."""
     lines = []
     if not fp_pass:
-        parts = [f"{name} {value:.3e} {'<=' if value <= tol else '>'} {tol:g}"
-                 for name, (value, tol) in fp.checks().items()]
+        parts = []
+        for name, (value, tol) in fp.checks().items():
+            part = f"{name} {value:.3e} {'<=' if value <= tol else '>'} {tol:g}"
+            absolute = name.replace("_rel", "")  # a relative field's absolute twin
+            if absolute != name:
+                part += f" ({absolute} {getattr(fp, absolute):.3e})"
+            parts.append(part)
         lines.append("fixed point failed: " + ", ".join(parts))
     parts = []
     for rep in br:

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .errors import DomainError, InvalidGrid, NonPositiveConsumption
+from .errors import DomainError, InvalidGrid, NonPositiveConsumption, ValidationError
 from .nplayer import EquilibriumProfile
 from .policy import ConsumptionPolicy
 from .types import Population, validate_population
@@ -51,14 +51,14 @@ def worker_count() -> int:
     ``simulate``, ``estimate_objective`` and the best-response scan run
     their path blocks on this many threads; their results do not depend
     on it.  Values below 1 mean 1; a value that is not an integer raises
-    ValueError.
+    ValidationError, a ValueError that the CLI reports as invalid input.
     """
     env = os.environ.get("MERTON_ARENA_THREADS")
     if env:
         try:
             count = int(env)
         except ValueError:
-            raise ValueError(
+            raise ValidationError(
                 f"MERTON_ARENA_THREADS must be an integer, got {env!r}") from None
         return max(1, count)
     return min(4, os.cpu_count() or 1)

@@ -4,10 +4,14 @@ Three routes confirm the consumption fixed point: a classical RK4
 integration of the per-agent value-factor ODE (linearized by the power
 substitution), a quadrature evaluation of its closed-form solution, and an
 exponential-integral identity that ties the factor back to the equilibrium
-consumption itself.  On top of that, a paired common-random-numbers Monte
-Carlo scan asserts that no perturbed strategy in a (dpi, a, b) grid beats
-the equilibrium, and a replication harness measures how fast the finite
-game approaches its mean-field limit.
+consumption itself.  The linearized ODE is affine in its unknown, so each
+RK4 step is an affine map, built for all agents at once and applied by
+one loop over steps; the residuals are then computed for a few agents at
+a time, and gated relative to the magnitudes they compare.  On top of
+that, a paired common-random-numbers Monte Carlo scan asserts that no
+perturbed strategy in a (dpi, a, b) grid beats the equilibrium, and a
+replication harness measures how fast the finite game approaches its
+mean-field limit.
 """
 from __future__ import annotations
 
@@ -86,13 +90,16 @@ def _rk4_backward(gamma: np.ndarray, coefficients: Callable, steps: int,
     ``coefficients(lo, hi)`` returns (a, b) on the half-step grid from node
     lo to node hi: (2 (hi - lo) + 1, m) arrays, column k for equation k,
     nodes at even rows and midpoints at odd rows.  They are asked for a
-    chunk of steps at a time, so memory beyond u stays O(chunk m).  Each
-    equation runs its own float loop, so every column is bitwise what it
-    would be alone.  Returns u as (steps + 1, m).
+    chunk of steps at a time, so memory beyond u stays O(chunk m).  The
+    chunk's steps become affine maps u_{j-1} = P_j u_j + Q_j for all
+    equations at once, and one loop over steps applies them to
+    length-m rows.  Every operation is elementwise, so each column is
+    bitwise what it would be alone.  Returns u as (steps + 1, m).
     """
     m = len(gamma)
     h = -horizon / steps
-    neg_gamma = (-np.asarray(gamma, dtype=float)).tolist()
+    half, sixth = 0.5 * h, h / 6.0
+    g = -np.asarray(gamma, dtype=float)
     u = np.empty((steps + 1, m))
     u[steps] = 1.0
     for hi in range(steps, 0, -_RK4_CHUNK):
@@ -100,17 +107,21 @@ def _rk4_backward(gamma: np.ndarray, coefficients: Callable, steps: int,
         a, b = coefficients(lo, hi)
         if np.any(b < 0.0):
             raise ValueError("coefficient b(t) must be nonnegative")
-        for k in range(m):
-            al, bl, g = a[:, k].tolist(), b[:, k].tolist(), neg_gamma[k]
-            col = u[lo:hi + 1, k].tolist()
-            for j in range(hi - lo, 0, -1):
-                uj, am, bm = col[j], al[2 * j - 1], bl[2 * j - 1]
-                k1 = g * (al[2 * j] * uj + bl[2 * j])
-                k2 = g * (am * (uj + 0.5 * h * k1) + bm)
-                k3 = g * (am * (uj + 0.5 * h * k2) + bm)
-                k4 = g * (al[2 * j - 2] * (uj + h * k3) + bl[2 * j - 2])
-                col[j - 1] = uj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u[lo:hi + 1, k] = col
+        # Each stage k = g (a (u + c h k_prev) + b) is affine in u: carry its
+        # slope (p) and offset (q).  Row r is the step from node lo + r + 1
+        # (coefficients a0, b0) over the midpoint (am, bm) to node lo + r (a1, b1).
+        a0, am, a1 = a[2::2], a[1::2], a[:-1:2]
+        b0, bm, b1 = b[2::2], b[1::2], b[:-1:2]
+        k1p, k1q = g * a0, g * b0
+        k2p, k2q = g * (am * (1.0 + half * k1p)), g * (am * (half * k1q) + bm)
+        k3p, k3q = g * (am * (1.0 + half * k2p)), g * (am * (half * k2q) + bm)
+        k4p, k4q = g * (a1 * (1.0 + h * k3p)), g * (a1 * (h * k3q) + b1)
+        P = 1.0 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        Q = sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        rows = u[lo:hi + 1]
+        for p, q, row, nxt in zip(P[::-1], Q[::-1], rows[-2::-1], rows[:0:-1]):
+            np.multiply(p, nxt, out=row)
+            row += q
     if np.any(u <= 0.0):
         raise NonPositiveSolution("linearized value factor hit a nonpositive value")
     return u
@@ -143,9 +154,9 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
 
 
 def _reverse_cumulative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """int_t^T of a sampled integrand, via cumulative Simpson."""
-    forward = cumulative_simpson(values, x=times, initial=0.0)
-    return forward[-1] - forward
+    """int_t^T of sampled integrands along the last axis, via cumulative Simpson."""
+    forward = cumulative_simpson(values, x=times, axis=-1, initial=0.0)
+    return forward[..., -1:] - forward
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +165,16 @@ def _reverse_cumulative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Residual maxima of the consumption fixed point, per population."""
+    """Residual maxima of the consumption fixed point, per population.
+
+    Each absolute residual has a relative twin, named with ``_rel``: the
+    f gaps divided pointwise by the larger of the two value factors, the
+    best-response residual systeq1 by the consumption c, and the ODE defect
+    systeq2 by the sum of the magnitudes of its three terms.  The gates
+    apply to the relative twins, since value factors reach 1e35, where an
+    absolute 1e-8 lies far below one ulp; ``identity_residual`` involves
+    no value factor and stays absolute.
+    """
 
     systeq1_max: float
     systeq2_max: float
@@ -162,19 +182,29 @@ class FixedPointReport:
     f_gap_ode_closed: np.ndarray
     f_gap_ode_exp: np.ndarray
     f_gap_closed_exp: np.ndarray
+    systeq1_rel_max: float
+    systeq2_rel_max: float
+    f_rel_gap_ode_closed: np.ndarray
+    f_rel_gap_ode_exp: np.ndarray
+    f_rel_gap_closed_exp: np.ndarray
 
     @property
     def max_f_gap(self) -> float:
         return float(max(self.f_gap_ode_closed.max(), self.f_gap_ode_exp.max(),
                          self.f_gap_closed_exp.max()))
 
+    @property
+    def max_f_rel_gap(self) -> float:
+        return float(max(self.f_rel_gap_ode_closed.max(), self.f_rel_gap_ode_exp.max(),
+                         self.f_rel_gap_closed_exp.max()))
+
     def checks(self, residual_tol: float = 1e-8, gap_tol: float = 1e-8,
                identity_tol: float = 1e-10) -> dict[str, tuple[float, float]]:
-        """Each checked maximum as (value, tolerance)."""
+        """Each gated maximum as (value, tolerance)."""
         return {
-            "systeq1_max": (self.systeq1_max, residual_tol),
-            "systeq2_max": (self.systeq2_max, residual_tol),
-            "max_f_gap": (self.max_f_gap, gap_tol),
+            "systeq1_rel_max": (self.systeq1_rel_max, residual_tol),
+            "systeq2_rel_max": (self.systeq2_rel_max, residual_tol),
+            "max_f_rel_gap": (self.max_f_rel_gap, gap_tol),
             "identity_residual": (self.identity_residual, identity_tol),
         }
 
@@ -186,12 +216,20 @@ class FixedPointReport:
     def as_dict(self) -> dict:
         return {
             "systeq1_max": self.systeq1_max,
+            "systeq1_rel_max": self.systeq1_rel_max,
             "systeq2_max": self.systeq2_max,
+            "systeq2_rel_max": self.systeq2_rel_max,
             "identity_residual": self.identity_residual,
             "f_gap_ode_closed": self.f_gap_ode_closed.tolist(),
+            "f_rel_gap_ode_closed": self.f_rel_gap_ode_closed.tolist(),
             "f_gap_ode_exp": self.f_gap_ode_exp.tolist(),
+            "f_rel_gap_ode_exp": self.f_rel_gap_ode_exp.tolist(),
             "f_gap_closed_exp": self.f_gap_closed_exp.tolist(),
+            "f_rel_gap_closed_exp": self.f_rel_gap_closed_exp.tolist(),
         }
+
+
+_FP_GROUP = 2  # agents per residual pass; bounds its (group, steps + 1) temporaries
 
 
 def fixed_point_check(p: Population, e: EquilibriumProfile,
@@ -205,13 +243,17 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     (RK4 oracle, quadrature of the closed form, exponential identity), and
     reports the maxima of the best-response residual, the ODE defect of
     the exponential form, and the volatility identity over a subsampled
-    grid.  ``consumption_scale`` multiplies every curve and exists so
-    detector sensitivity can be demonstrated on non-fixed-point input.
+    grid, absolute and relative (see `FixedPointReport`).
+    ``consumption_scale`` multiplies every curve and exists so detector
+    sensitivity can be demonstrated on non-fixed-point input.
 
-    The curves are evaluated once on the half-step grid; each agent's
-    leave-one-out averages are the full sums minus its own term, and the
-    RK4 oracle takes the coefficients of `BernoulliInputs` for all agents
-    a chunk of steps at a time.
+    The curves are evaluated once per agent on the half-step grid; each
+    agent's leave-one-out averages are the full sums minus its own term.
+    The RK4 oracle takes the coefficients of `BernoulliInputs` for all
+    agents a chunk of steps at a time and advances every agent with one
+    affine map per step.  The residuals are then computed for a few agents
+    at a time on agent-major (group, steps + 1) arrays, which bounds the
+    temporaries and keeps each agent's time series contiguous.
     """
     ar = validate_population(p)
     if steps < 2:
@@ -224,6 +266,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     b_scale = np.array([math.exp(-g * math.log(eps)) / g
                         for g, eps in zip(gammas.tolist(), ar.eps.tolist())])
     b_power = -gammas * ar.theta * (1.0 - 1.0 / ar.delta)
+    log_eps = np.array([math.log(eps) for eps in ar.eps.tolist()])
 
     # One column per agent, one row per point of the half-step grid.
     half_times = np.linspace(0.0, T, 2 * steps + 1)
@@ -236,6 +279,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         """BernoulliInputs.a and .b of agents k, whose curves are c, given the sums over all agents.
 
         Each leave-one-out sum is the full sum minus the agent's own term.
+        The parameters indexed by k must broadcast against c.
         """
         a = rho[k] + coef[k] * ((c_sum - c) / n)
         b = b_scale[k] * np.power(np.exp((log_sum - log_c) / n), b_power[k])
@@ -253,53 +297,69 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     c_sum = c_nodes.sum(axis=1)
     log_c_sum = np.log(c_nodes).sum(axis=1)
     chat_full = c_nodes.mean(axis=1)
+    c_rows = c_nodes.T.copy()  # agent-major; the half-step grid is no longer needed
+    del c_half, c_nodes
     stride = max(1, steps // report_points)
     report_idx = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
-    r1_max = 0.0
-    r2_max = 0.0
-    gap_oc = np.zeros(n)
-    gap_oe = np.zeros(n)
-    gap_ce = np.zeros(n)
-    for i in range(n):
-        gamma = float(gammas[i])
-        f_ode = u[:, i] ** (1.0 / gamma)
-        c_i = c_nodes[:, i]
-        log_c_i = np.log(c_i)
-        a_vals, b_vals = coefficients(c_i, log_c_i, c_sum, log_c_sum, i)
+    gaps = {name: np.zeros(n) for name in ("f_gap_ode_closed", "f_gap_ode_exp",
+                                           "f_gap_closed_exp", "f_rel_gap_ode_closed",
+                                           "f_rel_gap_ode_exp", "f_rel_gap_closed_exp")}
+    r1 = np.zeros(n)
+    r1_rel = np.zeros(n)
+    r2 = np.zeros(n)
+    r2_rel = np.zeros(n)
+    for lo in range(0, n, _FP_GROUP):
+        # Agents k as rows; the per-agent parameters as (group, 1) columns.
+        k = slice(lo, min(lo + _FP_GROUP, n))
+        kc = (k, None)
+        gamma = gammas[kc]
+        c = c_rows[k]
+        log_c = np.log(c)
+        a_vals, b_vals = coefficients(c, log_c, c_sum, log_c_sum, kc)
+        f_ode = np.ascontiguousarray(u[:, k].T) ** (1.0 / gamma)  # rows contiguous in time
         # Integrating-factor solution of the linearized equation:
         # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds),
         # A(t) = int_t^T a.  Verified against the ODE by substitution.
-        big_a = _reverse_cumulative(a_vals, times)
-        weight = np.exp(gamma * big_a)
+        weight = np.exp(gamma * _reverse_cumulative(a_vals, times))
         tail = _reverse_cumulative(gamma * b_vals / weight, times)
         f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
 
-        shrink = e.rho[i] + ar.theta[i] * (1.0 - 1.0 / ar.delta[i]) * chat_full \
-            + c_i / ar.delta[i]
+        shrink = rho[kc] + ar.theta[kc] * (1.0 - 1.0 / ar.delta[kc]) * chat_full \
+            + c / ar.delta[kc]
         f_exp = np.exp(_reverse_cumulative(shrink, times))
 
-        gap_oc[i] = np.max(np.abs(f_ode - f_closed))
-        gap_oe[i] = np.max(np.abs(f_ode - f_exp))
-        gap_ce[i] = np.max(np.abs(f_closed - f_exp))
+        # All three value factors are positive, so the larger one is the scale.
+        for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
+                           ("closed_exp", f_closed, f_exp)):
+            diff = np.abs(x - y)
+            gaps[f"f_gap_{name}"][k] = diff.max(axis=1)
+            diff /= np.maximum(x, y)
+            gaps[f"f_rel_gap_{name}"][k] = diff.max(axis=1)
 
-        log_bar_minus = (log_c_sum - log_c_i) / n
+        # The best response and the ODE defect on the report grid only.
+        c, log_c, f_ode = c[:, report_idx], log_c[:, report_idx], f_ode[:, report_idx]
+        f_exp = f_exp[:, report_idx]
+        log_bar_minus = (log_c_sum[report_idx] - log_c) / n
         best_response = np.exp(
-            -gamma * math.log(ar.eps[i])
-            - gamma * ar.theta[i] * (1.0 - 1.0 / ar.delta[i]) * log_bar_minus
+            -gamma * log_eps[kc]
+            - gamma * ar.theta[kc] * (1.0 - 1.0 / ar.delta[kc]) * log_bar_minus
             - gamma * np.log(f_ode)
         )
-        r1 = np.abs(c_i - best_response)[report_idx]
-        defect = np.abs(-shrink * f_exp + a_vals * f_exp
-                        + b_vals * f_exp ** (1.0 - gamma))[report_idx]
-        r1_max = max(r1_max, float(r1.max()))
-        r2_max = max(r2_max, float(defect.max()))
+        miss = np.abs(c - best_response)
+        r1[k] = miss.max(axis=1)
+        r1_rel[k] = (miss / c).max(axis=1)
+        terms = (-shrink[:, report_idx] * f_exp, a_vals[:, report_idx] * f_exp,
+                 b_vals[:, report_idx] * f_exp ** (1.0 - gamma))
+        defect = np.abs(terms[0] + terms[1] + terms[2])
+        r2[k] = defect.max(axis=1)
+        r2_rel[k] = (defect / (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))).max(axis=1)
 
     resid = _identity_residual(ar, e.pi, e.aggregates)
-    return FixedPointReport(systeq1_max=r1_max, systeq2_max=r2_max,
+    return FixedPointReport(systeq1_max=float(r1.max()), systeq2_max=float(r2.max()),
                             identity_residual=resid,
-                            f_gap_ode_closed=gap_oc, f_gap_ode_exp=gap_oe,
-                            f_gap_closed_exp=gap_ce)
+                            systeq1_rel_max=float(r1_rel.max()),
+                            systeq2_rel_max=float(r2_rel.max()), **gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -404,6 +405,24 @@ class TestVerify:
             assert f"{name} " in line
             assert " <= 1e-08" in line
         assert "identity_residual" in line and "1e-10" in line
+        # The gates are the relative fields; each shows its absolute twin beside it.
+        for rel, absolute in (("systeq1_rel_max", "systeq1_max"),
+                              ("systeq2_rel_max", "systeq2_max"),
+                              ("max_f_rel_gap", "max_f_gap")):
+            assert re.search(rf"{rel} \S+ <= 1e-08 \({absolute} \S+\)", line), rel
+        assert re.search(r"identity_residual \S+ <= 1e-10(,|$)", line)
+
+    def test_non_integer_thread_count_is_invalid_input(self, ref_config, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "abc")
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--config", ref_config, "--out", str(out),
+                     "--paths", "500", "--grid", "50", "--seed", "12"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "merton-arena: invalid input: MERTON_ARENA_THREADS must be an integer, "
+            "got 'abc'\n")
+        assert not out.exists()
 
     def test_best_response_failure_on_stderr(self, ref_config, tmp_path,
                                              monkeypatch, capsys):

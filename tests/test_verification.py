@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_agent, random_population, single_atom
 from merton_arena import (
@@ -98,6 +100,20 @@ class TestFixedPoint:
         e = solve_n(ref_n2)
         rep = fixed_point_check(ref_n2, e, consumption_scale=1.01)
         assert rep.systeq1_max >= 1e-3
+
+    def test_detector_catches_relative_tamper(self, ref_n2):
+        # Gated on relative errors, a 1e-6 scaling of every curve fails even
+        # where value factors exceed 1e8, and the untouched input passes;
+        # that population's absolute f gap is about 1e-2.
+        e = solve_n(ref_n2)
+        assert fixed_point_check(ref_n2, e).passes()
+        assert not fixed_point_check(ref_n2, e, consumption_scale=1 + 1e-6).passes()
+        p = random_population(np.random.default_rng(35), n_max=4)
+        e = solve_n(p)
+        _, scale = reference_fixed_point(p, e, steps=200)
+        assert max(scale["f_gap"]) > 1e8
+        assert fixed_point_check(p, e).passes()
+        assert not fixed_point_check(p, e, consumption_scale=1 + 1e-6).passes()
 
     def test_random_corpus_small(self):
         rng = np.random.default_rng(2024)
@@ -335,7 +351,7 @@ class TestConvergence:
 # ---------------------------------------------------------------------------
 
 def scalar_rk4(gamma, a, b, horizon, steps):
-    """The one-equation float loop the batched kernel must reproduce bitwise.
+    """Classical RK4 for u'/gamma + a u + b = 0 as a one-equation float loop.
 
     ``a`` and ``b`` are lists on the half-step grid (2 steps + 1 points).
     """
@@ -356,14 +372,39 @@ def scalar_rk4(gamma, a, b, horizon, steps):
     return np.array(u)
 
 
+def scalar_affine_rk4(gamma, a, b, horizon, steps):
+    """RK4 with each step written as u -> P u + Q: the loop the kernel reproduces bitwise.
+
+    Each stage is affine in u; its slope (p) and offset (q) are carried
+    separately, in the kernel's order of operations.
+    """
+    h = -horizon / steps
+    half, sixth = 0.5 * h, h / 6.0
+    u = [0.0] * (steps + 1)
+    u[steps] = 1.0
+    g = -gamma
+    for j in range(steps, 0, -1):
+        a0, b0 = a[2 * j], b[2 * j]
+        am, bm = a[2 * j - 1], b[2 * j - 1]
+        a1, b1 = a[2 * j - 2], b[2 * j - 2]
+        k1p, k1q = g * a0, g * b0
+        k2p, k2q = g * (am * (1.0 + half * k1p)), g * (am * (half * k1q) + bm)
+        k3p, k3q = g * (am * (1.0 + half * k2p)), g * (am * (half * k2q) + bm)
+        k4p, k4q = g * (a1 * (1.0 + h * k3p)), g * (a1 * (h * k3q) + b1)
+        P = 1.0 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        Q = sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        u[j - 1] = P * u[j] + Q
+    return np.array(u)
+
+
 def reference_fixed_point(p, e, steps):
     """Fixed-point check with O(n^2) leave-one-out closures, one oracle call per agent.
 
-    Returns the report fields plus, per field, the magnitude of the
-    quantities whose difference it measures: value factors for the gaps,
-    consumption for the best-response residual, the ODE terms for the
-    defect.  The O(n) check may differ from this reference by rounding of
-    those quantities only.
+    Returns the report fields, absolute and relative, plus, per absolute
+    field, the magnitude of the quantities whose difference it measures:
+    value factors for the gaps, consumption for the best-response residual,
+    the ODE terms for the defect.  The O(n) check may differ from this
+    reference by rounding of those quantities only.
     """
     ar = p.arrays()
     n, T = p.n, p.horizon
@@ -374,8 +415,10 @@ def reference_fixed_point(p, e, steps):
     log_c = np.log(c_nodes)
     chat_full = c_nodes.mean(axis=0)
     idx = np.unique(np.append(np.arange(0, steps + 1, max(1, steps // 1000)), steps))
-    out = {"systeq1_max": 0.0, "systeq2_max": 0.0, "f_gap_ode_closed": [],
-           "f_gap_ode_exp": [], "f_gap_closed_exp": []}
+    out = {"systeq1_max": 0.0, "systeq2_max": 0.0, "systeq1_rel_max": 0.0,
+           "systeq2_rel_max": 0.0, "f_gap_ode_closed": [], "f_gap_ode_exp": [],
+           "f_gap_closed_exp": [], "f_rel_gap_ode_closed": [], "f_rel_gap_ode_exp": [],
+           "f_rel_gap_closed_exp": []}
     scale = {"systeq1_max": 0.0, "systeq2_max": 0.0, "f_gap": []}
     for i in range(n):
         others = [k for k in range(n) if k != i]
@@ -399,9 +442,10 @@ def reference_fixed_point(p, e, steps):
         shrink = e.rho[i] + ar.theta[i] * (1.0 - 1.0 / ar.delta[i]) * chat_full \
             + c_nodes[i] / ar.delta[i]
         f_exp = np.exp(verification._reverse_cumulative(shrink, times))
-        out["f_gap_ode_closed"].append(np.max(np.abs(f_ode - f_closed)))
-        out["f_gap_ode_exp"].append(np.max(np.abs(f_ode - f_exp)))
-        out["f_gap_closed_exp"].append(np.max(np.abs(f_closed - f_exp)))
+        for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
+                           ("closed_exp", f_closed, f_exp)):
+            out[f"f_gap_{name}"].append(np.max(np.abs(x - y)))
+            out[f"f_rel_gap_{name}"].append(np.max(np.abs(x - y) / np.maximum(x, y)))
         scale["f_gap"].append(max(np.max(f_ode), np.max(f_closed), np.max(f_exp)))
         log_bar_minus = (log_c.sum(axis=0) - log_c[i]) / n
         best = np.exp(-gamma * np.log(ar.eps[i])
@@ -411,6 +455,10 @@ def reference_fixed_point(p, e, steps):
         out["systeq1_max"] = max(out["systeq1_max"],
                                  float(np.max(np.abs(c_nodes[i] - best)[idx])))
         out["systeq2_max"] = max(out["systeq2_max"], float(np.max(np.abs(sum(terms))[idx])))
+        out["systeq1_rel_max"] = max(out["systeq1_rel_max"], float(np.max(
+            (np.abs(c_nodes[i] - best) / c_nodes[i])[idx])))
+        out["systeq2_rel_max"] = max(out["systeq2_rel_max"], float(np.max(
+            (np.abs(sum(terms)) / sum(np.abs(x) for x in terms))[idx])))
         scale["systeq1_max"] = max(scale["systeq1_max"], float(np.max(c_nodes[i][idx])))
         scale["systeq2_max"] = max(scale["systeq2_max"],
                                    max(float(np.max(np.abs(x)[idx])) for x in terms))
@@ -446,8 +494,43 @@ class TestBatchedOracle:
         for k, inp in enumerate(inputs):
             _, f = bernoulli_oracle(inp, horizon, steps)
             assert np.array_equal(u[:, k] ** (1.0 / inp.gamma), f)
-            ref = scalar_rk4(inp.gamma, a[:, k].tolist(), b[:, k].tolist(), horizon, steps)
-            assert np.array_equal(u[:, k], ref)
+            col_a, col_b = a[:, k].tolist(), b[:, k].tolist()
+            assert np.array_equal(u[:, k], scalar_affine_rk4(inp.gamma, col_a, col_b,
+                                                             horizon, steps))
+            # The affine form regroups each step's stage sums into P u + Q, so
+            # it rounds differently from the classical stage-by-stage update.
+            ref = scalar_rk4(inp.gamma, col_a, col_b, horizon, steps)
+            assert np.all(np.abs(u[:, k] - ref) <= 1e-12 * np.abs(ref))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(agents=st.lists(st.tuples(st.floats(0.2, 5.0), st.floats(-2.0, 2.0),
+                                     st.floats(-1.0, 1.0), st.floats(0.05, 3.0),
+                                     st.floats(-0.5, 0.5), st.floats(0.0, 8.0)),
+                           min_size=1, max_size=4),
+           steps=st.integers(32, 3 * verification._RK4_CHUNK).filter(
+               lambda s: s % verification._RK4_CHUNK != 0),
+           horizon=st.floats(0.1, 2.0))
+    def test_kernel_equals_scalar_affine_loop(self, agents, steps, horizon):
+        # a(t) = a0 + a1 sin(w t), b(t) = b0 exp(b1 cos(w t)) > 0, per agent.
+        # At 32 steps or more, |gamma a h| < 1, where RK4 keeps u positive.
+        half = np.linspace(0.0, horizon, 2 * steps + 1)
+        gammas = np.array([agent[0] for agent in agents])
+        a = np.column_stack([a0 + a1 * np.sin(w * half) for _, a0, a1, _, _, w in agents])
+        b = np.column_stack([b0 * np.exp(b1 * np.cos(w * half)) for _, _, _, b0, b1, w in agents])
+
+        def run(k):
+            return verification._rk4_backward(
+                gammas[k], lambda lo, hi: (a[2 * lo:2 * hi + 1, k], b[2 * lo:2 * hi + 1, k]),
+                steps, horizon)
+
+        u = run(slice(None))
+        for k in range(len(agents)):
+            col_a, col_b = a[:, k].tolist(), b[:, k].tolist()
+            assert np.array_equal(u[:, k], scalar_affine_rk4(gammas[k], col_a, col_b,
+                                                             horizon, steps))
+            assert np.array_equal(u[:, k], run(slice(k, k + 1))[:, 0])
+            ref = scalar_rk4(gammas[k], col_a, col_b, horizon, steps)
+            assert np.all(np.abs(u[:, k] - ref) <= 1e-12 * np.abs(ref))
 
     @pytest.mark.parametrize("n, seed", [(5, 1), (5, 2), (32, 3)])
     def test_fixed_point_matches_quadratic_reference(self, n, seed):
@@ -464,11 +547,18 @@ class TestBatchedOracle:
         for field in ("f_gap_ode_closed", "f_gap_ode_exp", "f_gap_closed_exp"):
             diff = np.abs(getattr(rep, field) - np.array(ref[field]))
             assert np.all(diff <= 1e-12 * np.array(scale["f_gap"])), field
+        # Relative fields are differences over those magnitudes, pointwise.
+        for field in ("systeq1_rel_max", "systeq2_rel_max", "f_rel_gap_ode_closed",
+                      "f_rel_gap_ode_exp", "f_rel_gap_closed_exp"):
+            assert np.all(np.abs(getattr(rep, field) - np.array(ref[field])) <= 1e-12), field
         assert rep.passes() == FixedPointReport(
-            systeq1_max=ref["systeq1_max"], systeq2_max=ref["systeq2_max"],
             identity_residual=ref["identity_residual"],
+            **{f: ref[f] for f in ("systeq1_max", "systeq2_max", "systeq1_rel_max",
+                                   "systeq2_rel_max")},
             **{f: np.array(ref[f]) for f in ("f_gap_ode_closed", "f_gap_ode_exp",
-                                             "f_gap_closed_exp")}).passes()
+                                             "f_gap_closed_exp", "f_rel_gap_ode_closed",
+                                             "f_rel_gap_ode_exp", "f_rel_gap_closed_exp")}
+        ).passes()
 
     def test_fixed_point_peak_memory(self):
         p = random_population(np.random.default_rng(3), n=32)
@@ -479,5 +569,6 @@ class TestBatchedOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # About 10.7e6 bytes with 512-step coefficient chunks; 28.8e6 unchunked.
+        # About 10.9e6 bytes with 512-step coefficient chunks and agent pairs
+        # in the residual pass; 28.8e6 unchunked.
         assert peak <= 12e6
