@@ -12,7 +12,8 @@ fixed window of the stream's counter, so draws for a given (seed, stream,
 path) never depend on how paths are grouped into blocks.  Two batches run
 with the same seed therefore share identical Brownian increments whatever
 the strategies -- the common-random-numbers contract the verification
-module's paired tests rely on.
+module's paired tests rely on.  Increments are never stored; any
+path's draws can be regenerated with ``block_normals``.
 """
 from __future__ import annotations
 
@@ -35,6 +36,9 @@ from .types import Population, validate_population
 DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
 BLOCK_SIZE = 4096
+# Paths per task of simulate and estimate_objective: small enough that two
+# workers share 10^4 paths evenly; results are per path, so it moves no bit.
+WORK_UNIT = 1024
 # Rows of a path block that elementwise passes take at once: about 256 KiB.
 _CHUNK_BYTES = 1 << 18
 
@@ -181,14 +185,15 @@ def equilibrium_strategy(p: Population, e: EquilibriumProfile) -> StrategyProfil
 
 @dataclass(frozen=True)
 class SimulationBatch:
-    """Seeded log-wealth paths on a grid, plus the driving increments."""
+    """Seeded log-wealth paths on a grid (increments are not stored)."""
 
     times: np.ndarray           # (M+1,)
     paths: int
     seed: int
     log_wealth: np.ndarray      # (P, n, M+1)
-    dW: np.ndarray | None       # (P, n, M) idiosyncratic increments
-    dB: np.ndarray | None       # (P, M) common increments
+    # Always None; benchmarks/tracing.py still sizes these attributes.
+    dW = None
+    dB = None
 
     @property
     def grid_size(self) -> int:
@@ -247,45 +252,44 @@ def _path_model(p: Population, s: StrategyProfile, grid: int,
                            nu=ar.nu, sigma=ar.sigma)
 
 
-def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarray,
-                dW: np.ndarray | None, dB: np.ndarray | None) -> None:
+def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarray) -> None:
     """Write paths [start, start + count) into log_wealth (count, n, grid + 1).
 
-    ``dW`` (count, n, grid) and ``dB`` (count, grid) receive the increments
-    when given.  Agents are filled one at a time, a few rows per pass, so
-    the only scratch is one stream's normals, the common increments when
-    they are not kept, and one row chunk.  Each element sees the same IEEE
-    operations as the whole-block expression pi (nu dW + sigma dB) + det,
-    cumulated and shifted by log x0, so results do not depend on the
-    block layout.
+    The rows go one cache-sized tile at a time: the tile's common
+    normals, then each agent's normals, which are scaled into dW and
+    then serve as the scratch where the row is combined and cumulated.
+    Per-path counter windows make a tile's normals the same rows of its
+    block's, and each element sees the same IEEE operations as the
+    whole-block expression pi (nu dW + sigma dB) + det, cumulated and
+    shifted by log x0, so results do not depend on the block or tile
+    layout.
     """
     count, n, _ = log_wealth.shape
     grid = len(f.sqrt_dt)
-    z = block_normals(seed, COMMON_STREAM, start, count, grid)
-    db = np.multiply(z, f.sqrt_dt, out=z if dB is None else dB)
-    chunk = max(1, _CHUNK_BYTES // (8 * grid))
-    scratch = np.empty((min(chunk, count), grid))
-    for k in range(n):
-        z = block_normals(seed, agent_stream(k), start, count, grid)
-        dw = z if dW is None else dW[:, k]
-        for r in range(0, count, chunk):
-            rows = slice(r, r + chunk)
-            w, row, inc = dw[rows], log_wealth[rows, k, 1:], scratch[:count - r]
-            np.multiply(z[rows], f.sqrt_dt, out=w)
-            np.multiply(w, f.nu[k], out=row)
-            np.multiply(db[rows], f.sigma[k], out=inc)
-            inc += row
-            inc *= f.pi_seg[k]
-            inc += f.det_seg[k]
-            np.cumsum(inc, axis=1, out=row)
+    tile = max(1, _CHUNK_BYTES // (8 * grid))
+    for r in range(0, count, tile):
+        rows = min(tile, count - r)
+        db = block_normals(seed, COMMON_STREAM, start + r, rows, grid)
+        db *= f.sqrt_dt
+        for k in range(n):
+            row = log_wealth[r:r + rows, k, 1:]
+            z = block_normals(seed, agent_stream(k), start + r, rows, grid)
+            z *= f.sqrt_dt
+            np.multiply(z, f.nu[k], out=row)
+            np.multiply(db, f.sigma[k], out=z)
+            z += row
+            z *= f.pi_seg[k]
+            z += f.det_seg[k]
+            np.cumsum(z, axis=1, out=row)
             row += f.log_x0[k]
-        log_wealth[:, k, 0] = f.log_x0[k]
+            del z  # before the next agent's draw, so a worker holds two tiles
+    log_wealth[:, :, 0] = f.log_x0
 
 
 def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
                      seed: int,
-                     block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (start, log_wealth, dW, dB) for consecutive path blocks.
+                     block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, log_wealth) for consecutive path blocks.
 
     Blocks partition [0, paths); identical inputs give identical blocks
     regardless of block size thanks to the per-path counter windows, and
@@ -295,42 +299,33 @@ def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
 
     def blocks():
         for start in range(0, paths, block_size):
-            count = min(block_size, paths - start)
-            log_wealth = np.empty((count, p.n, grid + 1))
-            dW = np.empty((count, p.n, grid))
-            dB = np.empty((count, grid))
-            _fill_block(f, seed, start, log_wealth, dW, dB)
-            yield start, log_wealth, dW, dB
+            log_wealth = np.empty((min(block_size, paths - start), p.n, grid + 1))
+            _fill_block(f, seed, start, log_wealth)
+            yield start, log_wealth
 
     return blocks()
 
 
 def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
              paths: int = DEFAULT_PATHS, seed: int = 0,
-             keep_increments: bool = True,
-             block_size: int = BLOCK_SIZE) -> SimulationBatch:
+             block_size: int = WORK_UNIT) -> SimulationBatch:
     """Simulate the n coupled wealth processes under strategy profile s.
 
     Deterministic given the seed: the same inputs reproduce the batch
-    bitwise.  Path blocks are written in place into the batch on
-    ``worker_count()`` threads; the result does not depend on the thread
-    count or the block size.  Increments can be dropped to halve memory
-    for large runs; beyond the batch, each worker holds a few
-    (block_size, grid) arrays.
+    bitwise.  Work units of ``block_size`` paths are written in place
+    into the batch on ``worker_count()`` threads; the result does not
+    depend on the thread count or the unit size.  Memory is the batch,
+    paths x n x (grid + 1) doubles, plus a few tile-sized arrays per
+    worker.
     """
     f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((paths, p.n, grid + 1))
-    dW = np.empty((paths, p.n, grid)) if keep_increments else None
-    dB = np.empty((paths, grid)) if keep_increments else None
 
     def fill(start):
-        rows = slice(start, min(start + block_size, paths))
-        _fill_block(f, seed, start, log_wealth[rows],
-                    None if dW is None else dW[rows], None if dB is None else dB[rows])
+        _fill_block(f, seed, start, log_wealth[start:start + block_size])
 
     _map_blocks(fill, range(0, paths, block_size))
-    return SimulationBatch(times=f.times, paths=paths, seed=seed,
-                           log_wealth=log_wealth, dW=dW, dB=dB)
+    return SimulationBatch(times=f.times, paths=paths, seed=seed, log_wealth=log_wealth)
 
 
 def utility(x, delta: float):
@@ -416,11 +411,11 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     values = np.empty(batch.paths)
 
     def reduce(start):
-        rows = slice(start, min(start + BLOCK_SIZE, batch.paths))
+        rows = slice(start, start + WORK_UNIT)
         values[rows] = _objective_paths(batch.log_wealth[rows], log_c, weights,
                                         i, theta, delta, eps)
 
-    _map_blocks(reduce, range(0, batch.paths, BLOCK_SIZE))
+    _map_blocks(reduce, range(0, batch.paths, WORK_UNIT))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(batch.paths)) if batch.paths > 1 else 0.0
     return UtilityEstimate(mean=mean, stderr=stderr, paths=batch.paths)

@@ -174,8 +174,7 @@ def test_criterion_09_simulation_fidelity():
     ))
     e = solve_n(p)
     s = equilibrium_strategy(p, e)
-    batch = simulate(p, s, grid=400, paths=100_000, seed=99,
-                     keep_increments=False)
+    batch = simulate(p, s, grid=400, paths=100_000, seed=99)
     ok = True
     detail = []
     for i in range(2):

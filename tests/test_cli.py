@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, round-trips."""
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -374,6 +375,17 @@ class TestSimulate:
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_bytes_pinned(self, ref_n3, tmp_path):
+        # sha256 of the output when each column's quantiles were separate
+        # np.percentile calls; 5000 paths span two path blocks
+        cfg = write_json(tmp_path, "trio.json", {
+            "horizon": ref_n3.horizon, "agents": [a.to_dict() for a in ref_n3.agents]})
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--grid", "100",
+                     "--paths", "5000", "--seed", "7", "--time-grid", "21"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "025a2ee2d23f1dea7e401f19f8c0d35676f7468b27483c12dc3bd048493bd876")
 
 
 class TestVerify:

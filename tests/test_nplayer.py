@@ -4,6 +4,7 @@ The reference two-agent population has exactly rational equilibrium
 constants, frozen here as fractions: pi* = 75/13, rho = 25/13,
 beta = -375/169, lambda = 1.
 """
+import gc
 import os
 import subprocess
 import sys
@@ -282,8 +283,13 @@ class TestNoRetainedState:
         tracemalloc.start()
         try:
             solve_n(warm)  # steady state of numpy's own small caches
+            # A full collection frees pending garbage and empties the
+            # interpreter's free lists, whose blocks tracemalloc counts as
+            # live; one before each snapshot leaves only what is reachable.
+            gc.collect()
             before = tracemalloc.take_snapshot().filter_traces(only_package)
             solve_n(p)
+            gc.collect()
             after = tracemalloc.take_snapshot().filter_traces(only_package)
         finally:
             tracemalloc.stop()

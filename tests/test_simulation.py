@@ -24,6 +24,7 @@ from merton_arena import (
 )
 from conftest import random_population
 from merton_arena.simulation import (
+    _CHUNK_BYTES,
     BLOCK_SIZE,
     COMMON_STREAM,
     StrategyProfile,
@@ -81,8 +82,9 @@ class TestSimulateDeterminism:
         b1 = simulate(p, s, grid=64, paths=512, seed=11)
         b2 = simulate(p, s, grid=64, paths=512, seed=11)
         assert np.array_equal(b1.log_wealth, b2.log_wealth)
-        assert np.array_equal(b1.dW, b2.dW)
-        assert np.array_equal(b1.dB, b2.dB)
+        # the paths are those of the increments block_normals regenerates
+        log_wealth = reference_batch(p, s, 64, 512, 11, 512)
+        assert np.array_equal(b1.log_wealth, log_wealth)
 
     def test_block_size_does_not_change_paths(self):
         p = two_agents(nu=0.3)
@@ -95,11 +97,16 @@ class TestSimulateDeterminism:
         p = two_agents(nu=0.3)
         e = solve_n(p)
         s = equilibrium_strategy(p, e)
+        s2 = s.perturb(0, dpi=0.4, a=0.1, b=-0.2)
         b1 = simulate(p, s, grid=64, paths=256, seed=5)
-        b2 = simulate(p, s.perturb(0, dpi=0.4, a=0.1, b=-0.2), grid=64,
-                      paths=256, seed=5)
-        assert np.array_equal(b1.dW, b2.dW)
-        assert np.array_equal(b1.dB, b2.dB)
+        b2 = simulate(p, s2, grid=64, paths=256, seed=5)
+        # both batches are driven by the same regenerated increments ...
+        for batch, strategy in ((b1, s), (b2, s2)):
+            log_wealth = reference_batch(p, strategy, 64, 256, 5, 256)
+            assert np.array_equal(batch.log_wealth, log_wealth)
+        # ... so the agent whose strategy did not change has the same paths
+        assert np.array_equal(b1.log_wealth[:, 1], b2.log_wealth[:, 1])
+        assert not np.array_equal(b1.log_wealth[:, 0], b2.log_wealth[:, 0])
 
 
 class TestDeterministicDynamics:
@@ -118,8 +125,7 @@ class TestDeterministicDynamics:
         # the wealth dynamics; simulate accepts c = 0
         p = two_agents(sigma=1.0)
         s = constant_strategy([1.0, 1.0], [0.0, 0.0])
-        batch = simulate(p, s, grid=250, paths=20000, seed=9,
-                         keep_increments=False)
+        batch = simulate(p, s, grid=250, paths=20000, seed=9)
         mean_log = batch.log_wealth[:, 0, -1].mean()
         se = batch.log_wealth[:, 0, -1].std(ddof=1) / math.sqrt(batch.paths)
         assert abs(mean_log - (1.0 - 0.5)) <= 3.0 * se
@@ -188,8 +194,7 @@ class TestEstimateObjective:
         p = two_agents(mu=1.0, nu=0.3, sigma=0.4)
         e = solve_n(p)
         s = equilibrium_strategy(p, e)
-        batch = simulate(p, s, grid=400, paths=30000, seed=6,
-                         keep_increments=False)
+        batch = simulate(p, s, grid=400, paths=30000, seed=6)
         est = estimate_objective(batch, s, 0, p)
 
         pi = float(e.pi[0])
@@ -212,8 +217,8 @@ class TestEstimateObjective:
         p = two_agents(mu=1.0, nu=0.3, sigma=0.4)
         e = solve_n(p)
         s = equilibrium_strategy(p, e)
-        b1 = simulate(p, s, grid=100, paths=4000, seed=8, keep_increments=False)
-        b2 = simulate(p, s, grid=100, paths=16000, seed=8, keep_increments=False)
+        b1 = simulate(p, s, grid=100, paths=4000, seed=8)
+        b2 = simulate(p, s, grid=100, paths=16000, seed=8)
         e1 = estimate_objective(b1, s, 0, p)
         e2 = estimate_objective(b2, s, 0, p)
         ratio = e2.stderr / e1.stderr
@@ -231,8 +236,7 @@ class TestEstimateObjective:
         s = equilibrium_strategy(ref_n3, e)
         means = {}
         for grid in (500, 2000):
-            batch = simulate(ref_n3, s, grid=grid, paths=8000, seed=10,
-                             keep_increments=False)
+            batch = simulate(ref_n3, s, grid=grid, paths=8000, seed=10)
             means[grid] = estimate_objective(batch, s, 0, ref_n3)
         gap = abs(means[500].mean - means[2000].mean)
         assert gap <= 3.0 * max(means[500].stderr, means[2000].stderr)
@@ -266,15 +270,16 @@ class TestTrapezoidWeights:
 
 
 def reference_batch(p, s, grid, paths, seed, block_size):
-    """simulate's block code before blocks were written in place (whole-block temporaries)."""
+    """Log-wealth from whole-block increments regenerated through block_normals.
+
+    This is simulate's block code before blocks were written in place.
+    """
     ar = p.arrays()
     times = np.linspace(0.0, p.horizon, grid + 1)
     det_seg, pi_seg = _deterministic_segments(ar, s, times)
     sqrt_dt = np.sqrt(np.diff(times))
     log_x0 = np.log(ar.x0)
     log_wealth = np.empty((paths, p.n, grid + 1))
-    dW = np.empty((paths, p.n, grid))
-    dB = np.empty((paths, grid))
     for start in range(0, paths, block_size):
         count = min(block_size, paths - start)
         b = sqrt_dt * block_normals(seed, COMMON_STREAM, start, count, grid)
@@ -287,9 +292,8 @@ def reference_batch(p, s, grid, paths, seed, block_size):
         lw[:, :, 0] = log_x0[None, :]
         np.cumsum(det_seg[None, :, :] + stoch, axis=2, out=lw[:, :, 1:])
         lw[:, :, 1:] += log_x0[None, :, None]
-        rows = slice(start, start + count)
-        log_wealth[rows], dW[rows], dB[rows] = lw, w, b
-    return log_wealth, dW, dB
+        log_wealth[start:start + count] = lw
+    return log_wealth
 
 
 def reference_objective_paths(log_wealth, log_c, weights, i, theta, delta, eps):
@@ -313,30 +317,31 @@ class TestInPlaceBlocks:
     """simulate and estimate_objective equal the whole-block reference bitwise."""
 
     GRID, PATHS, SEED = 48, 1000, 17
+    TILE = _CHUNK_BYTES // (8 * GRID)  # rows _fill_block takes at once
 
     @staticmethod
-    def case(n=3, grid=GRID):
-        # agent 0 is a log investor (delta = 1); pi varies by segment
+    def case(n=3, grid=GRID, segmented=True):
+        # agent 0 is a log investor (delta = 1); segmented: pi varies by segment
         p = random_population(np.random.default_rng(21), n=n)
         p = Population(p.horizon, (dataclasses.replace(p.agents[0], delta=1.0),) + p.agents[1:])
         base = equilibrium_strategy(p, solve_n(p))
+        if not segmented:
+            return p, base
         pi = base.pi[:, None] * np.linspace(0.8, 1.2, grid)
         return p, StrategyProfile(pi=pi, consumption=base.consumption)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("block_size", [128, 500, 4096])
-    @pytest.mark.parametrize("keep", [True, False])
-    def test_simulate_equals_reference(self, monkeypatch, threads, block_size, keep):
+    @pytest.mark.parametrize("segmented", [True, False])
+    def test_simulate_equals_reference(self, monkeypatch, threads, block_size, segmented):
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
-        p, s = self.case()
-        log_wealth, dW, dB = reference_batch(p, s, self.GRID, self.PATHS, self.SEED, block_size)
-        batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED,
-                         keep_increments=keep, block_size=block_size)
-        assert np.array_equal(batch.log_wealth, log_wealth)
-        if keep:
-            assert np.array_equal(batch.dW, dW)
-            assert np.array_equal(batch.dB, dB)
-        else:
+        p, s = self.case(segmented=segmented)
+        # tile edges, and a full reference block plus a partial one
+        for paths in (1, self.TILE - 1, self.TILE + 1, BLOCK_SIZE + 904):
+            log_wealth = reference_batch(p, s, self.GRID, paths, self.SEED, block_size)
+            batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED,
+                             block_size=block_size)
+            assert np.array_equal(batch.log_wealth, log_wealth)
             assert batch.dW is None and batch.dB is None
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -344,8 +349,7 @@ class TestInPlaceBlocks:
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         p, s = self.case()
         paths = BLOCK_SIZE + 904  # a full block and a partial one
-        batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED,
-                         keep_increments=False)
+        batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED)
         ar = p.arrays()
         log_c = np.log(s.consumption_on(batch.times))
         weights = trapezoid_weights(batch.times)
@@ -362,36 +366,45 @@ class TestInPlaceBlocks:
             assert est.mean == float(values.mean())
             assert est.stderr == float(values.std(ddof=1) / math.sqrt(paths))
 
-    @pytest.mark.parametrize("keep", [True, False])
-    def test_peak_memory_is_per_block_row(self, monkeypatch, keep):
-        # Beyond the batch itself, each of the two workers holds at most four
-        # (count, grid) arrays (3.4 measured); one (count, n, grid) temporary
-        # is 16 of them.
-        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
-        grid, paths, block_size = 200, 2048, 512
-        p, s = self.case(n=16, grid=grid)
+    @staticmethod
+    def scratch_bytes(p, s, grid, paths, block_size):
+        """tracemalloc peak of simulate minus the batch it returns."""
         tracemalloc.start()
         try:
-            batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED,
-                             keep_increments=keep, block_size=block_size)
+            batch = simulate(p, s, grid=grid, paths=paths, seed=17, block_size=block_size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        own = sum(a.nbytes for a in (batch.log_wealth, batch.dW, batch.dB) if a is not None)
+        return peak - batch.log_wealth.nbytes
+
+    @pytest.mark.parametrize("segmented", [True, False])
+    def test_peak_memory_is_per_block_row(self, monkeypatch, segmented):
+        # Beyond the batch itself, each of the two workers holds at most four
+        # (count, grid) arrays; one (count, n, grid) temporary is 16 of them.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        grid, paths, block_size = 200, 2048, 512
+        p, s = self.case(n=16, grid=grid, segmented=segmented)
         row_bytes = block_size * grid * 8
-        assert peak - own <= 2 * 4 * row_bytes
+        assert self.scratch_bytes(p, s, grid, paths, block_size) <= 2 * 4 * row_bytes
+
+    def test_peak_memory_is_per_tile(self, monkeypatch):
+        # Each of the two workers holds two (tile, grid) arrays, the common
+        # increments and one agent's, whatever the unit size.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        grid, paths = 200, 4096
+        tile_bytes = _CHUNK_BYTES // (8 * grid) * grid * 8
+        p, s = self.case(n=16, grid=grid)
+        for block_size in (128, 1024, 4096):
+            assert self.scratch_bytes(p, s, grid, paths, block_size) <= 2 * 4 * tile_bytes
 
     def test_iter_path_blocks_are_batch_slices(self):
         p, s = self.case()
         batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED,
                          block_size=300)
         starts = []
-        for start, log_wealth, dW, dB in iter_path_blocks(p, s, self.GRID, self.PATHS,
-                                                          self.SEED, block_size=300):
-            rows = slice(start, start + len(log_wealth))
-            assert np.array_equal(log_wealth, batch.log_wealth[rows])
-            assert np.array_equal(dW, batch.dW[rows])
-            assert np.array_equal(dB, batch.dB[rows])
+        for start, log_wealth in iter_path_blocks(p, s, self.GRID, self.PATHS,
+                                                  self.SEED, block_size=300):
+            assert np.array_equal(log_wealth, batch.log_wealth[start:start + len(log_wealth)])
             starts.append(start)
         assert starts == [0, 300, 600, 900]
 
