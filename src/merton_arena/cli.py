@@ -60,25 +60,23 @@ def _parse_range(text: str) -> np.ndarray:
 
 @dataclasses.dataclass
 class RunConfig:
-    """Parsed command-line options shared by the subcommands."""
+    """Parsed command-line options; None where the subcommand has no such flag."""
 
     command: str
     config: str
     out: str
-    grid: int
-    paths: int
-    seed: int
-    time_grid: int
+    grid: int | None
+    paths: int | None
+    seed: int | None
+    time_grid: int | None
     deltas: np.ndarray | None
     thetas: np.ndarray | None
 
     def validate(self) -> None:
-        if self.grid < 2:
-            raise ValidationError(f"--grid must be >= 2, got {self.grid}")
-        if self.paths < 1:
-            raise ValidationError(f"--paths must be >= 1, got {self.paths}")
-        if self.time_grid < 2:
-            raise ValidationError(f"--time-grid must be >= 2, got {self.time_grid}")
+        for flag, value, least in (("--grid", self.grid, 2), ("--paths", self.paths, 1),
+                                   ("--time-grid", self.time_grid, 2)):
+            if value is not None and value < least:
+                raise ValidationError(f"{flag} must be >= {least}, got {value}")
 
 
 def _write_csv(path: str, comments: list[str], header: list[str],
@@ -246,11 +244,14 @@ def cmd_simulate(rc: RunConfig) -> int:
     keep = np.unique(np.round(np.linspace(0, rc.grid, rc.time_grid)).astype(int))
     times = np.linspace(0.0, p.horizon, rc.grid + 1)
 
-    data = np.empty((rc.paths, p.n, len(keep)))
+    # paths last, so that each column's mean and partition run on one contiguous row
+    data = np.empty((p.n, len(keep), rc.paths))
     for start, log_wealth in simulation.iter_path_blocks(p, s, rc.grid, rc.paths, rc.seed):
-        data[start:start + len(log_wealth)] = log_wealth[:, :, keep]
-    # (3, n, len(keep)); paths last, so that each partition runs on contiguous rows
-    quantiles = np.percentile(np.moveaxis(data, 0, -1), (5, 50, 95), axis=-1)
+        data[:, :, start:start + len(log_wealth)] = np.moveaxis(log_wealth[:, :, keep], 0, -1)
+        del log_wealth  # before the next block is drawn
+    means = data.mean(axis=-1)
+    # (3, n, len(keep)); partitions data in place, so it is read no further
+    quantiles = np.percentile(data, (5, 50, 95), axis=-1, overwrite_input=True)
 
     comments = [
         "merton-arena simulate",
@@ -266,8 +267,7 @@ def cmd_simulate(rc: RunConfig) -> int:
     for j, idx in enumerate(keep):
         row = [times[idx]]
         for k in range(p.n):
-            # a column's own mean: an axis-0 mean would sum in another order
-            row += [data[:, k, j].mean(), *quantiles[:, k, j]]
+            row += [means[k, j], *quantiles[:, k, j]]
         rows.append(row)
     _write_csv(rc.out, comments, header, rows)
     return EXIT_OK
@@ -365,13 +365,24 @@ def cmd_verify(rc: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
+_FLAGS = {
+    "--grid": dict(type=int, default=simulation.DEFAULT_GRID, help="simulation grid steps"),
+    "--paths": dict(type=int, default=simulation.DEFAULT_PATHS, help="Monte Carlo paths"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--time-grid": dict(type=int, default=101, help="time samples for curves/summaries"),
+    "--deltas": dict(help="explicit comma-separated delta list (overrides --delta-range)"),
+    "--delta-range": dict(metavar="a:b:k", help="risk-tolerance sweep range"),
+    "--theta-range": dict(metavar="a:b:k", help="competition-weight sweep range"),
+}
+
+# Each subcommand with the optional flags it reads.
 _COMMANDS = {
-    "solve-n": cmd_solve_n,
-    "curves": cmd_curves,
-    "regime": cmd_regime,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
+    "solve-n": (cmd_solve_n, ()),
+    "curves": (cmd_curves, ("--time-grid", "--deltas", "--delta-range")),
+    "regime": (cmd_regime, ("--deltas", "--delta-range", "--theta-range")),
+    "sweep": (cmd_sweep, ("--deltas", "--delta-range", "--theta-range")),
+    "simulate": (cmd_simulate, ("--grid", "--paths", "--seed", "--time-grid")),
+    "verify": (cmd_verify, ("--grid", "--paths", "--seed")),
 }
 
 
@@ -381,42 +392,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibria of the competitive investment/consumption game",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON population/distribution")
         sp.add_argument("--out", required=True, help="output CSV/JSON path")
-        sp.add_argument("--grid", type=int, default=simulation.DEFAULT_GRID,
-                        help="simulation grid steps")
-        sp.add_argument("--paths", type=int, default=simulation.DEFAULT_PATHS,
-                        help="Monte Carlo paths")
-        sp.add_argument("--seed", type=int, default=0, help="master seed")
-        sp.add_argument("--time-grid", type=int, default=101,
-                        help="time samples for curves/summaries")
-        sp.add_argument("--delta-range", default=None, metavar="a:b:k",
-                        help="risk-tolerance sweep range")
-        sp.add_argument("--theta-range", default=None, metavar="a:b:k",
-                        help="competition-weight sweep range")
-        sp.add_argument("--deltas", default=None,
-                        help="explicit comma-separated delta list (overrides --delta-range)")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
     try:
         deltas = None
-        if args.deltas is not None:
-            deltas = np.array([float(v) for v in args.deltas.split(",")])
-        elif args.delta_range is not None:
-            deltas = _parse_range(args.delta_range)
-        thetas = _parse_range(args.theta_range) if args.theta_range else None
+        if opts.get("deltas") is not None:
+            deltas = np.array([float(v) for v in opts["deltas"].split(",")])
+        elif opts.get("delta_range") is not None:
+            deltas = _parse_range(opts["delta_range"])
+        thetas = _parse_range(opts["theta_range"]) if opts.get("theta_range") else None
         rc = RunConfig(
-            command=args.command, config=args.config, out=args.out,
-            grid=args.grid, paths=args.paths, seed=args.seed,
-            time_grid=args.time_grid, deltas=deltas, thetas=thetas,
+            command=opts["command"], config=opts["config"], out=opts["out"],
+            grid=opts.get("grid"), paths=opts.get("paths"), seed=opts.get("seed"),
+            time_grid=opts.get("time_grid"), deltas=deltas, thetas=thetas,
         )
         rc.validate()
-        return _COMMANDS[args.command](rc)
+        return _COMMANDS[rc.command][0](rc)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"merton-arena: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -35,9 +35,9 @@ from .types import Population, validate_population
 
 DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
-BLOCK_SIZE = 4096
-# Paths per task of simulate and estimate_objective: small enough that two
-# workers share 10^4 paths evenly; results are per path, so it moves no bit.
+# Paths per work unit of every Monte Carlo route (read only by `_units`):
+# two workers share 10^4 paths evenly, and each (unit, grid + 1) array a
+# scan worker holds is 8.2 MB at grid 1000.
 WORK_UNIT = 1024
 # Rows of a path block that elementwise passes take at once: about 256 KiB.
 _CHUNK_BYTES = 1 << 18
@@ -221,18 +221,25 @@ def _deterministic_segments(ar: SimpleNamespace, s: StrategyProfile,
     return drift - c_int, pi_seg
 
 
-def _map_blocks(fn: Callable, items: Sequence) -> list:
-    """[fn(item) for item in items], on worker_count() threads when that helps.
+def _units(paths: int) -> list[tuple[int, int]]:
+    """(start, count) of the consecutive WORK_UNIT-path units of [0, paths)."""
+    return [(start, min(WORK_UNIT, paths - start)) for start in range(0, paths, WORK_UNIT)]
 
-    Results come back in item order.  Each item is a whole path block, so
-    memory stays bounded per task, and numpy releases the interpreter lock
-    inside the array passes that dominate a block.
+
+def _map_units(fn: Callable[[int, int], object], paths: int) -> list:
+    """[fn(start, count) for each unit of [0, paths)], on worker_count() threads.
+
+    Results come back in unit order.  Memory stays bounded per unit, and
+    numpy releases the interpreter lock inside the array passes that
+    dominate one.
     """
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    units = _units(paths)
+    workers = min(worker_count(), len(units))
+    if workers > 1:
+        starts, counts = zip(*units)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, starts, counts))
+    return [fn(start, count) for start, count in units]
 
 
 def _path_model(p: Population, s: StrategyProfile, grid: int,
@@ -287,32 +294,30 @@ def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarra
 
 
 def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
-                     seed: int,
-                     block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, log_wealth) for consecutive path blocks.
+                     seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, log_wealth) for the work units of [0, paths), one at a time.
 
-    Blocks partition [0, paths); identical inputs give identical blocks
-    regardless of block size thanks to the per-path counter windows, and
-    each block equals the same rows of ``simulate``'s batch.
+    Each block equals the same rows of ``simulate``'s batch, whatever the
+    unit size, thanks to the per-path counter windows.
     """
     f = _path_model(p, s, grid, paths)
 
     def blocks():
-        for start in range(0, paths, block_size):
-            log_wealth = np.empty((min(block_size, paths - start), p.n, grid + 1))
+        for start, count in _units(paths):
+            log_wealth = np.empty((count, p.n, grid + 1))
             _fill_block(f, seed, start, log_wealth)
             yield start, log_wealth
+            del log_wealth  # so that the next block is not drawn beside it
 
     return blocks()
 
 
 def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
-             paths: int = DEFAULT_PATHS, seed: int = 0,
-             block_size: int = WORK_UNIT) -> SimulationBatch:
+             paths: int = DEFAULT_PATHS, seed: int = 0) -> SimulationBatch:
     """Simulate the n coupled wealth processes under strategy profile s.
 
     Deterministic given the seed: the same inputs reproduce the batch
-    bitwise.  Work units of ``block_size`` paths are written in place
+    bitwise.  Work units of ``WORK_UNIT`` paths are written in place
     into the batch on ``worker_count()`` threads; the result does not
     depend on the thread count or the unit size.  Memory is the batch,
     paths x n x (grid + 1) doubles, plus a few tile-sized arrays per
@@ -321,10 +326,10 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
     f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((paths, p.n, grid + 1))
 
-    def fill(start):
-        _fill_block(f, seed, start, log_wealth[start:start + block_size])
+    def fill(start, count):
+        _fill_block(f, seed, start, log_wealth[start:start + count])
 
-    _map_blocks(fill, range(0, paths, block_size))
+    _map_units(fill, paths)
     return SimulationBatch(times=f.times, paths=paths, seed=seed, log_wealth=log_wealth)
 
 
@@ -410,12 +415,12 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
 
     values = np.empty(batch.paths)
 
-    def reduce(start):
-        rows = slice(start, start + WORK_UNIT)
+    def reduce(start, count):
+        rows = slice(start, start + count)
         values[rows] = _objective_paths(batch.log_wealth[rows], log_c, weights,
                                         i, theta, delta, eps)
 
-    _map_blocks(reduce, range(0, batch.paths, WORK_UNIT))
+    _map_units(reduce, batch.paths)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(batch.paths)) if batch.paths > 1 else 0.0
     return UtilityEstimate(mean=mean, stderr=stderr, paths=batch.paths)

@@ -26,13 +26,12 @@ from scipy.integrate import cumulative_simpson
 from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound, TooFewAgents
 from .mfg import MfEquilibrium, solve_mf
 # solve_n is unused here but stays an attribute: benchmarks/tracing.py wraps verification.solve_n.
-from .nplayer import EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
+from .nplayer import IDENTITY_TOL, EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
 from .policy import ConsumptionPolicy
 from .simulation import (
-    BLOCK_SIZE,
     COMMON_STREAM,
     UtilityEstimate,
-    _map_blocks,
+    _map_units,
     agent_stream,
     block_normals,
     trapezoid_weights,
@@ -40,7 +39,8 @@ from .simulation import (
 from .types import Population, TypeDistribution, validate_distribution, validate_population
 
 DEFAULT_ODE_STEPS = 10_000
-REPORT_POINTS = 1000
+REPORT_POINTS = 1000  # grid points where the best response and the ODE defect are checked
+REL_TOL = 1e-8  # gate on each relative fixed-point residual
 
 _WEIGHT_INT_TOL = 1e-9
 
@@ -198,20 +198,17 @@ class FixedPointReport:
         return float(max(self.f_rel_gap_ode_closed.max(), self.f_rel_gap_ode_exp.max(),
                          self.f_rel_gap_closed_exp.max()))
 
-    def checks(self, residual_tol: float = 1e-8, gap_tol: float = 1e-8,
-               identity_tol: float = 1e-10) -> dict[str, tuple[float, float]]:
+    def checks(self) -> dict[str, tuple[float, float]]:
         """Each gated maximum as (value, tolerance)."""
         return {
-            "systeq1_rel_max": (self.systeq1_rel_max, residual_tol),
-            "systeq2_rel_max": (self.systeq2_rel_max, residual_tol),
-            "max_f_rel_gap": (self.max_f_rel_gap, gap_tol),
-            "identity_residual": (self.identity_residual, identity_tol),
+            "systeq1_rel_max": (self.systeq1_rel_max, REL_TOL),
+            "systeq2_rel_max": (self.systeq2_rel_max, REL_TOL),
+            "max_f_rel_gap": (self.max_f_rel_gap, REL_TOL),
+            "identity_residual": (self.identity_residual, IDENTITY_TOL),
         }
 
-    def passes(self, residual_tol: float = 1e-8, gap_tol: float = 1e-8,
-               identity_tol: float = 1e-10) -> bool:
-        return all(value <= tol for value, tol in
-                   self.checks(residual_tol, gap_tol, identity_tol).values())
+    def passes(self) -> bool:
+        return all(value <= tol for value, tol in self.checks().values())
 
     def as_dict(self) -> dict:
         return {
@@ -234,7 +231,6 @@ _FP_GROUP = 2  # agents per residual pass; bounds its (group, steps + 1) tempora
 
 def fixed_point_check(p: Population, e: EquilibriumProfile,
                       steps: int = DEFAULT_ODE_STEPS,
-                      report_points: int = REPORT_POINTS,
                       consumption_scale: float = 1.0) -> FixedPointReport:
     """Confirm that the closed-form consumption solves the coupled system.
 
@@ -299,7 +295,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     chat_full = c_nodes.mean(axis=1)
     c_rows = c_nodes.T.copy()  # agent-major; the half-step grid is no longer needed
     del c_half, c_nodes
-    stride = max(1, steps // report_points)
+    stride = max(1, steps // REPORT_POINTS)
     report_idx = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
     gaps = {name: np.zeros(n) for name in ("f_gap_ode_closed", "f_gap_ode_exp",
@@ -567,13 +563,12 @@ def _scan_block(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray
 
 def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[int],
                        dpi_grid: Sequence[float], ab_grid: Sequence[float],
-                       paths: int, seed: int, grid: int = 1000,
-                       block_size: int = BLOCK_SIZE) -> tuple[BestResponseReport, ...]:
+                       paths: int, seed: int, grid: int = 1000) -> tuple[BestResponseReport, ...]:
     """Scan unilateral deviations of each listed agent with paired CRN.
 
     Every other agent plays the closed-form equilibrium; the scanned agent
     plays (pi* + dpi, c*(t) e^(a + b t)) for each cell of
-    dpi_grid x ab_grid^2.  Each path block draws the common stream and
+    dpi_grid x ab_grid^2.  Each work unit of paths draws the common stream and
     every idiosyncratic stream some scanned agent needs once, and all
     agents are evaluated on those same increments; the perturbed and the
     equilibrium objective share them path by path, so the (0, 0, 0) cell
@@ -603,13 +598,12 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     streams = sorted({stream for scan in scans
                       for stream, _ in scan.own_noise + scan.others_noise})
 
-    def block_task(start):
-        count = min(block_size, paths - start)
+    def unit_task(start, count):
         cum = {s: _cumulative_noise(seed, s, start, count, sqrt_dt) for s in streams}
         noise, base, path = (np.empty((count, grid + 1)) for _ in range(3))
         return count, [_scan_block(scan, cum, noise, base, path) for scan in scans]
 
-    results = _map_blocks(block_task, range(0, paths, block_size))
+    results = _map_units(unit_task, paths)
     total = sum(count for count, _ in results)
 
     def mean_stderr(s, sq):
@@ -619,7 +613,7 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
 
     reports = []
     for k, scan in enumerate(scans):
-        # Block results summed in block order, whatever the thread count.
+        # Unit results summed in unit order, whatever the thread count.
         sums, sqsums, eq_sum, eq_sqsum = (
             sum(parts) for parts in zip(*(per_agent[k] for _, per_agent in results)))
         eq_mean, eq_se = mean_stderr(eq_sum, eq_sqsum)
@@ -637,15 +631,13 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
 
 def best_response_test(p: Population, e: EquilibriumProfile, i: int,
                        dpi_grid: Sequence[float], ab_grid: Sequence[float],
-                       paths: int, seed: int, grid: int = 1000,
-                       block_size: int = BLOCK_SIZE) -> BestResponseReport:
+                       paths: int, seed: int, grid: int = 1000) -> BestResponseReport:
     """Scan deviations of agent i alone (see best_response_scan).
 
     Raises ProfitableDeviationFound if any cell's mean paired difference
     exceeds +3 standard errors.
     """
-    report = best_response_scan(p, e, (i,), dpi_grid, ab_grid, paths, seed,
-                                grid=grid, block_size=block_size)[0]
+    report = best_response_scan(p, e, (i,), dpi_grid, ab_grid, paths, seed, grid=grid)[0]
     for cell in report.violations():
         raise ProfitableDeviationFound((cell.dpi, cell.a, cell.b),
                                        cell.mean_diff, cell.stderr, report)

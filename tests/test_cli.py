@@ -473,6 +473,15 @@ class TestVerify:
                      "--out", str(tmp_path / "x.json"), "--grid", "1"]) == 2
 
 
+class TestFlags:
+    def test_unread_flag_is_rejected(self, ref_config, tmp_path):
+        # solve-n reads no optional flag, so argparse rejects one
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-n", "--config", ref_config, "--out", str(tmp_path / "x.csv"),
+                  "--paths", "5"])
+        assert exc.value.code == 2
+
+
 class TestRangeParsing:
     def test_bad_range_exits_2(self, ref_config, tmp_path):
         assert main(["regime", "--config", ref_config,

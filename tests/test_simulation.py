@@ -23,9 +23,9 @@ from merton_arena import (
     utility,
 )
 from conftest import random_population
+from merton_arena import simulation
 from merton_arena.simulation import (
     _CHUNK_BYTES,
-    BLOCK_SIZE,
     COMMON_STREAM,
     StrategyProfile,
     _deterministic_segments,
@@ -86,11 +86,13 @@ class TestSimulateDeterminism:
         log_wealth = reference_batch(p, s, 64, 512, 11, 512)
         assert np.array_equal(b1.log_wealth, log_wealth)
 
-    def test_block_size_does_not_change_paths(self):
+    def test_block_size_does_not_change_paths(self, monkeypatch):
         p = two_agents(nu=0.3)
         s = constant_strategy([0.5, 0.7], [1.0, 1.2])
-        b1 = simulate(p, s, grid=64, paths=500, seed=3, block_size=500)
-        b2 = simulate(p, s, grid=64, paths=500, seed=3, block_size=128)
+        monkeypatch.setattr(simulation, "WORK_UNIT", 500)
+        b1 = simulate(p, s, grid=64, paths=500, seed=3)
+        monkeypatch.setattr(simulation, "WORK_UNIT", 128)
+        b2 = simulate(p, s, grid=64, paths=500, seed=3)
         assert np.array_equal(b1.log_wealth, b2.log_wealth)
 
     def test_common_random_numbers_across_strategies(self):
@@ -318,6 +320,7 @@ class TestInPlaceBlocks:
 
     GRID, PATHS, SEED = 48, 1000, 17
     TILE = _CHUNK_BYTES // (8 * GRID)  # rows _fill_block takes at once
+    BLOCK = 4096  # rows of a reference block
 
     @staticmethod
     def case(n=3, grid=GRID, segmented=True):
@@ -335,12 +338,12 @@ class TestInPlaceBlocks:
     @pytest.mark.parametrize("segmented", [True, False])
     def test_simulate_equals_reference(self, monkeypatch, threads, block_size, segmented):
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+        monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
         p, s = self.case(segmented=segmented)
         # tile edges, and a full reference block plus a partial one
-        for paths in (1, self.TILE - 1, self.TILE + 1, BLOCK_SIZE + 904):
+        for paths in (1, self.TILE - 1, self.TILE + 1, self.BLOCK + 904):
             log_wealth = reference_batch(p, s, self.GRID, paths, self.SEED, block_size)
-            batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED,
-                             block_size=block_size)
+            batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED)
             assert np.array_equal(batch.log_wealth, log_wealth)
             assert batch.dW is None and batch.dB is None
 
@@ -348,7 +351,7 @@ class TestInPlaceBlocks:
     def test_estimate_equals_reference(self, monkeypatch, threads):
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         p, s = self.case()
-        paths = BLOCK_SIZE + 904  # a full block and a partial one
+        paths = self.BLOCK + 904  # a full block and a partial one
         batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED)
         ar = p.arrays()
         log_c = np.log(s.consumption_on(batch.times))
@@ -356,8 +359,8 @@ class TestInPlaceBlocks:
         assert ar.delta[0] == 1.0 and np.all(ar.delta[1:] != 1.0)
         for i in range(p.n):
             args = (log_c, weights, i, float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i]))
-            blocks = [batch.log_wealth[start:start + BLOCK_SIZE]
-                      for start in range(0, paths, BLOCK_SIZE)]
+            blocks = [batch.log_wealth[start:start + self.BLOCK]
+                      for start in range(0, paths, self.BLOCK)]
             values = np.concatenate([reference_objective_paths(b, *args) for b in blocks])
             # per path, not only through the mean, which can absorb a last-bit change
             assert np.array_equal(np.concatenate([_objective_paths(b, *args) for b in blocks]),
@@ -367,11 +370,11 @@ class TestInPlaceBlocks:
             assert est.stderr == float(values.std(ddof=1) / math.sqrt(paths))
 
     @staticmethod
-    def scratch_bytes(p, s, grid, paths, block_size):
+    def scratch_bytes(p, s, grid, paths):
         """tracemalloc peak of simulate minus the batch it returns."""
         tracemalloc.start()
         try:
-            batch = simulate(p, s, grid=grid, paths=paths, seed=17, block_size=block_size)
+            batch = simulate(p, s, grid=grid, paths=paths, seed=17)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -383,9 +386,10 @@ class TestInPlaceBlocks:
         # (count, grid) arrays; one (count, n, grid) temporary is 16 of them.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         grid, paths, block_size = 200, 2048, 512
+        monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
         p, s = self.case(n=16, grid=grid, segmented=segmented)
         row_bytes = block_size * grid * 8
-        assert self.scratch_bytes(p, s, grid, paths, block_size) <= 2 * 4 * row_bytes
+        assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * row_bytes
 
     def test_peak_memory_is_per_tile(self, monkeypatch):
         # Each of the two workers holds two (tile, grid) arrays, the common
@@ -395,15 +399,15 @@ class TestInPlaceBlocks:
         tile_bytes = _CHUNK_BYTES // (8 * grid) * grid * 8
         p, s = self.case(n=16, grid=grid)
         for block_size in (128, 1024, 4096):
-            assert self.scratch_bytes(p, s, grid, paths, block_size) <= 2 * 4 * tile_bytes
+            monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
+            assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * tile_bytes
 
-    def test_iter_path_blocks_are_batch_slices(self):
+    def test_iter_path_blocks_are_batch_slices(self, monkeypatch):
         p, s = self.case()
-        batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED,
-                         block_size=300)
+        monkeypatch.setattr(simulation, "WORK_UNIT", 300)
+        batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED)
         starts = []
-        for start, log_wealth in iter_path_blocks(p, s, self.GRID, self.PATHS,
-                                                  self.SEED, block_size=300):
+        for start, log_wealth in iter_path_blocks(p, s, self.GRID, self.PATHS, self.SEED):
             assert np.array_equal(log_wealth, batch.log_wealth[start:start + len(log_wealth)])
             starts.append(start)
         assert starts == [0, 300, 600, 900]

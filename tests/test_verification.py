@@ -28,7 +28,7 @@ from merton_arena import (
     solve_mf,
     solve_n,
 )
-from merton_arena import verification
+from merton_arena import simulation, verification
 from merton_arena.nplayer import EquilibriumProfile, identity_residual
 from merton_arena.verification import ConvergenceRow, FixedPointReport, replicate
 
@@ -170,10 +170,11 @@ class TestBestResponse:
         assert exc.value.report is not None
         assert exc.value.cell[0] == 1.0  # moving back toward the optimum wins
 
-    def test_paths_accounted(self, ref_n2):
+    def test_paths_accounted(self, ref_n2, monkeypatch):
+        monkeypatch.setattr(simulation, "WORK_UNIT", 128)
         e = solve_n(ref_n2)
         rep = best_response_test(ref_n2, e, 0, (0.0,), (0.0,), paths=1000,
-                                 seed=0, grid=64, block_size=128)
+                                 seed=0, grid=64)
         assert rep.paths == 1000
         assert rep.equilibrium.paths == 1000
 
@@ -213,10 +214,11 @@ class TestBestResponseScan:
     )
     PINNED_EQ = (3.6752275318138925, -8.63394468621851, -0.661506479430248)
 
-    def test_matches_single_agent_scans(self, ref_n3):
+    def test_matches_single_agent_scans(self, ref_n3, monkeypatch):
+        monkeypatch.setattr(simulation, "WORK_UNIT", 1500)
         e = solve_n(ref_n3)
         args = (self.GRID_DPI, self.GRID_AB)
-        kw = dict(paths=4000, seed=3, grid=200, block_size=1500)
+        kw = dict(paths=4000, seed=3, grid=200)
         together = best_response_scan(ref_n3, e, range(3), *args, **kw)
         alone = [best_response_test(ref_n3, e, i, *args, **kw) for i in range(3)]
         assert together == tuple(alone)  # dataclass equality: every field, bitwise
@@ -235,10 +237,37 @@ class TestBestResponseScan:
             return draw(seed, stream, start, count, draws)
 
         monkeypatch.setattr(verification, "block_normals", counted)
+        monkeypatch.setattr(simulation, "WORK_UNIT", 100)
         best_response_scan(p, solve_n(p), range(p.n), self.GRID_DPI, self.GRID_AB,
-                           paths=300, seed=5, grid=50, block_size=100)
+                           paths=300, seed=5, grid=50)
         assert len(calls) == 3 * streams
         assert len(set(calls)) == len(calls)
+
+    def test_thread_count_does_not_change_bits(self, ref_n3, monkeypatch):
+        e = solve_n(ref_n3)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+            reports.append(best_response_scan(ref_n3, e, range(3), self.GRID_DPI,
+                                              self.GRID_AB, paths=3000, seed=3, grid=50))
+        assert reports[0] == reports[1]  # three units, summed in unit order
+
+    def test_peak_memory_is_per_unit(self, ref_n3, monkeypatch):
+        # Each of the two workers holds one (unit, grid + 1) array per stream
+        # (the cumulated noise), its noise/base/path buffers and, while a
+        # stream is cumulated, its draws: streams + 4 arrays in all.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        grid, paths, streams = 200, 8192, 1 + ref_n3.n  # every agent has nu != 0
+        e = solve_n(ref_n3)
+        tracemalloc.start()
+        try:
+            best_response_scan(ref_n3, e, range(3), (0.0, 0.1), (0.0,),
+                               paths=paths, seed=1, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit_bytes = simulation.WORK_UNIT * (grid + 1) * 8
+        assert peak <= 2 * (streams + 4) * unit_bytes
 
     def test_means_match_recorded_values(self, ref_n3):
         e = solve_n(ref_n3)
