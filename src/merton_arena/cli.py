@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import platform
 import sys
 import time
@@ -27,11 +28,13 @@ import scipy
 from . import __version__, mfg, nplayer, policy, simulation, verification
 from .errors import MertonArenaError, NumericalError, ValidationError
 from .types import (
-    AgentType,
     Population,
     TypeDistribution,
+    _AGENT_FIELDS,
     _columns,
+    _failing,
     _from_config,
+    _number,
     detect_single_stock,
 )
 
@@ -47,36 +50,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite(text: str) -> float:
+    """``float(text)``; a ValueError unless that is a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_range(text: str) -> np.ndarray:
     """Parse 'a:b:k' into k evenly spaced values from a to b."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"range must look like a:b:k, got {text!r}")
-    a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, k = text.split(":")
+        a, b, k = _finite(a), _finite(b), int(k)
+    except ValueError:
+        raise ValidationError(f"range must look like a:b:k, got {text!r}") from None
     if k < 1:
         raise ValidationError(f"range must contain at least one point, got {text!r}")
     return np.linspace(a, b, k)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Parsed command-line options; None where the subcommand has no such flag."""
-
-    command: str
-    config: str
-    out: str
-    grid: int | None
-    paths: int | None
-    seed: int | None
-    time_grid: int | None
-    deltas: np.ndarray | None
-    thetas: np.ndarray | None
-
-    def validate(self) -> None:
-        for flag, value, least in (("--grid", self.grid, 2), ("--paths", self.paths, 1),
-                                   ("--time-grid", self.time_grid, 2)):
-            if value is not None and value < least:
-                raise ValidationError(f"{flag} must be >= {least}, got {value}")
+def _parse_list(text: str) -> np.ndarray:
+    """Parse 'a,b,...' into an array of its values."""
+    try:
+        return np.array([_finite(v) for v in text.split(",")])
+    except ValueError:
+        raise ValidationError(f"--deltas must be comma-separated numbers, got {text!r}") from None
 
 
 def _write_csv(path: str, comments: list[str], header: list[str],
@@ -93,16 +92,31 @@ def _config_echo(obj) -> str:
     return "config: " + json.dumps(obj.to_dict(), sort_keys=True)
 
 
-def _representative(d: TypeDistribution, overrides: dict | None) -> AgentType:
-    """First atom's type, with optional config-level field overrides."""
-    base = d.types[0]
-    if overrides:
-        known = {f.name for f in dataclasses.fields(AgentType)}
-        bad = set(overrides) - known
-        if bad:
-            raise ValidationError(f"unknown representative fields: {sorted(bad)}")
-        base = dataclasses.replace(base, **{k: float(v) for k, v in overrides.items()})
-    return base
+def _representative_grid(d: TypeDistribution, raw: dict, deltas: np.ndarray,
+                         thetas: np.ndarray | None = None):
+    """Columns of the first atom, with the config's ``representative`` overrides,
+    over the (delta, theta) grid, delta fastest; ``thetas`` None keeps its theta.
+
+    The first cell that fails ``AgentType.check`` raises its ValidationError.
+    Returns the columns, with ``lam`` added, and the mean-field aggregates.
+    """
+    agg = mfg.aggregates_mf(d)
+    overrides = raw.get("representative") or {}
+    bad = set(overrides) - set(_AGENT_FIELDS)
+    if bad:
+        raise ValidationError(f"unknown representative fields: {sorted(bad)}")
+    rep = dataclasses.replace(d.types[0], **{
+        k: _number(v, f"representative field '{k}'") for k, v in overrides.items()})
+    t = _columns((rep,))
+    if thetas is None:
+        thetas = t.theta
+    t.delta, t.theta = np.tile(deltas, len(thetas)), np.repeat(thetas, len(deltas))
+    for i in np.flatnonzero(_failing(t)):
+        dataclasses.replace(rep, delta=float(t.delta[i]), theta=float(t.theta[i])).check()
+    t.lam = nplayer._lambda(t, agg.log_eps_delta, agg.avg_theta_dm1)
+    if not np.all(t.lam > 0):
+        raise ValueError(f"lambda must be positive, got {t.lam[~(t.lam > 0)][0]}")
+    return t, agg
 
 
 _CONFIG_KINDS = {Population: "a population config ('agents' list)",
@@ -123,8 +137,8 @@ def _load(path: str, kind: type) -> tuple[Population | TypeDistribution, dict]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_solve_n(rc: RunConfig) -> int:
-    p, _ = _load(rc.config, Population)
+def cmd_solve_n(args: argparse.Namespace) -> int:
+    p, _ = _load(args.config, Population)
     e = nplayer.solve_n(p)
     comments = [
         "merton-arena solve-n",
@@ -135,7 +149,7 @@ def cmd_solve_n(rc: RunConfig) -> int:
     if e.theta_crit is not None:
         comments.append(f"theta_crit = {_fmt(e.theta_crit)}")
     rows = [[str(i), e.pi[i], e.rho[i], e.beta[i], e.lam[i]] for i in range(p.n)]
-    _write_csv(rc.out, comments, ["agent", "pi_star", "rho", "beta", "lambda"], rows)
+    _write_csv(args.out, comments, ["agent", "pi_star", "rho", "beta", "lambda"], rows)
     return EXIT_OK
 
 
@@ -165,63 +179,53 @@ def parse_solve_csv(path: str) -> dict:
     }
 
 
-def cmd_curves(rc: RunConfig) -> int:
-    d, raw = _load(rc.config, TypeDistribution)
-    rep = _representative(d, raw.get("representative"))
-    deltas = rc.deltas if rc.deltas is not None else np.array([0.5, 1.0, 2.0, 3.0, 5.0])
-    agg = mfg.aggregates_mf(d)
-    times = np.linspace(0.0, d.horizon, rc.time_grid)
+def cmd_curves(args: argparse.Namespace) -> int:
+    d, raw = _load(args.config, TypeDistribution)
+    deltas = args.deltas if args.deltas is not None else np.array([0.5, 1.0, 2.0, 3.0, 5.0])
+    t, agg = _representative_grid(d, raw, deltas)
+    rho = mfg._rho_limit(t, agg.ratio, agg.avg_mu_pi, agg.avg_sigma2_pi2)
+    beta = nplayer._beta(t, rho, agg.avg_delta_rho, agg.avg_theta_dm1)
+    times = np.linspace(0.0, d.horizon, args.time_grid)
+    curves = policy._rate(beta, t.lam, (d.horizon - times)[:, None])  # (times, deltas)
     comments = ["merton-arena curves", _config_echo(d)]
     if detect_single_stock(d) is not None:
         comments.append(f"theta_crit = {_fmt(mfg.theta_crit_mf(d))}")
-    columns = []
-    for dv in deltas:
-        t = dataclasses.replace(rep, delta=float(dv))
-        beta = mfg.beta_mf(t, agg)
-        lam = mfg.lambda_mf(t, agg)
-        comments.append(f"delta = {_fmt(dv)} : beta = {_fmt(beta)}, lambda = {_fmt(lam)}")
-        columns.append(policy.ConsumptionPolicy(beta, lam, d.horizon).rate(times))
+    comments += [f"delta = {_fmt(dv)} : beta = {_fmt(b)}, lambda = {_fmt(lam)}"
+                 for dv, b, lam in zip(deltas, beta, t.lam)]
     header = ["t"] + [f"c(delta={_fmt(dv)})" for dv in deltas]
-    rows = [[times[j]] + [col[j] for col in columns] for j in range(len(times))]
-    _write_csv(rc.out, comments, header, rows)
+    _write_csv(args.out, comments, header, np.column_stack((times, curves)))
     return EXIT_OK
 
 
-def _single_stock_grid(rc: RunConfig, d: TypeDistribution, raw: dict):
-    """theta_crit and the columns (delta, theta, delta_eff, beta, lambda) of the grid, delta fastest."""
+def _single_stock_grid(args: argparse.Namespace):
+    """The distribution, theta_crit, the grid columns, and delta_eff and beta on them."""
+    d, raw = _load(args.config, TypeDistribution)
     market = detect_single_stock(d)
     if market is None:
         raise ValidationError("regime/sweep need a single-stock distribution")
-    t = _columns((_representative(d, raw.get("representative")),))
+    deltas = args.deltas if args.deltas is not None else np.linspace(0.05, 6.0, 120)
+    t, _ = _representative_grid(d, raw, deltas, args.thetas)
     tc = mfg.theta_crit_mf(d)
-    agg = mfg.aggregates_mf(d)
-    deltas = rc.deltas if rc.deltas is not None else np.linspace(0.05, 6.0, 120)
-    thetas = rc.thetas if rc.thetas is not None else np.linspace(0.0, 1.0, 21)
-    t.delta, t.theta = np.tile(deltas, len(thetas)), np.repeat(thetas, len(deltas))
     deff = nplayer._delta_eff(t, tc)
-    lam = nplayer._lambda(t, agg.log_eps_delta, agg.avg_theta_dm1)
-    if not np.all(lam > 0):
-        raise ValueError(f"lambda must be positive, got {lam[~(lam > 0)][0]}")
-    return tc, t.delta, t.theta, deff, nplayer._single_stock_beta(market, deff), lam
+    return d, tc, t, deff, nplayer._single_stock_beta(market, deff)
 
 
-def cmd_regime(rc: RunConfig) -> int:
-    d, raw = _load(rc.config, TypeDistribution)
-    tc, delta, theta, deff, beta, lam = _single_stock_grid(rc, d, raw)
+def cmd_regime(args: argparse.Namespace) -> int:
+    d, tc, t, deff, beta = _single_stock_grid(args)
     comments = ["merton-arena regime", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
-    rows = zip(delta.tolist(), theta.tolist(), policy._regimes(beta, lam).tolist(),
+    rows = zip(t.delta.tolist(), t.theta.tolist(), policy._regimes(beta, t.lam).tolist(),
                beta.tolist(), deff.tolist())
-    _write_csv(rc.out, comments, ["delta", "theta", "regime", "beta", "delta_eff"], rows)
+    _write_csv(args.out, comments, ["delta", "theta", "regime", "beta", "delta_eff"], rows)
     return EXIT_OK
 
 
-def cmd_sweep(rc: RunConfig) -> int:
-    d, raw = _load(rc.config, TypeDistribution)
-    tc, delta, theta, _, beta, lam = _single_stock_grid(rc, d, raw)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    d, tc, t, _, beta = _single_stock_grid(args)
     comments = ["merton-arena sweep", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
-    c_mid = policy._rate(beta, lam, 0.5 * d.horizon)  # time to go at t = T/2
-    rows = zip(delta.tolist(), theta.tolist(), beta.tolist(), lam.tolist(), c_mid.tolist())
-    _write_csv(rc.out, comments, ["delta", "theta", "beta", "lambda", "c_mid"], rows)
+    c_mid = policy._rate(beta, t.lam, 0.5 * d.horizon)  # time to go at t = T/2
+    rows = zip(t.delta.tolist(), t.theta.tolist(), beta.tolist(), t.lam.tolist(),
+               c_mid.tolist())
+    _write_csv(args.out, comments, ["delta", "theta", "beta", "lambda", "c_mid"], rows)
     return EXIT_OK
 
 
@@ -229,24 +233,24 @@ def _strategy_from_config(p: Population, raw: dict) -> simulation.StrategyProfil
     override = raw.get("strategy")
     if override is None:
         return simulation.equilibrium_strategy(p, nplayer.solve_n(p))
-    pi = override.get("pi")
-    c = override.get("c")
-    if pi is None or c is None:
+    pi, c = override.get("pi"), override.get("c")
+    if not isinstance(pi, list) or not isinstance(c, list):
         raise ValidationError("strategy override needs 'pi' and 'c' lists")
     if len(pi) != p.n or len(c) != p.n:
         raise ValidationError("strategy override length must match the agent count")
-    return simulation.constant_strategy(pi, c)
+    return simulation.constant_strategy([_number(v, "strategy 'pi' entry") for v in pi],
+                                        [_number(v, "strategy 'c' entry") for v in c])
 
 
-def cmd_simulate(rc: RunConfig) -> int:
-    p, raw = _load(rc.config, Population)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    p, raw = _load(args.config, Population)
     s = _strategy_from_config(p, raw)
-    keep = np.unique(np.round(np.linspace(0, rc.grid, rc.time_grid)).astype(int))
-    times = np.linspace(0.0, p.horizon, rc.grid + 1)
+    keep = np.unique(np.round(np.linspace(0, args.grid, args.time_grid)).astype(int))
+    times = np.linspace(0.0, p.horizon, args.grid + 1)
 
     # paths last, so that each column's mean and partition run on one contiguous row
-    data = np.empty((p.n, len(keep), rc.paths))
-    for start, log_wealth in simulation.iter_path_blocks(p, s, rc.grid, rc.paths, rc.seed):
+    data = np.empty((p.n, len(keep), args.paths))
+    for start, log_wealth in simulation.iter_path_blocks(p, s, args.grid, args.paths, args.seed):
         data[:, :, start:start + len(log_wealth)] = np.moveaxis(log_wealth[:, :, keep], 0, -1)
         del log_wealth  # before the next block is drawn
     means = data.mean(axis=-1)
@@ -256,9 +260,9 @@ def cmd_simulate(rc: RunConfig) -> int:
     comments = [
         "merton-arena simulate",
         _config_echo(p),
-        f"paths = {rc.paths}",
-        f"grid = {rc.grid}",
-        f"seed = {rc.seed}",
+        f"paths = {args.paths}",
+        f"grid = {args.grid}",
+        f"seed = {args.seed}",
     ]
     header = ["t"]
     for k in range(p.n):
@@ -269,7 +273,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         for k in range(p.n):
             row += [means[k, j], *quantiles[:, k, j]]
         rows.append(row)
-    _write_csv(rc.out, comments, header, rows)
+    _write_csv(args.out, comments, header, rows)
     return EXIT_OK
 
 
@@ -319,8 +323,8 @@ def _environment() -> dict:
             "threads": simulation.worker_count()}
 
 
-def cmd_verify(rc: RunConfig) -> int:
-    p, _ = _load(rc.config, Population)
+def cmd_verify(args: argparse.Namespace) -> int:
+    p, _ = _load(args.config, Population)
     timings: dict = {}
     with _timed(timings, "solve"):
         e = nplayer.solve_n(p)
@@ -331,7 +335,7 @@ def cmd_verify(rc: RunConfig) -> int:
 
     with _timed(timings, "best_response"):
         br = verification.best_response_scan(
-            p, e, range(p.n), _DEFAULT_DPI, _DEFAULT_AB, rc.paths, rc.seed, grid=rc.grid)
+            p, e, range(p.n), _DEFAULT_DPI, _DEFAULT_AB, args.paths, args.seed, grid=args.grid)
     br_pass = not any(report.violations() for report in br)
 
     weights = [1.0 / p.n] * p.n
@@ -347,9 +351,9 @@ def cmd_verify(rc: RunConfig) -> int:
     passed = fp_pass and br_pass and conv_pass
     payload = {
         "population": p.to_dict(),
-        "paths": rc.paths,
-        "grid": rc.grid,
-        "seed": rc.seed,
+        "paths": args.paths,
+        "grid": args.grid,
+        "seed": args.seed,
         "fixed_point": {**fp.as_dict(), "passed": fp_pass},
         "best_response": {"reports": [r.as_dict() for r in br], "passed": br_pass},
         "mfg_convergence": {"rows": [r.as_dict() for r in conv], "passed": conv_pass},
@@ -357,7 +361,7 @@ def cmd_verify(rc: RunConfig) -> int:
         "timings": timings,
         "environment": _environment(),
     }
-    with open(rc.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for line in _verify_failures(fp, fp_pass, br, conv, grown):
@@ -372,7 +376,8 @@ _FLAGS = {
     "--time-grid": dict(type=int, default=101, help="time samples for curves/summaries"),
     "--deltas": dict(help="explicit comma-separated delta list (overrides --delta-range)"),
     "--delta-range": dict(metavar="a:b:k", help="risk-tolerance sweep range"),
-    "--theta-range": dict(metavar="a:b:k", help="competition-weight sweep range"),
+    "--theta-range": dict(metavar="a:b:k", dest="thetas", default="0:1:21",
+                          help="competition-weight sweep range (default 0:1:21)"),
 }
 
 # Each subcommand with the optional flags it reads.
@@ -388,9 +393,7 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="merton-arena",
-        description="Equilibria of the competitive investment/consumption game",
-    )
+        prog="merton-arena", description="Equilibria of the competitive investment/consumption game")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
@@ -402,28 +405,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    opts = vars(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
     try:
-        deltas = None
-        if opts.get("deltas") is not None:
-            deltas = np.array([float(v) for v in opts["deltas"].split(",")])
-        elif opts.get("delta_range") is not None:
-            deltas = _parse_range(opts["delta_range"])
-        thetas = _parse_range(opts["theta_range"]) if opts.get("theta_range") else None
-        rc = RunConfig(
-            command=opts["command"], config=opts["config"], out=opts["out"],
-            grid=opts.get("grid"), paths=opts.get("paths"), seed=opts.get("seed"),
-            time_grid=opts.get("time_grid"), deltas=deltas, thetas=thetas,
-        )
-        rc.validate()
-        return _COMMANDS[rc.command][0](rc)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        print(f"merton-arena: invalid input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        for flag, least in (("--grid", 2), ("--paths", 1), ("--time-grid", 2)):
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < least:
+                raise ValidationError(f"{flag} must be >= {least}, got {value}")
+        if getattr(args, "deltas", None) is not None:
+            args.deltas = _parse_list(args.deltas)
+        elif getattr(args, "delta_range", None) is not None:
+            args.deltas = _parse_range(args.delta_range)
+        if getattr(args, "thetas", None) is not None:
+            args.thetas = _parse_range(args.thetas)
+        return _COMMANDS[args.command][0](args)
     except NumericalError as exc:
         print(f"merton-arena: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except MertonArenaError as exc:
+    except (MertonArenaError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"merton-arena: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -98,7 +98,13 @@ def consumption_rate(policy: ConsumptionPolicy, t):
 
 
 def cumulative_consumption(policy: ConsumptionPolicy, t):
-    """Remaining integral of the rate, int_t^T c(s) ds; zero at t = T."""
+    """Remaining integral of the rate, int_t^T c(s) ds; zero at t = T.
+
+    That is log1p((lambda/beta) expm1(x)) at x = beta (T - t).  Where its
+    argument could leave the float range (beta > 0 and x + log(max(1,
+    lambda/beta)) above about 709.8), the same value is evaluated in log
+    space instead: x + log(lambda/beta) + log1p((beta/lambda - 1) e^(-x)).
+    """
     t_arr = np.asarray(t, dtype=float)
     _check_domain(policy, t_arr)
     tau = policy.horizon - t_arr
@@ -107,8 +113,13 @@ def cumulative_consumption(policy: ConsumptionPolicy, t):
     if beta == 0.0:
         out = np.log1p(lam * tau)
     else:
+        x = beta * tau
+        flip = x + math.log(max(lam / beta, 1.0)) > _EXP_LIMIT
         out = np.where(small, np.log1p(lam * tau),
-                       np.log1p(lam / beta * np.expm1(beta * tau)))
+                       np.log1p(lam / beta * np.expm1(np.where(flip, 0.0, x))))
+        if flip.any():  # then beta > 0, so x >= 0
+            x = x[flip]
+            out[flip] = x + math.log(lam / beta) + np.log1p((beta / lam - 1.0) * np.exp(-x))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 

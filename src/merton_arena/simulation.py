@@ -122,7 +122,7 @@ class StrategyProfile:
         object.__setattr__(self, "pi", np.atleast_1d(np.asarray(self.pi, dtype=float)))
         object.__setattr__(self, "consumption", tuple(self.consumption))
         if not np.all(np.isfinite(self.pi)):
-            raise ValueError("investment fractions must be finite")
+            raise ValidationError("investment fractions must be finite")
 
     @property
     def n(self) -> int:

@@ -203,24 +203,33 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
 #   distribution: {"horizon": T, "atoms": [{"weight":, "x0":, ...}, ...]}
 # ---------------------------------------------------------------------------
 
+def _number(value, what: str) -> float:
+    """``float(value)``, or a ValidationError naming ``what`` when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+
+
 def _agent_from_dict(entry: dict, index: int) -> AgentType:
     missing = [k for k in _AGENT_FIELDS if k not in entry]
     if missing:
         raise ValidationError(f"agent entry {index} is missing fields {missing}")
-    return AgentType(**{k: float(entry[k]) for k in _AGENT_FIELDS})
+    return AgentType(**{k: _number(entry[k], f"agent entry {index} field '{k}'")
+                        for k in _AGENT_FIELDS})
 
 
 def population_from_dict(cfg: dict) -> Population:
     agents = tuple(_agent_from_dict(e, i) for i, e in enumerate(cfg["agents"]))
-    return Population(horizon=float(cfg["horizon"]), agents=agents)
+    return Population(horizon=_number(cfg["horizon"], "horizon"), agents=agents)
 
 
 def distribution_from_dict(cfg: dict) -> TypeDistribution:
     atoms = tuple(
-        (float(e["weight"]), _agent_from_dict(e, i))
+        (_number(e["weight"], f"atom {i} weight"), _agent_from_dict(e, i))
         for i, e in enumerate(cfg["atoms"])
     )
-    return TypeDistribution(horizon=float(cfg["horizon"]), atoms=atoms)
+    return TypeDistribution(horizon=_number(cfg["horizon"], "horizon"), atoms=atoms)
 
 
 def _from_config(cfg: dict) -> Population | TypeDistribution:

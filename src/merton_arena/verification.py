@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound, TooFewAgents
-from .mfg import MfEquilibrium, solve_mf
+from .mfg import solve_mf
 # solve_n is unused here but stays an attribute: benchmarks/tracing.py wraps verification.solve_n.
 from .nplayer import IDENTITY_TOL, EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
 from .policy import ConsumptionPolicy
@@ -681,8 +681,7 @@ def replicate(d: TypeDistribution, n: int) -> Population:
     return Population(horizon=d.horizon, agents=tuple(agents))
 
 
-def mfg_convergence(d: TypeDistribution, ns: Sequence[int],
-                    mf: MfEquilibrium | None = None) -> list[ConvergenceRow]:
+def mfg_convergence(d: TypeDistribution, ns: Sequence[int]) -> list[ConvergenceRow]:
     """Gap table |x^(n) - x^MF| for x in (pi, beta, lambda) over a list of n.
 
     Each n must replicate the distribution weights exactly; agents are
@@ -691,8 +690,7 @@ def mfg_convergence(d: TypeDistribution, ns: Sequence[int],
     numbers as ``solve_n(replicate(d, n))`` without building n agents.
     """
     a = validate_distribution(d)
-    if mf is None:
-        mf = solve_mf(d)
+    mf = solve_mf(d)
     rows = []
     for n in ns:
         idx = np.repeat(np.arange(len(d.atoms)), _counts(d, n))

@@ -16,7 +16,10 @@ from merton_arena import (
     ConsumptionPolicy,
     Population,
     aggregates_mf,
+    beta_mf,
+    detect_single_stock,
     distribution_from_dict,
+    lambda_mf,
     theta_crit_mf,
 )
 from merton_arena.cli import main, parse_solve_csv
@@ -29,6 +32,7 @@ from merton_arena.verification import (
 
 REF_AGENT = {"x0": 1.0, "delta": 3.0, "theta": 0.8, "eps": 1.0,
              "mu": 5.0, "nu": 0.0, "sigma": 1.0}
+POP_CONFIG = {"horizon": 1.0, "agents": [REF_AGENT, REF_AGENT]}
 
 # Single-stock ambient distributions reproducing the published figure moments:
 # curves uses E[theta (delta-1)] = 0.8, E[delta] = 3 (so theta_crit = 0.6);
@@ -49,7 +53,7 @@ REGIME_CONFIG = {
 @pytest.fixture
 def ref_config(tmp_path):
     path = tmp_path / "pop.json"
-    path.write_text(json.dumps({"horizon": 1.0, "agents": [REF_AGENT, REF_AGENT]}))
+    path.write_text(json.dumps(POP_CONFIG))
     return str(path)
 
 
@@ -155,6 +159,63 @@ class TestCurves:
         assert beta == pytest.approx(25.0 / 9.0, abs=1e-10)
         col = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(col) < 0.0)
+
+
+# Two atoms with nu > 0 (no single stock, so no theta_crit line) and a
+# representative override, so beta and lambda both vary with delta.
+NU_CONFIG = {
+    "horizon": 0.8,
+    "atoms": [
+        {"weight": 0.6, "x0": 1.0, "delta": 2.5, "theta": 0.5, "eps": 1.4,
+         "mu": 0.9, "nu": 0.4, "sigma": 0.6},
+        {"weight": 0.4, "x0": 2.0, "delta": 0.7, "theta": 0.9, "eps": 0.8,
+         "mu": 1.3, "nu": 0.2, "sigma": 1.1},
+    ],
+    "representative": {"theta": 0.3, "eps": 1.2},
+}
+
+
+def reference_curves_csv(config, deltas, time_grid):
+    """The per-delta loop of the curves command, with the scalar mean-field API."""
+    d = distribution_from_dict(config)
+    rep = dataclasses.replace(d.types[0], **config.get("representative", {}))
+    agg = aggregates_mf(d)
+    times = np.linspace(0.0, d.horizon, time_grid)
+    lines = ["# merton-arena curves",
+             "# config: " + json.dumps(d.to_dict(), sort_keys=True)]
+    if detect_single_stock(d) is not None:
+        lines.append(f"# theta_crit = {format(theta_crit_mf(d), '.17g')}")
+    columns = []
+    for dv in deltas:
+        t = dataclasses.replace(rep, delta=float(dv))
+        beta, lam = beta_mf(t, agg), lambda_mf(t, agg)
+        lines.append(f"# delta = {format(dv, '.17g')} : beta = {format(beta, '.17g')}, "
+                     f"lambda = {format(lam, '.17g')}")
+        columns.append(ConsumptionPolicy(beta, lam, d.horizon).rate(times))
+    lines.append(",".join(["t"] + [f"c(delta={format(dv, '.17g')})" for dv in deltas]))
+    for j, tj in enumerate(times):
+        lines.append(",".join(format(float(x), ".17g") for x in [tj] + [c[j] for c in columns]))
+    return "\n".join(lines) + "\n"
+
+
+class TestCurvesBytes:
+    """curves evaluates all deltas as one column grid; bytes equal the per-delta loop."""
+
+    @pytest.mark.parametrize("config", [CURVES_CONFIG, NU_CONFIG])
+    @pytest.mark.parametrize("flags, deltas, time_grid", [
+        ([], [0.5, 1.0, 2.0, 3.0, 5.0], 101),
+        (["--deltas", "1,0.25,4.5,1.000001", "--time-grid", "7"],
+         [1.0, 0.25, 4.5, 1.000001], 7),
+        (["--delta-range", "0.5:1.5:5", "--time-grid", "33"], np.linspace(0.5, 1.5, 5), 33),
+    ])
+    def test_bytes_equal_per_delta_loop(self, tmp_path, config, flags, deltas, time_grid):
+        cfg = write_json(tmp_path, "curves.json", config)
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--config", cfg, "--out", str(out)] + flags) == 0
+        expected = reference_curves_csv(config, deltas, time_grid)
+        assert out.read_text() == expected
+        # delta = 1 is the beta = 0 branch of the curve
+        assert "# delta = 1 : beta = 0, " in expected
 
 
 class TestRegime:
@@ -487,3 +548,48 @@ class TestRangeParsing:
         assert main(["regime", "--config", ref_config,
                      "--out", str(tmp_path / "x.csv"),
                      "--delta-range", "oops"]) == 2
+
+
+class TestInvalidInput:
+    """Malformed or out-of-domain values exit 2 with one stderr line and no output."""
+
+    @pytest.mark.parametrize("command, config, flags, names", [
+        ("curves", CURVES_CONFIG, ["--deltas", "a,b"], "--deltas"),
+        ("curves", CURVES_CONFIG, ["--deltas", ""], "--deltas"),
+        ("regime", REGIME_CONFIG, ["--delta-range", "0:1:x"], "range"),
+        ("regime", REGIME_CONFIG, ["--theta-range", ""], "range"),
+        ("sweep", REGIME_CONFIG, ["--delta-range", "0:inf:3"], "range"),
+        ("solve-n", dict(POP_CONFIG, agents=[dict(REF_AGENT, delta="x"), REF_AGENT]), [],
+         "field 'delta'"),
+        ("solve-n", dict(POP_CONFIG, agents=[REF_AGENT, dict(REF_AGENT, theta=None)]), [],
+         "field 'theta'"),
+        ("solve-n", dict(POP_CONFIG, horizon="soon"), [], "horizon"),
+        ("curves", dict(CURVES_CONFIG, atoms=[dict(CURVES_CONFIG["atoms"][0], weight="all")]),
+         [], "weight"),
+        ("curves", dict(CURVES_CONFIG, atoms=[]), [], "no atoms"),
+        ("curves", dict(CURVES_CONFIG, representative={"theta": "high"}), [],
+         "representative field 'theta'"),
+        ("simulate", dict(POP_CONFIG, strategy={"pi": [0.1, "x"], "c": [1.0, 1.0]}), [],
+         "strategy 'pi'"),
+        ("simulate", dict(POP_CONFIG, strategy={"pi": [0.1, "INF"], "c": [1.0, 1.0]}), [],
+         "finite"),
+        ("simulate", dict(POP_CONFIG, strategy={"pi": [0.1, 0.1], "c": [None, 1.0]}), [],
+         "strategy 'c'"),
+        # out-of-domain grid cells and representative overrides
+        ("curves", CURVES_CONFIG, ["--deltas", "0,-1"], "'delta'"),
+        ("regime", REGIME_CONFIG, ["--delta-range=-1:0:3", "--theta-range=0:2:3"], "'delta'"),
+        ("sweep", REGIME_CONFIG, ["--delta-range=0.5:1:3", "--theta-range=0:2:3"], "theta"),
+        ("curves", dict(CURVES_CONFIG, representative={"eps": -1}), [], "'eps'"),
+        ("regime", dict(REGIME_CONFIG, representative={"sigma": -1}), [], "'sigma'"),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, config, flags, names):
+        cfg = tmp_path / "config.json"
+        # JSON 1e400 parses to an infinite float
+        cfg.write_text(json.dumps(config).replace('"INF"', "1e400"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("merton-arena: invalid input: ")
+        assert names in lines[0]
+        assert not out.exists()

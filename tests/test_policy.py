@@ -6,6 +6,7 @@ lambda = 1, T = 1:
     int_0^T c   = 1.860969350357791
 """
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -83,6 +84,30 @@ class TestCumulativeConsumption:
     def test_module_function_alias(self):
         pol = ConsumptionPolicy(0.0, 1.0, 2.0)
         assert cumulative_consumption(pol, 0.0) == pytest.approx(math.log(3.0), abs=1e-14)
+
+    @pytest.mark.parametrize("beta, lam, horizon", [
+        (800.0, 1.0, 1.0),       # expm1(beta T) overflows
+        (2.0, 1e300, 100.0),     # expm1 is finite where lambda/beta times it is not
+        (1e-3, 1e-5, 8e5),
+        (5.0, 3.0, 142.0),       # beta T = 710: just past the exp range
+    ])
+    def test_beyond_exp_range(self, beta, lam, horizon):
+        # log(1 + (lambda/beta)(e^(beta tau) - 1)) in 60-digit arithmetic; the
+        # float form's intermediates overflow (RuntimeWarnings are errors here)
+        pol = ConsumptionPolicy(beta, lam, horizon)
+        t = np.linspace(0.0, horizon, 41)
+
+        def exact(tau):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                b, x = Decimal(beta), Decimal(beta) * Decimal(tau)
+                return float((1 + Decimal(lam) / b * (x.exp() - 1)).ln())
+
+        got = pol.cumulative(t)
+        ref = np.array([exact(tau) for tau in horizon - t])
+        assert got[-1] == 0.0
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert pol.cumulative(0.0) == got[0]
 
 
 class TestCurveIdentities:
