@@ -101,7 +101,11 @@ def _representative_grid(d: TypeDistribution, raw: dict, deltas: np.ndarray,
     Returns the columns, with ``lam`` added, and the mean-field aggregates.
     """
     agg = mfg.aggregates_mf(d)
-    overrides = raw.get("representative") or {}
+    overrides = raw.get("representative")
+    if overrides is None:
+        overrides = {}
+    elif not isinstance(overrides, dict):
+        raise ValidationError(f"representative must be an object, got {overrides!r}")
     bad = set(overrides) - set(_AGENT_FIELDS)
     if bad:
         raise ValidationError(f"unknown representative fields: {sorted(bad)}")
@@ -233,6 +237,8 @@ def _strategy_from_config(p: Population, raw: dict) -> simulation.StrategyProfil
     override = raw.get("strategy")
     if override is None:
         return simulation.equilibrium_strategy(p, nplayer.solve_n(p))
+    if not isinstance(override, dict):
+        raise ValidationError(f"strategy must be an object, got {override!r}")
     pi, c = override.get("pi"), override.get("c")
     if not isinstance(pi, list) or not isinstance(c, list):
         raise ValidationError("strategy override needs 'pi' and 'c' lists")

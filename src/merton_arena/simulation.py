@@ -26,7 +26,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import DomainError, InvalidGrid, NonPositiveConsumption, ValidationError
 from .nplayer import EquilibriumProfile
@@ -86,6 +85,10 @@ def block_normals(seed: int, stream: int, path_start: int, count: int,
     The normals overwrite the uniforms in place, so the result is a view
     when ``draws`` is not a multiple of four.
     """
+    # Imported on the first draw: loading scipy.special takes about 0.25 s,
+    # which runs that draw no normals should not pay.
+    from scipy.special import ndtri
+
     words = 4 * ((draws + 3) // 4)
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     bit_gen = Philox(key=key, counter=path_start * (words // 4))

@@ -138,7 +138,9 @@ def _failing(a: SimpleNamespace) -> np.ndarray:
     """Mask of the agents whose AgentType.check raises: its comparisons, NaN included."""
     ok = (a.x0 > 0) & (a.delta > 0) & (a.eps > 0) & (a.mu > 0)
     ok &= (0.0 <= a.theta) & (a.theta <= 1.0)
-    return ~ok | (a.nu < 0) | (a.sigma < 0) | (a.sigma + a.nu <= 0)
+    # sigma + nu is NaN only for opposite infinities, which the signs already flag.
+    with np.errstate(invalid="ignore"):
+        return ~ok | (a.nu < 0) | (a.sigma < 0) | (a.sigma + a.nu <= 0)
 
 
 def validate_population(p: Population) -> SimpleNamespace:

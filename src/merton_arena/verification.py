@@ -21,7 +21,6 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound, TooFewAgents
 from .mfg import solve_mf
@@ -153,9 +152,45 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
     return half_times[::2], u ** (1.0 / gamma)
 
 
+def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integrals over the first interval of each sample triple.
+
+    Cartwright's eq. (8) for unequal intervals (J. Math. Sci. Math. Educ.
+    12(2)), the formula and operation order of scipy's
+    ``cumulative_simpson``; run on flipped arrays it gives the second
+    interval of each triple.
+    """
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[..., :-2] + coeff2 * y[..., 1:-1] + coeff3 * y[..., 2:])
+
+
 def _reverse_cumulative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """int_t^T of sampled integrands along the last axis, via cumulative Simpson."""
-    forward = cumulative_simpson(values, x=times, axis=-1, initial=0.0)
+    """int_t^T of sampled integrands along the last axis, via cumulative Simpson.
+
+    ``times`` is strictly increasing with at least three points.  Each
+    interval takes the Simpson integral of a triple it opens, except the
+    odd ones and the last, which take that of the triple they close; the
+    forward sums are bitwise those of scipy's ``cumulative_simpson`` with
+    ``initial=0.0``.
+    """
+    dx = np.diff(times)
+    h1 = _simpson_pieces(values, dx)
+    h2 = np.flip(_simpson_pieces(np.flip(values, axis=-1), dx[::-1]), axis=-1)
+    pieces = np.empty(values.shape[:-1] + (len(dx),))
+    pieces[..., :-1:2] = h1[..., ::2]
+    pieces[..., 1::2] = h2[..., ::2]
+    pieces[..., -1] = h2[..., -1]
+    forward = np.zeros(values.shape)
+    np.cumsum(pieces, axis=-1, out=forward[..., 1:])
+    forward += 0.0  # as scipy adds its initial value: -0.0 becomes +0.0
     return forward[..., -1:] - forward
 
 

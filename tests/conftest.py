@@ -1,8 +1,15 @@
 """Shared fixtures and random-input generators for the test suite."""
 import hashlib
 import math
+import os
 
-import numpy as np
+# One BLAS thread, as benchmarks/run.py pins it, so that BLAS's own threads
+# do not oversubscribe the Monte Carlo worker threads.  This has to run
+# before numpy loads its BLAS; an explicit setting in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from merton_arena import AgentType, Population, TypeDistribution

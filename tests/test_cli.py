@@ -3,12 +3,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import merton_arena
 from conftest import random_distribution
 from merton_arena import (
     AgentType,
@@ -581,6 +585,10 @@ class TestInvalidInput:
         ("sweep", REGIME_CONFIG, ["--delta-range=0.5:1:3", "--theta-range=0:2:3"], "theta"),
         ("curves", dict(CURVES_CONFIG, representative={"eps": -1}), [], "'eps'"),
         ("regime", dict(REGIME_CONFIG, representative={"sigma": -1}), [], "'sigma'"),
+        # overrides that are not JSON objects
+        ("curves", dict(CURVES_CONFIG, representative=5), [], "representative must be"),
+        ("sweep", dict(REGIME_CONFIG, representative=[]), [], "representative must be"),
+        ("simulate", dict(POP_CONFIG, strategy=[1]), [], "strategy must be"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, config, flags, names):
         cfg = tmp_path / "config.json"
@@ -593,3 +601,39 @@ class TestInvalidInput:
         assert lines[0].startswith("merton-arena: invalid input: ")
         assert names in lines[0]
         assert not out.exists()
+
+
+class TestImports:
+    """A run imports scipy.special only once it draws normals, and never scipy.integrate."""
+
+    SCRIPT = """
+import json, sys
+import merton_arena, merton_arena.cli
+codes = [merton_arena.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("scipy.special", "scipy.integrate") if m in sys.modules]}))
+"""
+
+    def _run(self, runs):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(merton_arena.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(runs)],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_closed_forms_load_no_scipy_submodule(self, tmp_path):
+        pop = write_json(tmp_path, "pop.json", POP_CONFIG)
+        curves = write_json(tmp_path, "curves.json", CURVES_CONFIG)
+        regime = write_json(tmp_path, "regime.json", REGIME_CONFIG)
+        runs = [["solve-n", "--config", pop, "--out", str(tmp_path / "solve.csv")],
+                ["curves", "--config", curves, "--out", str(tmp_path / "curves.csv")],
+                ["regime", "--config", regime, "--out", str(tmp_path / "regime.csv")],
+                ["sweep", "--config", regime, "--out", str(tmp_path / "sweep.csv")]]
+        assert self._run(runs) == {"codes": [0, 0, 0, 0], "loaded": []}
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_monte_carlo_loads_scipy_special_only(self, tmp_path, command):
+        pop = write_json(tmp_path, "pop.json", POP_CONFIG)
+        runs = [[command, "--config", pop, "--out", str(tmp_path / "out"),
+                 "--paths", "500", "--grid", "50", "--seed", "12"]]
+        assert self._run(runs) == {"codes": [0], "loaded": ["scipy.special"]}

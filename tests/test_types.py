@@ -247,6 +247,14 @@ class TestVectorizedValidators:
         d = TypeDistribution(horizon, tuple(zip(weights, agents)))
         assert outcome(validate_distribution, d) == outcome(loop_validate_distribution, d)
 
+    def test_opposite_infinite_volatilities(self):
+        # sigma + nu is inf - inf here; the vectorized mask must not warn.
+        bad = AgentType(x0=1.0, delta=1.0, theta=0.0, eps=1.0, mu=1.0, nu=math.inf,
+                        sigma=-math.inf)
+        d = TypeDistribution(1.0, ((1.0, bad),))
+        assert outcome(validate_distribution, d) == outcome(loop_validate_distribution, d)
+        assert outcome(validate_distribution, d)[3] == "sigma"
+
     def test_valid_input_returns_columns(self):
         p = pop(agent(), agent(delta=2.0))
         cols = validate_population(p)

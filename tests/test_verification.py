@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.integrate import cumulative_simpson
 
 from conftest import random_agent, random_population, single_atom
 from merton_arena import (
@@ -493,6 +495,43 @@ def reference_fixed_point(p, e, steps):
                                    max(float(np.max(np.abs(x)[idx])) for x in terms))
     out["identity_residual"] = identity_residual(p, e.pi, e.aggregates)
     return out, scale
+
+
+class TestReverseCumulative:
+    """The package's own Simpson sums are bitwise scipy's ``cumulative_simpson``."""
+
+    @staticmethod
+    def scipy_reverse(y, x):
+        forward = cumulative_simpson(y, x=x, axis=-1, initial=0.0)
+        return forward[..., -1:] - forward
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_scipy(self, data):
+        m = data.draw(st.integers(3, 40), label="points")
+        if data.draw(st.booleans(), label="linspace"):
+            x = np.linspace(0.0, data.draw(st.floats(0.01, 5.0), label="end"), m)
+        else:
+            steps = data.draw(hnp.arrays(float, m - 1, elements=st.floats(1e-3, 1.0)),
+                              label="steps")
+            x = data.draw(st.floats(-2.0, 2.0), label="start") \
+                + np.concatenate(([0.0], np.cumsum(steps)))
+        rows = data.draw(st.sampled_from([(), (2,)]), label="rows")
+        y = data.draw(hnp.arrays(float, rows + (m,), elements=st.one_of(
+            st.just(-0.0), st.floats(-1.0, 1.0))), label="values")
+        y *= 10.0 ** data.draw(st.integers(0, 35), label="exponent")
+        got = verification._reverse_cumulative(y, x)
+        assert got.shape == y.shape
+        assert got.tobytes() == self.scipy_reverse(y, x).tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4, 9, 10])
+    def test_negative_zeros(self, m):
+        x = np.linspace(0.0, 1.0, m)
+        y = np.full((2, m), -0.0)
+        y[1, ::2] = 1e35
+        got = verification._reverse_cumulative(y, x)
+        assert not np.signbit(got[0]).any()
+        assert got.tobytes() == self.scipy_reverse(y, x).tobytes()
 
 
 class TestBatchedOracle:
