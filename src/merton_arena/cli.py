@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__, mfg, nplayer, policy, simulation, verification
-from .errors import MertonArenaError, NumericalError, ValidationError
+from .errors import DomainError, MertonArenaError, NumericalError, ValidationError
 from .types import (
     Population,
     TypeDistribution,
@@ -97,7 +97,8 @@ def _representative_grid(d: TypeDistribution, raw: dict, deltas: np.ndarray,
     """Columns of the first atom, with the config's ``representative`` overrides,
     over the (delta, theta) grid, delta fastest; ``thetas`` None keeps its theta.
 
-    The first cell that fails ``AgentType.check`` raises its ValidationError.
+    The first cell that fails ``AgentType.check`` raises its ValidationError,
+    and the first whose lambda leaves the float range a DomainError.
     Returns the columns, with ``lam`` added, and the mean-field aggregates.
     """
     agg = mfg.aggregates_mf(d)
@@ -118,8 +119,10 @@ def _representative_grid(d: TypeDistribution, raw: dict, deltas: np.ndarray,
     for i in np.flatnonzero(_failing(t)):
         dataclasses.replace(rep, delta=float(t.delta[i]), theta=float(t.theta[i])).check()
     t.lam = nplayer._lambda(t, agg.log_eps_delta, agg.avg_theta_dm1)
-    if not np.all(t.lam > 0):
-        raise ValueError(f"lambda must be positive, got {t.lam[~(t.lam > 0)][0]}")
+    for lam, delta, theta in zip(t.lam.tolist(), t.delta.tolist(), t.theta.tolist()):
+        if not lam > 0:
+            raise DomainError(f"lambda = {lam!r} is outside the float range at "
+                              f"delta = {delta!r}, theta = {theta!r}")
     return t, agg
 
 
@@ -251,8 +254,8 @@ def _strategy_from_config(p: Population, raw: dict) -> simulation.StrategyProfil
 def cmd_simulate(args: argparse.Namespace) -> int:
     p, raw = _load(args.config, Population)
     s = _strategy_from_config(p, raw)
+    times = simulation._time_grid(p.horizon, args.grid, args.paths)
     keep = np.unique(np.round(np.linspace(0, args.grid, args.time_grid)).astype(int))
-    times = np.linspace(0.0, p.horizon, args.grid + 1)
 
     # paths last, so that each column's mean and partition run on one contiguous row
     data = np.empty((p.n, len(keep), args.paths))

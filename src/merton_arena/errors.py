@@ -63,7 +63,8 @@ class NonPositiveConsumption(MertonArenaError, ValueError):
 
 
 class DomainError(MertonArenaError, ValueError):
-    """CRRA utility evaluated outside its domain (x <= 0)."""
+    """A value outside its domain: CRRA utility at x <= 0, or a closed form
+    outside the float range."""
 
 
 class NumericalError(MertonArenaError, RuntimeError):
@@ -71,7 +72,7 @@ class NumericalError(MertonArenaError, RuntimeError):
 
 
 class DegenerateAggregate(NumericalError):
-    """1 + psi <= 0, which valid inputs cannot produce."""
+    """1 + psi is not positive: <= 0, which valid inputs cannot produce, or NaN."""
 
 
 class IdentityViolation(NumericalError):

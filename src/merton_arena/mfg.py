@@ -173,7 +173,7 @@ def solve_mf(d: TypeDistribution) -> MfEquilibrium:
         tc = _theta_crit(a, partial(np.dot, a.w))
         deff = _delta_eff(a, tc)
         worst = float(np.max(np.abs(beta - _single_stock_beta(market, deff))))
-        if worst > SINGLE_STOCK_TOL:
+        if not worst <= SINGLE_STOCK_TOL:
             raise IdentityViolation(
                 f"single-stock beta mismatch {worst:.3e} exceeds {SINGLE_STOCK_TOL}"
             )

@@ -81,8 +81,8 @@ def _aggregates(a: SimpleNamespace, n: float, avg: Callable) -> Aggregates:
     denom = _invest_denom(a, n)
     phi = float(avg(a.delta * a.mu * a.sigma / denom))
     psi = float(avg(a.theta * (a.delta - 1.0) * a.sigma**2 / denom))
-    if 1.0 + psi <= 0.0:
-        raise DegenerateAggregate(f"1 + psi = {1.0 + psi!r} <= 0")
+    if not 1.0 + psi > 0.0:
+        raise DegenerateAggregate(f"1 + psi = {1.0 + psi!r} is not positive")
     return Aggregates(phi=phi, psi=psi)
 
 
@@ -235,7 +235,7 @@ def _solve(a: SimpleNamespace, n: int, theta_crit: float | None = None) -> Equil
     beta = _beta(a, rho, avg_delta_rho, avg_theta_dm1)
     lam = _lambda(a, log_eps_delta, avg_theta_dm1)
     resid = _identity_residual(a, pi, agg)
-    if resid > IDENTITY_TOL:
+    if not resid <= IDENTITY_TOL:
         raise IdentityViolation(f"volatility identity residual {resid:.3e}")
     return EquilibriumProfile(pi=pi, rho=rho, beta=beta, lam=lam, aggregates=agg,
                               theta_crit=theta_crit)

@@ -1,9 +1,9 @@
 """Exact-path Monte Carlo for the coupled wealth dynamics.
 
 Paths are simulated in log space with exact Gaussian increments per grid
-segment, so there is no SDE discretization error for piecewise-constant
-investments; only the time integrals (consumption and the utility
-integrand) use trapezoid quadrature on the grid.
+segment, so there is no SDE discretization error for the constant
+investments a strategy holds; only the time integrals (consumption and
+the utility integrand) use trapezoid quadrature on the grid.
 
 Randomness comes from counter-based Philox streams: stream 0 carries the
 common noise shared by every agent, stream k+1 the idiosyncratic noise of
@@ -110,12 +110,13 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Admissible strategies: constant-ish investments, positive consumption.
+    """Admissible strategies: constant investments, nonnegative consumption.
 
-    ``pi`` is either an (n,) vector of constant fractions or an (n, M)
-    array of per-segment values (piecewise constant on the grid).
-    ``consumption`` holds one callable per agent mapping times to rates;
-    grids sample the callables at their nodes.
+    ``pi`` holds one constant fraction of wealth invested per agent, the
+    strategy class among which the paper's equilibrium is unique; any
+    other shape raises ValidationError.  ``consumption`` holds one
+    callable per agent mapping times to rates; grids sample the callables
+    at their nodes.
     """
 
     pi: np.ndarray
@@ -124,6 +125,9 @@ class StrategyProfile:
     def __post_init__(self):
         object.__setattr__(self, "pi", np.atleast_1d(np.asarray(self.pi, dtype=float)))
         object.__setattr__(self, "consumption", tuple(self.consumption))
+        if self.pi.ndim != 1:
+            raise ValidationError(
+                f"pi must hold one investment fraction per agent, got shape {self.pi.shape}")
         if not np.all(np.isfinite(self.pi)):
             raise ValidationError("investment fractions must be finite")
 
@@ -139,16 +143,6 @@ class StrategyProfile:
         if not np.all(np.isfinite(out)) or np.any(out < 0.0):
             raise NonPositiveConsumption("consumption must be finite and >= 0 on the grid")
         return out
-
-    def investment_segments(self, m: int) -> np.ndarray:
-        """Per-segment investment fractions as an (n, m) array."""
-        if self.pi.ndim == 1:
-            return np.repeat(self.pi[:, None], m, axis=1)
-        if self.pi.shape[1] != m:
-            raise InvalidGrid(
-                f"strategy has {self.pi.shape[1]} investment segments, grid wants {m}"
-            )
-        return self.pi
 
     def perturb(self, i: int, dpi: float = 0.0, a: float = 0.0,
                 b: float = 0.0) -> "StrategyProfile":
@@ -198,10 +192,6 @@ class SimulationBatch:
     dW = None
     dB = None
 
-    @property
-    def grid_size(self) -> int:
-        return len(self.times) - 1
-
 
 @dataclass(frozen=True)
 class UtilityEstimate:
@@ -210,18 +200,6 @@ class UtilityEstimate:
     mean: float
     stderr: float
     paths: int
-
-
-def _deterministic_segments(ar: SimpleNamespace, s: StrategyProfile,
-                            times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent, per-segment drift minus consumption integral, plus pi."""
-    m = len(times) - 1
-    dt = np.diff(times)
-    pi_seg = s.investment_segments(m)
-    c_nodes = s.consumption_on(times)
-    c_int = 0.5 * (c_nodes[:, :-1] + c_nodes[:, 1:]) * dt
-    drift = (pi_seg * ar.mu[:, None] - 0.5 * pi_seg**2 * ar.Sigma[:, None]) * dt
-    return drift - c_int, pi_seg
 
 
 def _units(paths: int) -> list[tuple[int, int]]:
@@ -245,21 +223,36 @@ def _map_units(fn: Callable[[int, int], object], paths: int) -> list:
     return [fn(start, count) for start, count in units]
 
 
-def _path_model(p: Population, s: StrategyProfile, grid: int,
-                paths: int) -> SimpleNamespace:
-    """Validated inputs plus the per-agent columns a path block needs."""
-    ar = validate_population(p)
+def _time_grid(horizon: float, grid: int, paths: int) -> np.ndarray:
+    """The grid + 1 nodes of a Monte Carlo run on [0, horizon].
+
+    Every Monte Carlo route checks its sizes here: InvalidGrid unless
+    ``grid`` is an integer >= 2, ValueError unless ``paths`` >= 1.
+    """
     if not isinstance(grid, (int, np.integer)) or grid < 2:
         raise InvalidGrid(f"grid must be an integer >= 2, got {grid}")
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    return np.linspace(0.0, horizon, grid + 1)
+
+
+def _path_model(p: Population, s: StrategyProfile, grid: int,
+                paths: int) -> SimpleNamespace:
+    """Validated inputs plus the per-agent columns a path block needs.
+
+    ``det_seg`` is each segment's drift minus its trapezoid consumption
+    integral, an (n, grid) array.
+    """
+    ar = validate_population(p)
+    times = _time_grid(p.horizon, grid, paths)
     if s.n != p.n:
         raise ValueError(f"strategy has {s.n} agents, population has {p.n}")
-    times = np.linspace(0.0, p.horizon, grid + 1)
-    det_seg, pi_seg = _deterministic_segments(ar, s, times)
-    return SimpleNamespace(times=times, det_seg=det_seg, pi_seg=pi_seg,
-                           sqrt_dt=np.sqrt(np.diff(times)), log_x0=np.log(ar.x0),
-                           nu=ar.nu, sigma=ar.sigma)
+    dt = np.diff(times)
+    c_nodes = s.consumption_on(times)
+    drift = (s.pi * ar.mu - 0.5 * s.pi**2 * ar.Sigma)[:, None] * dt
+    det_seg = drift - 0.5 * (c_nodes[:, :-1] + c_nodes[:, 1:]) * dt
+    return SimpleNamespace(times=times, det_seg=det_seg, pi=s.pi, sqrt_dt=np.sqrt(dt),
+                           log_x0=np.log(ar.x0), nu=ar.nu, sigma=ar.sigma)
 
 
 def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarray) -> None:
@@ -288,7 +281,7 @@ def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarra
             np.multiply(z, f.nu[k], out=row)
             np.multiply(db, f.sigma[k], out=z)
             z += row
-            z *= f.pi_seg[k]
+            z *= f.pi[k]
             z += f.det_seg[k]
             np.cumsum(z, axis=1, out=row)
             row += f.log_x0[k]

@@ -16,7 +16,7 @@ mean-field limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -31,6 +31,7 @@ from .simulation import (
     COMMON_STREAM,
     UtilityEstimate,
     _map_units,
+    _time_grid,
     agent_stream,
     block_normals,
     trapezoid_weights,
@@ -42,6 +43,11 @@ REPORT_POINTS = 1000  # grid points where the best response and the ODE defect a
 REL_TOL = 1e-8  # gate on each relative fixed-point residual
 
 _WEIGHT_INT_TOL = 1e-9
+
+
+def _fields_dict(report) -> dict:
+    """A report dataclass's fields by name, arrays as lists, for JSON."""
+    return {f.name: np.asarray(getattr(report, f.name)).tolist() for f in fields(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +252,7 @@ class FixedPointReport:
         return all(value <= tol for value, tol in self.checks().values())
 
     def as_dict(self) -> dict:
-        return {
-            "systeq1_max": self.systeq1_max,
-            "systeq1_rel_max": self.systeq1_rel_max,
-            "systeq2_max": self.systeq2_max,
-            "systeq2_rel_max": self.systeq2_rel_max,
-            "identity_residual": self.identity_residual,
-            "f_gap_ode_closed": self.f_gap_ode_closed.tolist(),
-            "f_rel_gap_ode_closed": self.f_rel_gap_ode_closed.tolist(),
-            "f_gap_ode_exp": self.f_gap_ode_exp.tolist(),
-            "f_rel_gap_ode_exp": self.f_rel_gap_ode_exp.tolist(),
-            "f_gap_closed_exp": self.f_gap_closed_exp.tolist(),
-            "f_rel_gap_closed_exp": self.f_rel_gap_closed_exp.tolist(),
-        }
+        return _fields_dict(self)
 
 
 _FP_GROUP = 2  # agents per residual pass; bounds its (group, steps + 1) temporaries
@@ -408,8 +402,7 @@ class BestResponseCell:
     stderr: float
 
     def as_dict(self) -> dict:
-        return {"dpi": self.dpi, "a": self.a, "b": self.b,
-                "mean_diff": self.mean_diff, "stderr": self.stderr}
+        return _fields_dict(self)
 
 
 @dataclass(frozen=True)
@@ -610,13 +603,14 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     differs by exactly zero.  Reports come back in the order of ``agents``
     and do not depend on which other agents are scanned alongside.  No
     exception is raised for a profitable deviation: check ``violations()``.
+    ``grid`` and ``paths`` are checked as ``simulate`` checks them.
     """
     ar = validate_population(p)
     agents = tuple(int(i) for i in agents)
     for i in agents:
         if not 0 <= i < p.n:
             raise ValueError(f"agent index {i} out of range for {p.n} agents")
-    times = np.linspace(0.0, p.horizon, grid + 1)
+    times = _time_grid(p.horizon, grid, paths)
     dt = np.diff(times)
     sqrt_dt = np.sqrt(dt)
     w = trapezoid_weights(times)
@@ -693,8 +687,7 @@ class ConvergenceRow:
     lambda_gap: float
 
     def as_dict(self) -> dict:
-        return {"n": self.n, "pi_gap": self.pi_gap, "beta_gap": self.beta_gap,
-                "lambda_gap": self.lambda_gap}
+        return _fields_dict(self)
 
 
 def _counts(d: TypeDistribution, n: int) -> list[int]:

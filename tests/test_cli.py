@@ -589,6 +589,9 @@ class TestInvalidInput:
         ("curves", dict(CURVES_CONFIG, representative=5), [], "representative must be"),
         ("sweep", dict(REGIME_CONFIG, representative=[]), [], "representative must be"),
         ("simulate", dict(POP_CONFIG, strategy=[1]), [], "strategy must be"),
+        # a closed form outside the float range: lambda = exp(-delta log eps + ...) is 0
+        ("curves", dict(CURVES_CONFIG, representative={"eps": 1e300}), ["--deltas", "6"],
+         "lambda = 0.0 is outside the float range at delta = 6.0, theta = 0.4"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, config, flags, names):
         cfg = tmp_path / "config.json"
@@ -637,3 +640,22 @@ print(json.dumps({"codes": codes,
         runs = [[command, "--config", pop, "--out", str(tmp_path / "out"),
                  "--paths", "500", "--grid", "50", "--seed", "12"]]
         assert self._run(runs) == {"codes": [0], "loaded": ["scipy.special"]}
+
+
+class TestOverflow:
+    """Valid input whose closed form overflows is a numerical failure, never NaN output."""
+
+    def test_huge_sigma_exits_3_with_no_output(self, tmp_path):
+        # A subprocess, since pytest makes the overflow's RuntimeWarning an error.
+        agents = [dict(REF_AGENT, sigma=1e200), REF_AGENT]
+        cfg = write_json(tmp_path, "pop.json", dict(POP_CONFIG, agents=agents))
+        out = tmp_path / "solve.csv"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(merton_arena.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "merton_arena.cli", "solve-n", "--config", cfg,
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("merton-arena:")]
+        assert lines == ["merton-arena: numerical failure: 1 + psi = nan is not positive"]
+        assert not out.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import profile_sha256, random_distribution, single_atom
 from merton_arena import (
     AgentType,
+    IdentityViolation,
     NotSingleStock,
     Population,
     TypeDistribution,
@@ -20,6 +21,7 @@ from merton_arena import (
     solve_n,
     theta_crit_mf,
 )
+from merton_arena import mfg
 
 REF_ATOM = AgentType(x0=1.0, delta=3.0, theta=0.8, eps=1.0, mu=5.0, nu=0.0, sigma=1.0)
 REF_PI = 75.0 / 13.0
@@ -177,6 +179,12 @@ class TestSolveMf:
         assert m.beta[0] == pytest.approx(REF_BETA, abs=1e-12)
         assert m.lam[0] == 1.0
         assert m.theta_crit == pytest.approx(2.6 / 3.0, abs=1e-15)
+
+    def test_single_stock_gate_fails_on_nan(self, monkeypatch):
+        monkeypatch.setattr(mfg, "_single_stock_beta",
+                            lambda market, deff: np.full_like(deff, np.nan))
+        with pytest.raises(IdentityViolation, match="mismatch nan"):
+            solve_mf(single_atom(REF_ATOM))
 
     def test_merton_distribution(self):
         d = TypeDistribution(1.0, (

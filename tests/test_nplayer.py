@@ -5,6 +5,7 @@ constants, frozen here as fractions: pi* = 75/13, rho = 25/13,
 beta = -375/169, lambda = 1.
 """
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,8 @@ import merton_arena
 from conftest import profile_sha256, random_population
 from merton_arena import (
     AgentType,
+    DegenerateAggregate,
+    IdentityViolation,
     NotSingleStock,
     Population,
     aggregates_n,
@@ -28,6 +31,7 @@ from merton_arena import (
     solve_n,
     theta_crit_n,
 )
+from merton_arena import nplayer
 from merton_arena.nplayer import identity_residual
 
 REF_PI = 75.0 / 13.0
@@ -294,6 +298,21 @@ class TestNoRetainedState:
         finally:
             tracemalloc.stop()
         assert sum(s.size_diff for s in after.compare_to(before, "lineno")) == 0
+
+
+class TestNanGates:
+    """A NaN fails each gate, as a value past its bound does."""
+
+    def test_aggregates_gate(self, ref_n2):
+        a = ref_n2.arrays()
+        a.theta = np.array([np.nan, 0.8])
+        with pytest.raises(DegenerateAggregate, match=r"1 \+ psi = nan"):
+            nplayer._aggregates(a, ref_n2.n, np.mean)
+
+    def test_identity_gate(self, ref_n2, monkeypatch):
+        monkeypatch.setattr(nplayer, "_identity_residual", lambda *args: math.nan)
+        with pytest.raises(IdentityViolation, match="residual nan"):
+            solve_n(ref_n2)
 
 
 class TestRaisedInvariants:

@@ -15,6 +15,7 @@ from merton_arena import (
     InvalidGrid,
     NonPositiveConsumption,
     Population,
+    ValidationError,
     constant_strategy,
     equilibrium_strategy,
     estimate_objective,
@@ -28,7 +29,6 @@ from merton_arena.simulation import (
     _CHUNK_BYTES,
     COMMON_STREAM,
     StrategyProfile,
-    _deterministic_segments,
     _objective_paths,
     agent_stream,
     block_normals,
@@ -156,6 +156,11 @@ class TestValidation:
         with pytest.raises(NonPositiveConsumption):
             simulate(p, s, grid=8, paths=4, seed=0)
 
+    def test_investment_is_one_fraction_per_agent(self):
+        s = constant_strategy([0.5, 0.7], [1.0, 1.0])
+        with pytest.raises(ValidationError, match=r"one investment fraction per agent.*\(2, 4\)"):
+            StrategyProfile(pi=np.ones((2, 4)), consumption=s.consumption)
+
     def test_strategy_size_mismatch(self):
         p = two_agents()
         s = constant_strategy([0.0], [1.0])
@@ -274,12 +279,17 @@ class TestTrapezoidWeights:
 def reference_batch(p, s, grid, paths, seed, block_size):
     """Log-wealth from whole-block increments regenerated through block_normals.
 
-    This is simulate's block code before blocks were written in place.
+    This is simulate's block code before blocks were written in place,
+    with investments repeated over the segments as it took them.
     """
     ar = p.arrays()
     times = np.linspace(0.0, p.horizon, grid + 1)
-    det_seg, pi_seg = _deterministic_segments(ar, s, times)
-    sqrt_dt = np.sqrt(np.diff(times))
+    dt = np.diff(times)
+    pi_seg = np.repeat(s.pi[:, None], grid, axis=1)
+    c_nodes = s.consumption_on(times)
+    det_seg = ((pi_seg * ar.mu[:, None] - 0.5 * pi_seg**2 * ar.Sigma[:, None]) * dt
+               - 0.5 * (c_nodes[:, :-1] + c_nodes[:, 1:]) * dt)
+    sqrt_dt = np.sqrt(dt)
     log_x0 = np.log(ar.x0)
     log_wealth = np.empty((paths, p.n, grid + 1))
     for start in range(0, paths, block_size):
@@ -323,23 +333,21 @@ class TestInPlaceBlocks:
     BLOCK = 4096  # rows of a reference block
 
     @staticmethod
-    def case(n=3, grid=GRID, segmented=True):
-        # agent 0 is a log investor (delta = 1); segmented: pi varies by segment
+    def case(n=3, perturbed=True):
+        # agent 0 is a log investor (delta = 1); perturbed: agent 1 deviates
+        # from the equilibrium in pi and in tilted consumption, as a scan cell does
         p = random_population(np.random.default_rng(21), n=n)
         p = Population(p.horizon, (dataclasses.replace(p.agents[0], delta=1.0),) + p.agents[1:])
         base = equilibrium_strategy(p, solve_n(p))
-        if not segmented:
-            return p, base
-        pi = base.pi[:, None] * np.linspace(0.8, 1.2, grid)
-        return p, StrategyProfile(pi=pi, consumption=base.consumption)
+        return p, base.perturb(1, dpi=0.3, a=-0.1, b=0.4) if perturbed else base
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("block_size", [128, 500, 4096])
-    @pytest.mark.parametrize("segmented", [True, False])
-    def test_simulate_equals_reference(self, monkeypatch, threads, block_size, segmented):
+    @pytest.mark.parametrize("perturbed", [True, False])
+    def test_simulate_equals_reference(self, monkeypatch, threads, block_size, perturbed):
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
-        p, s = self.case(segmented=segmented)
+        p, s = self.case(perturbed=perturbed)
         # tile edges, and a full reference block plus a partial one
         for paths in (1, self.TILE - 1, self.TILE + 1, self.BLOCK + 904):
             log_wealth = reference_batch(p, s, self.GRID, paths, self.SEED, block_size)
@@ -380,14 +388,14 @@ class TestInPlaceBlocks:
             tracemalloc.stop()
         return peak - batch.log_wealth.nbytes
 
-    @pytest.mark.parametrize("segmented", [True, False])
-    def test_peak_memory_is_per_block_row(self, monkeypatch, segmented):
+    @pytest.mark.parametrize("perturbed", [True, False])
+    def test_peak_memory_is_per_block_row(self, monkeypatch, perturbed):
         # Beyond the batch itself, each of the two workers holds at most four
         # (count, grid) arrays; one (count, n, grid) temporary is 16 of them.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         grid, paths, block_size = 200, 2048, 512
         monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
-        p, s = self.case(n=16, grid=grid, segmented=segmented)
+        p, s = self.case(n=16, perturbed=perturbed)
         row_bytes = block_size * grid * 8
         assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * row_bytes
 
@@ -397,7 +405,7 @@ class TestInPlaceBlocks:
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         grid, paths = 200, 4096
         tile_bytes = _CHUNK_BYTES // (8 * grid) * grid * 8
-        p, s = self.case(n=16, grid=grid)
+        p, s = self.case(n=16)
         for block_size in (128, 1024, 4096):
             monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
             assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * tile_bytes

@@ -2,7 +2,7 @@
 import inspect
 import os
 
-from merton_arena import verification
+from merton_arena import constant_strategy, simulate, verification
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks")
@@ -28,3 +28,12 @@ def test_scan_grid_is_eighth_positional_parameter():
     # tracing._scan_info reads the grid of a positional call from args[7]
     names = list(inspect.signature(verification.best_response_test).parameters)
     assert names[7] == "grid"
+
+
+def test_batch_bytes_reads_a_simulate_batch(monkeypatch, ref_n2):
+    # tracing._batch_bytes reads SimulationBatch.dW and .dB when a traced run calls simulate
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    import tracing
+
+    batch = simulate(ref_n2, constant_strategy([0.5, 0.5], [1.0, 1.0]), grid=4, paths=3, seed=0)
+    assert tracing._batch_bytes(batch) == {"bytes": batch.log_wealth.nbytes}

@@ -1,4 +1,5 @@
 """ODE oracle, fixed-point residuals, best-response scan, convergence."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from merton_arena import (
     AgentType,
     BernoulliInputs,
     ConsumptionPolicy,
+    InvalidGrid,
     NonReplicableWeights,
     Population,
     ProfitableDeviationFound,
@@ -192,6 +194,22 @@ class TestBestResponse:
         assert rep.equilibrium.mean == pytest.approx(est.mean, abs=1e-9)
         assert rep.equilibrium.stderr == pytest.approx(est.stderr, rel=1e-6)
 
+    def test_cells_match_simulation_route(self, ref_n3):
+        # a cell's paired mean is the stored-path estimate of its deviation
+        # minus that of the equilibrium, on the same paths, seed and grid
+        e = solve_n(ref_n3)
+        s = equilibrium_strategy(ref_n3, e)
+        run = dict(paths=3000, seed=41, grid=300)
+        reports = best_response_scan(ref_n3, e, range(ref_n3.n), (-0.1, 0.1), (0.05,), **run)
+        for rep in reports:
+            i = rep.agent
+            eq = estimate_objective(simulate(ref_n3, s, **run), s, i, ref_n3).mean
+            assert len(rep.cells) == 2
+            for cell in rep.cells:
+                dev = s.perturb(i, cell.dpi, cell.a, cell.b)
+                mean = estimate_objective(simulate(ref_n3, dev, **run), dev, i, ref_n3).mean
+                assert abs(cell.mean_diff - (mean - eq)) <= 1e-12
+
 
 class TestBestResponseScan:
     GRID_DPI = (-0.5, -0.1, 0.0, 0.1, 0.5)
@@ -294,6 +312,18 @@ class TestBestResponseScan:
         with pytest.raises(ValueError):
             best_response_scan(ref_n2, solve_n(ref_n2), (2,), (0.0,), (0.0,),
                                paths=10, seed=0, grid=10)
+
+    @pytest.mark.parametrize("grid, paths, error", [
+        (0, 10, InvalidGrid), (1, 10, InvalidGrid), (10.0, 10, InvalidGrid), (10, 0, ValueError)])
+    def test_sizes_checked_as_simulate_checks_them(self, ref_n2, grid, paths, error):
+        e = solve_n(ref_n2)
+        with pytest.raises(error) as raised:
+            simulate(ref_n2, equilibrium_strategy(ref_n2, e), grid=grid, paths=paths, seed=0)
+        match = re.escape(str(raised.value))
+        with pytest.raises(error, match=match):
+            best_response_scan(ref_n2, e, (0,), (0.0,), (0.0,), paths, 0, grid=grid)
+        with pytest.raises(error, match=match):
+            best_response_test(ref_n2, e, 0, (0.0,), (0.0,), paths, 0, grid=grid)
 
 
 class TestConvergence:
