@@ -20,6 +20,7 @@ import math
 import platform
 import sys
 import time
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -254,14 +255,8 @@ def _strategy_from_config(p: Population, raw: dict) -> simulation.StrategyProfil
 def cmd_simulate(args: argparse.Namespace) -> int:
     p, raw = _load(args.config, Population)
     s = _strategy_from_config(p, raw)
-    times = simulation._time_grid(p.horizon, args.grid, args.paths)
     keep = np.unique(np.round(np.linspace(0, args.grid, args.time_grid)).astype(int))
-
-    # paths last, so that each column's mean and partition run on one contiguous row
-    data = np.empty((p.n, len(keep), args.paths))
-    for start, log_wealth in simulation.iter_path_blocks(p, s, args.grid, args.paths, args.seed):
-        data[:, :, start:start + len(log_wealth)] = np.moveaxis(log_wealth[:, :, keep], 0, -1)
-        del log_wealth  # before the next block is drawn
+    times, data = simulation._simulate_nodes(p, s, args.grid, args.paths, args.seed, keep)
     means = data.mean(axis=-1)
     # (3, n, len(keep)); partitions data in place, so it is read no further
     quantiles = np.percentile(data, (5, 50, 95), axis=-1, overwrite_input=True)
@@ -277,8 +272,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for k in range(p.n):
         header += [f"agent{k}_mean", f"agent{k}_p05", f"agent{k}_p50", f"agent{k}_p95"]
     rows = []
-    for j, idx in enumerate(keep):
-        row = [times[idx]]
+    for j, t in enumerate(times):
+        row = [t]
         for k in range(p.n):
             row += [means[k, j], *quantiles[:, k, j]]
         rows.append(row)
@@ -413,26 +408,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reemit(caught: list[warnings.WarningMessage]) -> None:
+    """Issue the recorded warnings again, under the caller's filters.
+
+    One registry for all of them, so that a "default" filter still shows
+    a warning raised many times at one place once.
+    """
+    registry: dict = {}
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=registry, source=w.source)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Warnings the command raises are recorded while it runs.  A failure
+    that exits 2 or 3 prints one stderr line, which ends with the first
+    of them; otherwise they are issued again once the command is done,
+    also before an exception this function does not handle propagates.
+    """
     args = build_parser().parse_args(argv)
     try:
-        for flag, least in (("--grid", 2), ("--paths", 1), ("--time-grid", 2)):
-            value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and value < least:
-                raise ValidationError(f"{flag} must be >= {least}, got {value}")
-        if getattr(args, "deltas", None) is not None:
-            args.deltas = _parse_list(args.deltas)
-        elif getattr(args, "delta_range", None) is not None:
-            args.deltas = _parse_range(args.delta_range)
-        if getattr(args, "thetas", None) is not None:
-            args.thetas = _parse_range(args.thetas)
-        return _COMMANDS[args.command][0](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for flag, least in (("--grid", 2), ("--paths", 1), ("--time-grid", 2)):
+                value = getattr(args, flag[2:].replace("-", "_"), None)
+                if value is not None and value < least:
+                    raise ValidationError(f"{flag} must be >= {least}, got {value}")
+            if getattr(args, "deltas", None) is not None:
+                args.deltas = _parse_list(args.deltas)
+            elif getattr(args, "delta_range", None) is not None:
+                args.deltas = _parse_range(args.delta_range)
+            if getattr(args, "thetas", None) is not None:
+                args.thetas = _parse_range(args.thetas)
+            code = _COMMANDS[args.command][0](args)
     except NumericalError as exc:
-        print(f"merton-arena: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, line = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except (MertonArenaError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        print(f"merton-arena: invalid input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, line = EXIT_VALIDATION, f"invalid input: {exc}"
+    except BaseException:
+        _reemit(caught)
+        raise
+    else:
+        _reemit(caught)
+        return code
+    if caught:
+        line += f" ({caught[0].category.__name__}: {caught[0].message})"
+    print(f"merton-arena: {line}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -49,12 +50,14 @@ _HALF_ULP = 2.0**-54
 
 
 def worker_count() -> int:
-    """Worker threads for path blocks; MERTON_ARENA_THREADS caps it.
+    """Worker threads for path blocks: min(4, cores), or MERTON_ARENA_THREADS.
 
-    ``simulate``, ``estimate_objective`` and the best-response scan run
-    their path blocks on this many threads; their results do not depend
-    on it.  Values below 1 mean 1; a value that is not an integer raises
-    ValidationError, a ValueError that the CLI reports as invalid input.
+    ``simulate``, ``estimate_objective``, the best-response scan and
+    ``cli simulate`` run their path blocks on this many threads; their
+    results do not depend on it.  MERTON_ARENA_THREADS sets the count,
+    also above the number of cores; values below 1 mean 1, and a value
+    that is not an integer raises ValidationError, a ValueError that the
+    CLI reports as invalid input.
     """
     env = os.environ.get("MERTON_ARENA_THREADS")
     if env:
@@ -227,21 +230,21 @@ def _time_grid(horizon: float, grid: int, paths: int) -> np.ndarray:
     """The grid + 1 nodes of a Monte Carlo run on [0, horizon].
 
     Every Monte Carlo route checks its sizes here: InvalidGrid unless
-    ``grid`` is an integer >= 2, ValueError unless ``paths`` >= 1.
+    ``grid`` is an integer >= 2, ValueError unless ``paths`` is one >= 1.
     """
     if not isinstance(grid, (int, np.integer)) or grid < 2:
         raise InvalidGrid(f"grid must be an integer >= 2, got {grid}")
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    if not isinstance(paths, (int, np.integer)) or paths < 1:
+        raise ValueError(f"paths must be an integer >= 1, got {paths}")
     return np.linspace(0.0, horizon, grid + 1)
 
 
 def _path_model(p: Population, s: StrategyProfile, grid: int,
                 paths: int) -> SimpleNamespace:
-    """Validated inputs plus the per-agent columns a path block needs.
+    """Validated inputs plus the per-agent columns of every Monte Carlo route.
 
-    ``det_seg`` is each segment's drift minus its trapezoid consumption
-    integral, an (n, grid) array.
+    ``a`` holds p's columns, ``c_nodes`` the consumption rates at the nodes
+    and ``det_seg`` each segment's drift minus its trapezoid consumption integral.
     """
     ar = validate_population(p)
     times = _time_grid(p.horizon, grid, paths)
@@ -251,8 +254,8 @@ def _path_model(p: Population, s: StrategyProfile, grid: int,
     c_nodes = s.consumption_on(times)
     drift = (s.pi * ar.mu - 0.5 * s.pi**2 * ar.Sigma)[:, None] * dt
     det_seg = drift - 0.5 * (c_nodes[:, :-1] + c_nodes[:, 1:]) * dt
-    return SimpleNamespace(times=times, det_seg=det_seg, pi=s.pi, sqrt_dt=np.sqrt(dt),
-                           log_x0=np.log(ar.x0), nu=ar.nu, sigma=ar.sigma)
+    return SimpleNamespace(a=ar, times=times, c_nodes=c_nodes, det_seg=det_seg, pi=s.pi,
+                           sqrt_dt=np.sqrt(dt), log_x0=np.log(ar.x0))
 
 
 def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarray) -> None:
@@ -278,8 +281,8 @@ def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarra
             row = log_wealth[r:r + rows, k, 1:]
             z = block_normals(seed, agent_stream(k), start + r, rows, grid)
             z *= f.sqrt_dt
-            np.multiply(z, f.nu[k], out=row)
-            np.multiply(db, f.sigma[k], out=z)
+            np.multiply(z, f.a.nu[k], out=row)
+            np.multiply(db, f.a.sigma[k], out=z)
             z += row
             z *= f.pi[k]
             z += f.det_seg[k]
@@ -287,25 +290,6 @@ def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarra
             row += f.log_x0[k]
             del z  # before the next agent's draw, so a worker holds two tiles
     log_wealth[:, :, 0] = f.log_x0
-
-
-def iter_path_blocks(p: Population, s: StrategyProfile, grid: int, paths: int,
-                     seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, log_wealth) for the work units of [0, paths), one at a time.
-
-    Each block equals the same rows of ``simulate``'s batch, whatever the
-    unit size, thanks to the per-path counter windows.
-    """
-    f = _path_model(p, s, grid, paths)
-
-    def blocks():
-        for start, count in _units(paths):
-            log_wealth = np.empty((count, p.n, grid + 1))
-            _fill_block(f, seed, start, log_wealth)
-            yield start, log_wealth
-            del log_wealth  # so that the next block is not drawn beside it
-
-    return blocks()
 
 
 def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
@@ -327,6 +311,27 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
 
     _map_units(fill, paths)
     return SimulationBatch(times=f.times, paths=paths, seed=seed, log_wealth=log_wealth)
+
+
+def _simulate_nodes(p: Population, s: StrategyProfile, grid: int, paths: int, seed: int,
+                    nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(times[nodes], log_wealth): ``simulate``'s batch at the nodes, paths last.
+
+    log_wealth is (n, len(nodes), paths).  Each worker fills its units
+    into one (WORK_UNIT, n, grid + 1) block of its own, not the batch.
+    """
+    f = _path_model(p, s, grid, paths)
+    log_wealth = np.empty((p.n, len(nodes), paths))
+    own = threading.local()
+
+    def fill(start, count):
+        if not hasattr(own, "block"):
+            own.block = np.empty((min(WORK_UNIT, paths), p.n, grid + 1))
+        _fill_block(f, seed, start, own.block[:count])
+        log_wealth[:, :, start:start + count] = np.moveaxis(own.block[:count, :, nodes], 0, -1)
+
+    _map_units(fill, paths)
+    return f.times[nodes], log_wealth
 
 
 def utility(x, delta: float):
@@ -391,23 +396,24 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     otherwise, since the utility argument would leave its domain).
     Path blocks are reduced on ``worker_count()`` threads; the estimate
     does not depend on the thread count.
-    Raises ValueError when i is not an agent of p, or when the batch or
-    the strategy has a different agent count from p.
+    p is validated as ``simulate`` validates it.  Raises ValueError when
+    i is not an agent of p, when the batch or the strategy has a
+    different agent count from p, or when the batch's grid is not p's.
     """
     if not 0 <= i < p.n:
         raise ValueError(f"agent index {i} out of range for {p.n} agents")
-    for name, count in (("batch", batch.log_wealth.shape[1]), ("strategy", s.n)):
-        if count != p.n:
-            raise ValueError(f"{name} has {count} agents, population has {p.n}")
-    ar = p.arrays()
-    c_nodes = s.consumption_on(batch.times)
-    if np.any(c_nodes <= 0.0):
+    if batch.log_wealth.shape[1] != p.n:
+        raise ValueError(f"batch has {batch.log_wealth.shape[1]} agents, population has {p.n}")
+    f = _path_model(p, s, len(batch.times) - 1, batch.paths)
+    if not np.array_equal(batch.times, f.times):
+        raise ValueError(f"batch grid is not the {len(f.times) - 1}-step grid on [0, {p.horizon}]")
+    if np.any(f.c_nodes <= 0.0):
         raise DomainError("objective needs strictly positive consumption rates")
-    log_c = np.log(c_nodes)
-    weights = trapezoid_weights(batch.times)
-    theta = float(ar.theta[i])
-    delta = float(ar.delta[i])
-    eps = float(ar.eps[i])
+    log_c = np.log(f.c_nodes)
+    weights = trapezoid_weights(f.times)
+    theta = float(f.a.theta[i])
+    delta = float(f.a.delta[i])
+    eps = float(f.a.eps[i])
 
     values = np.empty(batch.paths)
 

@@ -31,9 +31,10 @@ from .simulation import (
     COMMON_STREAM,
     UtilityEstimate,
     _map_units,
-    _time_grid,
+    _path_model,
     agent_stream,
     block_normals,
+    equilibrium_strategy,
     trapezoid_weights,
 )
 from .types import Population, TypeDistribution, validate_distribution, validate_population
@@ -473,15 +474,15 @@ def _cum_trapezoid(values: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return out
 
 
-def _agent_scan(i: int, ar, pi: np.ndarray, times: np.ndarray, w: np.ndarray,
-                c_eq: np.ndarray, det: np.ndarray,
+def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
                 cells: list[tuple[float, float, float]]) -> _AgentScan:
     """Stack agent i's deviation cells into groups of equal dpi.
 
-    ``det[k]`` is the deterministic part of agent k's equilibrium log
-    wealth at the grid nodes.  Cell (dpi, a, b) plays pi_i + dpi and
-    consumes c_i(t) e^(a + b t) against everyone else's equilibrium.
+    ``f`` is the equilibrium's path model and ``det[k]`` the deterministic
+    part of agent k's equilibrium log wealth at the grid nodes.  Cell (dpi, a, b)
+    plays pi_i + dpi and consumes c_i(t) e^(a + b t) against everyone else's equilibrium.
     """
+    ar, pi, times, c_eq = f.a, f.pi, f.times, f.c_nodes
     n = len(pi)
     theta, delta, eps = float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i])
     own = 1.0 - theta / n
@@ -603,32 +604,32 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     differs by exactly zero.  Reports come back in the order of ``agents``
     and do not depend on which other agents are scanned alongside.  No
     exception is raised for a profitable deviation: check ``violations()``.
-    ``grid`` and ``paths`` are checked as ``simulate`` checks them.
+    The population, ``grid``, ``paths`` and the profile's agent count are
+    checked as ``simulate`` checks them, and an empty ``dpi_grid`` or
+    ``ab_grid`` raises ValueError.
     """
-    ar = validate_population(p)
+    f = _path_model(p, equilibrium_strategy(p, e), grid, paths)
     agents = tuple(int(i) for i in agents)
     for i in agents:
         if not 0 <= i < p.n:
             raise ValueError(f"agent index {i} out of range for {p.n} agents")
-    times = _time_grid(p.horizon, grid, paths)
-    dt = np.diff(times)
-    sqrt_dt = np.sqrt(dt)
-    w = trapezoid_weights(times)
-    pi = np.asarray(e.pi, dtype=float)
-    c_eq = np.array([ConsumptionPolicy(float(b), float(l), p.horizon).rate(times)
-                     for b, l in zip(e.beta, e.lam)])
+    for name, values in (("dpi_grid", dpi_grid), ("ab_grid", ab_grid)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty: the scan needs at least one cell")
+    w = trapezoid_weights(f.times)
+    ar, pi = f.a, f.pi
     drift = pi * ar.mu - 0.5 * pi**2 * ar.Sigma
-    det = (np.log(ar.x0)[:, None] + drift[:, None] * times[None, :]
-           - _cum_trapezoid(c_eq, dt))
+    det = (f.log_x0[:, None] + drift[:, None] * f.times[None, :]
+           - _cum_trapezoid(f.c_nodes, np.diff(f.times)))
 
     cells = [(float(dp), float(a), float(b))
              for dp in dpi_grid for a in ab_grid for b in ab_grid]
-    scans = [_agent_scan(i, ar, pi, times, w, c_eq, det, cells) for i in agents]
+    scans = [_agent_scan(i, f, w, det, cells) for i in agents]
     streams = sorted({stream for scan in scans
                       for stream, _ in scan.own_noise + scan.others_noise})
 
     def unit_task(start, count):
-        cum = {s: _cumulative_noise(seed, s, start, count, sqrt_dt) for s in streams}
+        cum = {s: _cumulative_noise(seed, s, start, count, f.sqrt_dt) for s in streams}
         noise, base, path = (np.empty((count, grid + 1)) for _ in range(3))
         return count, [_scan_block(scan, cum, noise, base, path) for scan in scans]
 

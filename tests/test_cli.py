@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -26,6 +27,7 @@ from merton_arena import (
     lambda_mf,
     theta_crit_mf,
 )
+from merton_arena import cli
 from merton_arena.cli import main, parse_solve_csv
 from merton_arena.nplayer import EquilibriumProfile
 from merton_arena.verification import (
@@ -452,6 +454,23 @@ class TestSimulate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "025a2ee2d23f1dea7e401f19f8c0d35676f7468b27483c12dc3bd048493bd876")
 
+    def test_threaded_command_bytes_equal(self, ref_n3, tmp_path):
+        # the command as a user runs it, in its own interpreter, on one worker and on two
+        cfg = write_json(tmp_path, "trio.json", {
+            "horizon": ref_n3.horizon, "agents": [a.to_dict() for a in ref_n3.agents]})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(merton_arena.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sim{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                       MERTON_ARENA_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "merton_arena.cli", "simulate", "--config", cfg,
+                            "--out", str(out), "--grid", "100", "--paths", "5000",
+                            "--seed", "7", "--time-grid", "21"],
+                           env=env, check=True, timeout=120)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestVerify:
     def test_reference_verify_passes(self, ref_config, tmp_path):
@@ -656,6 +675,56 @@ class TestOverflow:
              "--out", str(out)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3
-        lines = [line for line in proc.stderr.splitlines() if line.startswith("merton-arena:")]
-        assert lines == ["merton-arena: numerical failure: 1 + psi = nan is not positive"]
+        assert proc.stderr == ("merton-arena: numerical failure: 1 + psi = nan is not positive "
+                               "(RuntimeWarning: overflow encountered in square)\n")
         assert not out.exists()
+
+
+class TestWarnings:
+    """main holds a command's warnings back: one line on a failure, else issued again."""
+
+    @staticmethod
+    def run_warning(monkeypatch, tmp_path, outcome, repeats=1):
+        def command(args):
+            for _ in range(repeats):
+                warnings.warn("overflow in a test", RuntimeWarning)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setitem(cli._COMMANDS, "solve-n", (command, ()))
+        return main(["solve-n", "--config", "unused", "--out", str(tmp_path / "out")])
+
+    def test_reissued_on_success(self, monkeypatch, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert self.run_warning(monkeypatch, tmp_path, 0) == 0
+        assert [(w.category, str(w.message)) for w in seen] == [
+            (RuntimeWarning, "overflow in a test")]
+        # under the suite's own filter the reissued warning is an error
+        with pytest.raises(RuntimeWarning, match="overflow in a test"):
+            self.run_warning(monkeypatch, tmp_path, 0)
+        assert capsys.readouterr().err == ""
+
+    def test_repeats_shown_once_under_default_filter(self, monkeypatch, tmp_path):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("default")
+            assert self.run_warning(monkeypatch, tmp_path, 0, repeats=3) == 0
+        assert len(seen) == 1
+
+    def test_reissued_before_unhandled_exception(self, monkeypatch, tmp_path):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="not a handled failure"):
+                self.run_warning(monkeypatch, tmp_path, RuntimeError("not a handled failure"))
+        assert [(w.category, str(w.message)) for w in seen] == [
+            (RuntimeWarning, "overflow in a test")]
+
+    def test_named_in_the_failure_line(self, monkeypatch, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = self.run_warning(monkeypatch, tmp_path, merton_arena.ValidationError("bad"))
+        assert code == 2
+        assert seen == []
+        assert capsys.readouterr().err == (
+            "merton-arena: invalid input: bad (RuntimeWarning: overflow in a test)\n")

@@ -30,9 +30,9 @@ from merton_arena.simulation import (
     COMMON_STREAM,
     StrategyProfile,
     _objective_paths,
+    _simulate_nodes,
     agent_stream,
     block_normals,
-    iter_path_blocks,
     trapezoid_weights,
     worker_count,
 )
@@ -267,6 +267,21 @@ class TestEstimateObjective:
         with pytest.raises(ValueError, match="strategy has 3 agents, population has 2"):
             estimate_objective(batch, s3, 0, p)
 
+    def test_population_validated(self):
+        p = two_agents()
+        s = constant_strategy([0.0, 0.0], [1.0, 1.0])
+        batch = simulate(p, s, grid=10, paths=4, seed=2)
+        with pytest.raises(ValidationError, match="delta"):
+            estimate_objective(batch, s, 0, two_agents(delta=-1.0, theta=2.0))
+
+    def test_batch_from_another_horizon(self):
+        p = two_agents()
+        s = constant_strategy([0.0, 0.0], [1.0, 1.0])
+        batch = simulate(p, s, grid=10, paths=4, seed=2)
+        longer = Population(horizon=3.0, agents=p.agents)
+        with pytest.raises(ValueError, match=r"10-step grid on \[0, 3.0\]"):
+            estimate_objective(batch, s, 0, longer)
+
 
 class TestTrapezoidWeights:
     def test_uniform_weights(self):
@@ -410,15 +425,17 @@ class TestInPlaceBlocks:
             monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
             assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * tile_bytes
 
-    def test_iter_path_blocks_are_batch_slices(self, monkeypatch):
-        p, s = self.case()
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_nodes_are_batch_columns(self, monkeypatch, threads):
+        # units of 300 paths, the last one partial, refill each worker's block
+        monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         monkeypatch.setattr(simulation, "WORK_UNIT", 300)
+        p, s = self.case()
+        nodes = [0, 3, self.GRID]
         batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED)
-        starts = []
-        for start, log_wealth in iter_path_blocks(p, s, self.GRID, self.PATHS, self.SEED):
-            assert np.array_equal(log_wealth, batch.log_wealth[start:start + len(log_wealth)])
-            starts.append(start)
-        assert starts == [0, 300, 600, 900]
+        times, log_wealth = _simulate_nodes(p, s, self.GRID, self.PATHS, self.SEED, nodes)
+        assert np.array_equal(times, batch.times[nodes])
+        assert np.array_equal(log_wealth, np.moveaxis(batch.log_wealth[:, :, nodes], 0, -1))
 
 
 class TestWorkerCount:

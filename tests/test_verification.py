@@ -314,7 +314,8 @@ class TestBestResponseScan:
                                paths=10, seed=0, grid=10)
 
     @pytest.mark.parametrize("grid, paths, error", [
-        (0, 10, InvalidGrid), (1, 10, InvalidGrid), (10.0, 10, InvalidGrid), (10, 0, ValueError)])
+        (0, 10, InvalidGrid), (1, 10, InvalidGrid), (10.0, 10, InvalidGrid), (10, 0, ValueError),
+        (10, 2.5, ValueError)])
     def test_sizes_checked_as_simulate_checks_them(self, ref_n2, grid, paths, error):
         e = solve_n(ref_n2)
         with pytest.raises(error) as raised:
@@ -324,6 +325,25 @@ class TestBestResponseScan:
             best_response_scan(ref_n2, e, (0,), (0.0,), (0.0,), paths, 0, grid=grid)
         with pytest.raises(error, match=match):
             best_response_test(ref_n2, e, 0, (0.0,), (0.0,), paths, 0, grid=grid)
+
+    def test_profile_of_wrong_length(self, ref_n2, ref_n3):
+        with pytest.raises(ValueError, match="strategy has 2 agents, population has 3"):
+            best_response_scan(ref_n3, solve_n(ref_n2), (0,), (0.0,), (0.0,),
+                               paths=10, seed=0, grid=10)
+
+    @pytest.mark.parametrize("dpi_grid, ab_grid, name", [
+        ((), (0.0,), "dpi_grid"), ((0.0,), (), "ab_grid")])
+    def test_empty_grid_raises_before_drawing(self, ref_n2, monkeypatch, dpi_grid, ab_grid,
+                                              name):
+        def no_draws(*args):
+            raise AssertionError("a normal was drawn")
+
+        monkeypatch.setattr(verification, "block_normals", no_draws)
+        e = solve_n(ref_n2)
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            best_response_scan(ref_n2, e, (0,), dpi_grid, ab_grid, paths=10, seed=0, grid=10)
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            best_response_test(ref_n2, e, 0, dpi_grid, ab_grid, paths=10, seed=0, grid=10)
 
 
 class TestConvergence:
