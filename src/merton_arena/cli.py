@@ -17,11 +17,12 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import platform
 import sys
 import time
 import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy
@@ -79,12 +80,27 @@ def _parse_list(text: str) -> np.ndarray:
         raise ValidationError(f"--deltas must be comma-separated numbers, got {text!r}") from None
 
 
+def _float_texts(column) -> list[str]:
+    """``"%.17g"`` of each value of the column as float64, one format per distinct value.
+
+    Values are keyed by their bits, so -0.0 keeps its sign beside 0.0.
+    """
+    x = np.ascontiguousarray(column, dtype=np.float64)
+    bits, where = np.unique(x.view(np.int64), return_inverse=True)
+    texts = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, where.tolist()))
+
+
 def _write_csv(path: str, comments: list[str], header: list[str],
-               rows: Iterable[Sequence]) -> None:
+               columns: Sequence[Sequence]) -> None:
+    """Write the comments, the header and one row per index of the equal-length columns.
+
+    A column of str is written as it is; any other is read as float64.
+    """
+    texts = [c if isinstance(c[0], str) else _float_texts(c) for c in columns]
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else _fmt(x) for x in row))
+    lines.extend(map(",".join, zip(*texts)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -156,8 +172,8 @@ def cmd_solve_n(args: argparse.Namespace) -> int:
     ]
     if e.theta_crit is not None:
         comments.append(f"theta_crit = {_fmt(e.theta_crit)}")
-    rows = [[str(i), e.pi[i], e.rho[i], e.beta[i], e.lam[i]] for i in range(p.n)]
-    _write_csv(args.out, comments, ["agent", "pi_star", "rho", "beta", "lambda"], rows)
+    columns = [[str(i) for i in range(p.n)], e.pi, e.rho, e.beta, e.lam]
+    _write_csv(args.out, comments, ["agent", "pi_star", "rho", "beta", "lambda"], columns)
     return EXIT_OK
 
 
@@ -201,7 +217,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     comments += [f"delta = {_fmt(dv)} : beta = {_fmt(b)}, lambda = {_fmt(lam)}"
                  for dv, b, lam in zip(deltas, beta, t.lam)]
     header = ["t"] + [f"c(delta={_fmt(dv)})" for dv in deltas]
-    _write_csv(args.out, comments, header, np.column_stack((times, curves)))
+    _write_csv(args.out, comments, header, [times, *curves.T])
     return EXIT_OK
 
 
@@ -221,9 +237,8 @@ def _single_stock_grid(args: argparse.Namespace):
 def cmd_regime(args: argparse.Namespace) -> int:
     d, tc, t, deff, beta = _single_stock_grid(args)
     comments = ["merton-arena regime", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
-    rows = zip(t.delta.tolist(), t.theta.tolist(), policy._regimes(beta, t.lam).tolist(),
-               beta.tolist(), deff.tolist())
-    _write_csv(args.out, comments, ["delta", "theta", "regime", "beta", "delta_eff"], rows)
+    columns = [t.delta, t.theta, policy._regimes(beta, t.lam).tolist(), beta, deff]
+    _write_csv(args.out, comments, ["delta", "theta", "regime", "beta", "delta_eff"], columns)
     return EXIT_OK
 
 
@@ -231,9 +246,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     d, tc, t, _, beta = _single_stock_grid(args)
     comments = ["merton-arena sweep", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
     c_mid = policy._rate(beta, t.lam, 0.5 * d.horizon)  # time to go at t = T/2
-    rows = zip(t.delta.tolist(), t.theta.tolist(), beta.tolist(), t.lam.tolist(),
-               c_mid.tolist())
-    _write_csv(args.out, comments, ["delta", "theta", "beta", "lambda", "c_mid"], rows)
+    columns = [t.delta, t.theta, beta, t.lam, c_mid]
+    _write_csv(args.out, comments, ["delta", "theta", "beta", "lambda", "c_mid"], columns)
     return EXIT_OK
 
 
@@ -268,16 +282,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"grid = {args.grid}",
         f"seed = {args.seed}",
     ]
-    header = ["t"]
+    header, columns = ["t"], [times]
     for k in range(p.n):
         header += [f"agent{k}_mean", f"agent{k}_p05", f"agent{k}_p50", f"agent{k}_p95"]
-    rows = []
-    for j, t in enumerate(times):
-        row = [t]
-        for k in range(p.n):
-            row += [means[k, j], *quantiles[:, k, j]]
-        rows.append(row)
-    _write_csv(args.out, comments, header, rows)
+        columns += [means[k], *quantiles[:, k]]
+    _write_csv(args.out, comments, header, columns)
     return EXIT_OK
 
 
@@ -320,11 +329,19 @@ def _timed(timings: dict, stage: str):
     timings[stage] = time.perf_counter() - start
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _environment() -> dict:
-    """Versions and the worker-thread count a run depends on."""
+    """Versions, the worker-thread count and the BLAS thread settings a run depends on.
+
+    Each BLAS variable is recorded as the process saw it, None when unset:
+    an unpinned BLAS oversubscribes the scan's worker threads.
+    """
     return {"package": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
-            "threads": simulation.worker_count()}
+            "threads": simulation.worker_count(),
+            **{name: os.environ.get(name) for name in _BLAS_THREAD_VARS}}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

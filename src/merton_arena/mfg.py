@@ -4,7 +4,7 @@ A continuum of agents is summarized by a `TypeDistribution`; every formula
 below is an exact weighted sum over its atoms.  The limit is the n-agent
 game of `nplayer` at n -> inf: `solve_mf` runs the same private formula
 bodies with ``n = math.inf`` and the atom-weighted average
-``np.dot(a.w, .)`` in place of ``np.mean``, so leave-one-out averages become
+``np.dot(a.w, .)`` in place of `nplayer._mean`, so leave-one-out averages become
 distribution-level expectations.  Only rho is written a second time, in
 its limit form.  On the single-stock path the whole equilibrium reduces to
 the effective risk tolerance delta_eff = (1 - theta/theta_crit) delta +
@@ -28,6 +28,7 @@ from .nplayer import (
     _beta,
     _delta_eff,
     _invest,
+    _invest_denom,
     _lambda,
     _moments,
     _single_stock_beta,
@@ -37,6 +38,7 @@ from .types import (
     AgentType,
     TypeDistribution,
     _columns,
+    _shared_market,
     detect_single_stock,
     validate_distribution,
 )
@@ -92,8 +94,9 @@ def _rho_limit(t: SimpleNamespace, r: float, avg_mu_pi: float,
 def _limit(a: SimpleNamespace) -> tuple[MfAggregates, np.ndarray, np.ndarray]:
     """Aggregates, pi* and rho of the mean-field limit on validated columns."""
     avg = partial(np.dot, a.w)
-    agg = _aggregates(a, math.inf, avg)
-    pi = _invest(a, math.inf, agg)
+    denom = _invest_denom(a, math.inf)
+    agg = _aggregates(a, denom, avg)
+    pi = _invest(a, denom, agg)
     avg_mu_pi, avg_sigma2_pi2 = _pi_moments(a, pi)
     rho = _rho_limit(a, agg.ratio, avg_mu_pi, avg_sigma2_pi2)
     avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, avg)
@@ -114,7 +117,8 @@ def aggregates_mf(d: TypeDistribution) -> MfAggregates:
 
 def pi_star_mf(t: AgentType, agg: MfAggregates) -> float:
     """Representative agent's constant investment fraction."""
-    return float(_invest(_columns((t,)), math.inf, agg)[0])
+    c = _columns((t,))
+    return float(_invest(c, _invest_denom(c, math.inf), agg)[0])
 
 
 def rho_mf(t: AgentType, agg: MfAggregates, d: TypeDistribution) -> float:
@@ -125,7 +129,7 @@ def rho_mf(t: AgentType, agg: MfAggregates, d: TypeDistribution) -> float:
     sums; rho = 0 whenever delta = 1.
     """
     a = d.arrays()
-    moments = _pi_moments(a, _invest(a, math.inf, agg))
+    moments = _pi_moments(a, _invest(a, _invest_denom(a, math.inf), agg))
     return float(_rho_limit(_columns((t,)), agg.ratio, *moments)[0])
 
 
@@ -164,10 +168,14 @@ def solve_mf(d: TypeDistribution) -> MfEquilibrium:
     verifies beta = (mu^2 / 2 sigma^2) delta_eff (1 - delta_eff) per atom
     to within ``SINGLE_STOCK_TOL``.
     """
-    a = validate_distribution(d)
+    return _solve_mf(validate_distribution(d))
+
+
+def _solve_mf(a: SimpleNamespace) -> MfEquilibrium:
+    """`solve_mf` on validated atom columns."""
     agg, pi, rho = _limit(a)
     beta = _beta(a, rho, agg.avg_delta_rho, agg.avg_theta_dm1)
-    market = detect_single_stock(d)
+    market = _shared_market(a)
     tc = deff = None
     if market is not None:
         tc = _theta_crit(a, partial(np.dot, a.w))

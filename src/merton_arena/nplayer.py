@@ -8,11 +8,12 @@ formula driven by one critical competition level theta_crit.
 
 One formula family serves both games.  Each body is a private function of
 the parameter columns ``a`` (``Population.arrays()``), the agent count
-``n`` and an averaging function ``avg``: the n-agent game is ``np.mean``
-at finite n, and its mean-field limit (`mfg`) is ``math.inf`` with the
-atom-weighted average ``np.dot(a.w, .)``.  Only rho has a second body, the
-limit form in `mfg`.  The public names are thin wrappers, and `solve_n`
-validates and builds the columns once.
+``n`` and an averaging function ``avg``: the n-agent game is `_mean`
+(bitwise ``np.mean`` without its Python wrapper) at finite n, and its
+mean-field limit (`mfg`) is ``math.inf`` with the atom-weighted average
+``np.dot(a.w, .)``.  Only rho has a second body, the limit form in `mfg`.
+The public names are thin wrappers; `solve_n` validates and builds the
+columns once, and each solve evaluates the investment denominator once.
 """
 from __future__ import annotations
 
@@ -23,9 +24,20 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateAggregate, IdentityViolation, NotSingleStock
-from .types import Population, SingleStockMarket, detect_single_stock, validate_population
+from .types import (
+    Population,
+    SingleStockMarket,
+    _shared_market,
+    detect_single_stock,
+    validate_population,
+)
 
 IDENTITY_TOL = 1e-10
+
+
+def _mean(x: np.ndarray) -> np.float64:
+    """The mean of a 1-D float64 array: bitwise ``np.mean``, without its Python wrapper."""
+    return np.add.reduce(x) / len(x)
 
 
 @dataclass(frozen=True)
@@ -77,8 +89,8 @@ def _invest_denom(a: SimpleNamespace, n: float) -> np.ndarray:
     return a.sigma**2 + a.nu**2 * (1.0 + (a.delta - 1.0) * a.theta / n)
 
 
-def _aggregates(a: SimpleNamespace, n: float, avg: Callable) -> Aggregates:
-    denom = _invest_denom(a, n)
+def _aggregates(a: SimpleNamespace, denom: np.ndarray, avg: Callable) -> Aggregates:
+    """(phi, psi) on the investment denominator ``_invest_denom(a, n)``."""
     phi = float(avg(a.delta * a.mu * a.sigma / denom))
     psi = float(avg(a.theta * (a.delta - 1.0) * a.sigma**2 / denom))
     if not 1.0 + psi > 0.0:
@@ -88,12 +100,12 @@ def _aggregates(a: SimpleNamespace, n: float, avg: Callable) -> Aggregates:
 
 def aggregates_n(p: Population) -> Aggregates:
     """Compute (phi, psi) for a finite population."""
-    return _aggregates(p.arrays(), p.n, np.mean)
+    a = p.arrays()
+    return _aggregates(a, _invest_denom(a, p.n), _mean)
 
 
-def _invest(a: SimpleNamespace, n: float, agg: Aggregates) -> np.ndarray:
-    return (a.delta * a.mu - a.theta * (a.delta - 1.0) * a.sigma * agg.ratio) \
-        / _invest_denom(a, n)
+def _invest(a: SimpleNamespace, denom: np.ndarray, agg: Aggregates) -> np.ndarray:
+    return (a.delta * a.mu - a.theta * (a.delta - 1.0) * a.sigma * agg.ratio) / denom
 
 
 def invest_n(p: Population, agg: Aggregates) -> np.ndarray:
@@ -102,28 +114,31 @@ def invest_n(p: Population, agg: Aggregates) -> np.ndarray:
     Values may be negative (shorting) or exceed one (leverage); the
     strategy space is all of the reals.
     """
-    return _invest(p.arrays(), p.n, agg)
+    a = p.arrays()
+    return _invest(a, _invest_denom(a, p.n), agg)
 
 
 def _rho(a: SimpleNamespace, n: int, pi: np.ndarray) -> np.ndarray:
-    s_sigma_pi = np.sum(a.sigma * pi)
-    s_mu_pi = np.sum(a.mu * pi)
-    s_Sigma_pi2 = np.sum(a.Sigma * pi**2)
-    s_nu_pi2 = np.sum((a.nu * pi) ** 2)
+    sigma_pi = a.sigma * pi
+    mu_pi = a.mu * pi
+    Sigma_pi2 = a.Sigma * pi**2
+    nu_pi2 = (a.nu * pi) ** 2
 
-    hat_sigma_pi = (s_sigma_pi - a.sigma * pi) / n
-    hat_mu_pi = (s_mu_pi - a.mu * pi) / n
-    hat_Sigma_pi2 = (s_Sigma_pi2 - a.Sigma * pi**2) / n
-    sum_nu_pi2 = s_nu_pi2 - (a.nu * pi) ** 2
+    # leave-one-out sums: the total less the agent's own term
+    hat_sigma_pi = (np.add.reduce(sigma_pi) - sigma_pi) / n
+    hat_mu_pi = (np.add.reduce(mu_pi) - mu_pi) / n
+    hat_Sigma_pi2 = (np.add.reduce(Sigma_pi2) - Sigma_pi2) / n
+    sum_nu_pi2 = np.add.reduce(nu_pi2) - nu_pi2
 
     one_m = 1.0 - 1.0 / a.delta
-    denom = 1.0 - (1.0 - a.theta / n) * one_m
+    keep = 1.0 - a.theta / n
+    denom = 1.0 - keep * one_m
     # denom = 1/gamma_i > 0 for delta > 0, theta in [0,1], n >= 2
-    if not np.all(denom > 0.0):
+    if not (denom > 0.0).all():
         raise DegenerateAggregate(f"1/gamma = {float(np.min(denom))!r} <= 0")
 
     tilted_mu = a.mu - a.sigma * a.theta * one_m * hat_sigma_pi
-    term_a = (1.0 - a.theta / n) * tilted_mu**2 / (2.0 * a.Sigma * denom)
+    term_a = keep * tilted_mu**2 / (2.0 * a.Sigma * denom)
     term_b = 0.5 * (hat_sigma_pi**2 + sum_nu_pi2 / n**2) * a.theta**2 * one_m
     term_c = -a.theta * hat_mu_pi
     term_d = 0.5 * a.theta * hat_Sigma_pi2
@@ -173,7 +188,7 @@ def beta_lambda_n(p: Population, rho: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     a = p.arrays()
     rho = np.asarray(rho, dtype=float)
-    avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, np.mean)
+    avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, _mean)
     return (_beta(a, rho, avg_delta_rho, avg_theta_dm1),
             _lambda(a, log_eps_delta, avg_theta_dm1))
 
@@ -197,7 +212,7 @@ def _single_stock(p: Population) -> tuple[SingleStockMarket, SimpleNamespace, fl
     if market is None:
         raise NotSingleStock("population does not share a single stock")
     a = p.arrays()
-    return market, a, _theta_crit(a, np.mean)
+    return market, a, _theta_crit(a, _mean)
 
 
 def theta_crit_n(p: Population) -> float:
@@ -218,7 +233,7 @@ def single_stock_beta_n(p: Population) -> np.ndarray:
 
 
 def _identity_residual(a: SimpleNamespace, pi: np.ndarray, agg: Aggregates) -> float:
-    return abs(float(np.mean(a.sigma * pi)) - agg.ratio)
+    return abs(float(_mean(a.sigma * pi)) - agg.ratio)
 
 
 def identity_residual(p: Population, pi: np.ndarray, agg: Aggregates) -> float:
@@ -228,10 +243,11 @@ def identity_residual(p: Population, pi: np.ndarray, agg: Aggregates) -> float:
 
 def _solve(a: SimpleNamespace, n: int, theta_crit: float | None = None) -> EquilibriumProfile:
     """`solve_n` on validated columns of n agents."""
-    agg = _aggregates(a, n, np.mean)
-    pi = _invest(a, n, agg)
+    denom = _invest_denom(a, n)
+    agg = _aggregates(a, denom, _mean)
+    pi = _invest(a, denom, agg)
     rho = _rho(a, n, pi)
-    avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, np.mean)
+    avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, _mean)
     beta = _beta(a, rho, avg_delta_rho, avg_theta_dm1)
     lam = _lambda(a, log_eps_delta, avg_theta_dm1)
     resid = _identity_residual(a, pi, agg)
@@ -249,5 +265,5 @@ def solve_n(p: Population) -> EquilibriumProfile:
     mean(sigma pi*) = phi/(1+psi) to within ``IDENTITY_TOL``.
     """
     a = validate_population(p)
-    tc = _theta_crit(a, np.mean) if detect_single_stock(p) is not None else None
+    tc = _theta_crit(a, _mean) if _shared_market(a) is not None else None
     return _solve(a, p.n, tc)

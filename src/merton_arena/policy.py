@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import NonPositiveParameter, OutOfDomain
 
 _BRANCH_TOL = 1e-12
 _REGIME_TOL = 1e-12
@@ -41,7 +41,7 @@ class ConsumptionPolicy:
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise NonPositiveParameter("horizon")
 
     def rate(self, t):
         return consumption_rate(self, t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,11 +98,11 @@ class TypeDistribution:
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.atoms])
+        return np.fromiter(map(itemgetter(0), self.atoms), dtype=float, count=len(self.atoms))
 
     @property
     def types(self) -> tuple[AgentType, ...]:
-        return tuple(a for _, a in self.atoms)
+        return tuple(map(itemgetter(1), self.atoms))
 
     def arrays(self) -> SimpleNamespace:
         """Fresh float64 columns of the atom parameters, plus Sigma and weights w."""
@@ -195,6 +195,14 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
         if a.nu != 0.0 or a.mu != first.mu or a.sigma != first.sigma:
             return None
     return SingleStockMarket(first.mu, first.sigma)
+
+
+def _shared_market(a: SimpleNamespace) -> SingleStockMarket | None:
+    """`detect_single_stock` on the parameter columns, with the same exact comparisons."""
+    mu, sigma = a.mu[0], a.sigma[0]
+    if a.nu.any() or (a.mu != mu).any() or (a.sigma != sigma).any():
+        return None
+    return SingleStockMarket(float(mu), float(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound, TooFewAgents
-from .mfg import solve_mf
-# solve_n is unused here but stays an attribute: benchmarks/tracing.py wraps verification.solve_n.
+# solve_mf and solve_n are unused here but stay attributes: benchmarks/tracing.py
+# wraps verification.solve_mf and verification.solve_n.
+from .mfg import _solve_mf, solve_mf  # noqa: F401
 from .nplayer import IDENTITY_TOL, EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
 from .policy import ConsumptionPolicy
 from .simulation import (
@@ -719,7 +720,7 @@ def mfg_convergence(d: TypeDistribution, ns: Sequence[int]) -> list[ConvergenceR
     numbers as ``solve_n(replicate(d, n))`` without building n agents.
     """
     a = validate_distribution(d)
-    mf = solve_mf(d)
+    mf = _solve_mf(a)
     rows = []
     for n in ns:
         idx = np.repeat(np.arange(len(d.atoms)), _counts(d, n))

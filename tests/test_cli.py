@@ -7,11 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import merton_arena
 from conftest import random_distribution
@@ -406,6 +409,59 @@ class TestGridColumns:
         assert all(expected[j].endswith(",0") for j in changed)
 
 
+# Values a writer must keep apart or spell out exactly: signed zeros, the
+# non-finite values, the smallest subnormal and the largest float.
+EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308)
+_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+def _csv_column(kind: str, rows: int):
+    sized = dict(min_size=rows, max_size=rows)
+    return {
+        "floats": st.lists(_FLOATS, **sized),
+        "repeated": _FLOATS.map(lambda v: [v] * rows),
+        "distinct": st.lists(st.floats(allow_nan=False), unique=True, **sized),
+        "ints": st.lists(st.integers(-2**70, 2**70), **sized),
+        "float64": st.lists(_FLOATS, **sized).map(np.array),
+        "strings": st.lists(st.text("abcxyz-_.0123456789", min_size=1), **sized),
+    }[kind]
+
+
+def per_value_rows(columns) -> list[str]:
+    """The reference rows: each value formatted and joined one at a time."""
+    return [",".join(x if isinstance(x, str) else format(float(x), ".17g") for x in row)
+            for row in zip(*columns)]
+
+
+def written_csv(comments, header, columns) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        cli._write_csv(path, comments, header, columns)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+class TestCsvWriter:
+    """The column-wise writer gives the bytes of the per-value row join."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 40),
+           kinds=st.lists(st.sampled_from(["floats", "repeated", "distinct", "ints",
+                                           "float64", "strings"]), min_size=1, max_size=6))
+    def test_bytes_equal_per_value_rows(self, data, rows, kinds):
+        columns = [data.draw(_csv_column(kind, rows), label=kind) for kind in kinds]
+        header = [f"c{j}" for j in range(len(columns))]
+        expected = "\n".join(["# note", ",".join(header), *per_value_rows(columns)]) + "\n"
+        assert written_csv(["note"], header, columns) == expected
+
+    def test_signed_zeros_and_extremes(self):
+        column = [0.0, -0.0, -0.0, 0.0, *EDGE_FLOATS, np.float64(-0.0), 3, -7]
+        text = written_csv([], ["x"], [column])
+        assert text.splitlines()[1:] == per_value_rows([column])
+        assert text.splitlines()[1:6] == ["0", "-0", "-0", "0", "0"]
+
+
 class TestSimulate:
     def test_deterministic_override_strategy(self, tmp_path):
         cfg = write_json(tmp_path, "sim.json", {
@@ -535,6 +591,10 @@ class TestVerify:
         assert "; agent 1 cell" in lines[0] and "> 3*stderr" in lines[0]
 
     def test_timings_and_environment(self, ref_config, tmp_path, monkeypatch):
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        blas = {name: os.environ.get(name) for name in
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        assert blas["MKL_NUM_THREADS"] is None
         reports = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
@@ -546,8 +606,9 @@ class TestVerify:
             assert set(timings) == {"solve", "fixed_point", "best_response", "mfg_convergence"}
             assert all(t >= 0.0 for t in timings.values())
             env = payload.pop("environment")
-            assert set(env) == {"package", "python", "numpy", "scipy", "threads"}
+            assert set(env) == {"package", "python", "numpy", "scipy", "threads", *blas}
             assert env["threads"] == int(threads)
+            assert {name: env[name] for name in blas} == blas
             reports[threads] = payload
         # the rest of the report does not depend on the thread count
         assert reports["1"] == reports["2"]

@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import merton_arena
 from conftest import profile_sha256, random_population
@@ -300,6 +302,19 @@ class TestNoRetainedState:
         assert sum(s.size_diff for s in after.compare_to(before, "lineno")) == 0
 
 
+class TestMean:
+    """`_mean` is bitwise np.mean on 1-D float64, wrapper aside."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1.0, 10.0), st.integers(-300, 299), st.booleans()),
+                    min_size=1, max_size=300))
+    def test_bitwise_np_mean(self, draws):
+        x = np.array([(-m if neg else m) * 10.0**e for m, e, neg in draws])
+        got = nplayer._mean(x)
+        assert type(got) is np.float64
+        assert got.tobytes() == np.mean(x).tobytes()
+
+
 class TestNanGates:
     """A NaN fails each gate, as a value past its bound does."""
 
@@ -307,7 +322,7 @@ class TestNanGates:
         a = ref_n2.arrays()
         a.theta = np.array([np.nan, 0.8])
         with pytest.raises(DegenerateAggregate, match=r"1 \+ psi = nan"):
-            nplayer._aggregates(a, ref_n2.n, np.mean)
+            nplayer._aggregates(a, nplayer._invest_denom(a, ref_n2.n), np.mean)
 
     def test_identity_gate(self, ref_n2, monkeypatch):
         monkeypatch.setattr(nplayer, "_identity_residual", lambda *args: math.nan)

@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from merton_arena import (
     validate_distribution,
     validate_population,
 )
+from merton_arena.types import _shared_market
 
 
 def agent(**kw) -> AgentType:
@@ -108,6 +110,42 @@ class TestDetectSingleStock:
     def test_works_on_distributions(self):
         d = TypeDistribution(1.0, ((0.5, agent()), (0.5, agent(delta=2.0))))
         assert detect_single_stock(d) is not None
+
+
+# Few distinct market values, so that shared markets are common; each has
+# an int, a float and (for nu) a negative-zero spelling of some value.
+_MARKET_MU = st.sampled_from([2, 2.0, 0.5, 3.25])
+_MARKET_SIGMA = st.sampled_from([1, 1.0, 0.7])
+_MARKET_NU = st.sampled_from([0.0, -0.0, 0, 0.25])
+
+
+class TestSharedMarketOnColumns:
+    """`_shared_market` on columns agrees with `detect_single_stock` on the objects."""
+
+    @staticmethod
+    def assert_agree(agents):
+        p = pop(*agents)
+        d = TypeDistribution(1.0, tuple((1.0 / len(agents), a) for a in agents))
+        for obj in (p, d):
+            expected = detect_single_stock(obj)
+            got = _shared_market(obj.arrays())
+            assert got == expected
+            if expected is not None:
+                assert (got.mu, got.sigma) == (float(expected.mu), float(expected.sigma))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(agent, mu=_MARKET_MU, sigma=_MARKET_SIGMA, nu=_MARKET_NU,
+                              delta=st.sampled_from([3, 0.5, 2.0])),
+                    min_size=1, max_size=8))
+    def test_agrees_with_detect_single_stock(self, agents):
+        self.assert_agree(agents)
+
+    @pytest.mark.parametrize("last", [dict(nu=0.1), dict(mu=4.0), dict(sigma=1.5),
+                                      dict(mu=np.nextafter(5.0, 6.0)), dict(nu=-0.0),
+                                      dict(mu=5, sigma=1, nu=0)])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_last_agent_alone_differs(self, n, last):
+        self.assert_agree([agent()] * (n - 1) + [agent(**last)])
 
 
 class TestSigmaAccessor:

@@ -15,6 +15,7 @@ from merton_arena import (
     BernoulliInputs,
     ConsumptionPolicy,
     InvalidGrid,
+    NonPositiveParameter,
     NonReplicableWeights,
     Population,
     ProfitableDeviationFound,
@@ -325,6 +326,18 @@ class TestBestResponseScan:
             best_response_scan(ref_n2, e, (0,), (0.0,), (0.0,), paths, 0, grid=grid)
         with pytest.raises(error, match=match):
             best_response_test(ref_n2, e, 0, (0.0,), (0.0,), paths, 0, grid=grid)
+
+    def test_horizon_checked_as_simulate_checks_it(self, ref_n2):
+        e = solve_n(ref_n2)
+        flat = Population(horizon=0.0, agents=ref_n2.agents)
+        with pytest.raises(NonPositiveParameter) as raised:
+            simulate(flat, equilibrium_strategy(ref_n2, e), grid=10, paths=10, seed=0)
+        assert raised.value.field == "horizon"
+        match = re.escape(str(raised.value))
+        with pytest.raises(NonPositiveParameter, match=match):
+            best_response_scan(flat, e, (0,), (0.0,), (0.0,), 10, 0, grid=10)
+        with pytest.raises(NonPositiveParameter, match=match):
+            best_response_test(flat, e, 0, (0.0,), (0.0,), 10, 0, grid=10)
 
     def test_profile_of_wrong_length(self, ref_n2, ref_n3):
         with pytest.raises(ValueError, match="strategy has 2 agents, population has 3"):
