@@ -9,7 +9,6 @@ from merton_arena import (
     AgentType,
     Population,
     TypeDistribution,
-    delta_eff,
     single_stock_beta_n,
     single_stock_invest_n,
     solve_mf,
@@ -82,10 +81,9 @@ print("Mean-field limit, two-type continuum on a single stock")
 print("=" * 68)
 print(f"theta_crit = {mf.theta_crit:.6f}")
 for j, (w, t) in enumerate(dist.atoms):
-    deff = delta_eff(t, mf.theta_crit)
     print(f"type {j} (weight {w:.2f}): delta={t.delta:.1f} theta={t.theta:.1f}"
           f" -> pi*={mf.pi[j]:.4f}, beta={mf.beta[j]:.4f},"
-          f" effective risk tolerance {deff:.4f}")
+          f" effective risk tolerance {mf.delta_eff[j]:.4f}")
 print()
 print("Both types act like lone Merton agents with the effective risk")
 print("tolerance shown; highly competitive agents can land on the other")

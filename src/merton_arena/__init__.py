@@ -24,23 +24,15 @@ from .errors import (
 from .mfg import (
     MfAggregates,
     MfEquilibrium,
-    aggregates_mf,
-    beta_mf,
-    delta_eff,
-    lambda_mf,
-    pi_star_mf,
-    rho_mf,
+    representative,
     solve_mf,
     theta_crit_mf,
 )
 from .nplayer import (
     Aggregates,
     EquilibriumProfile,
-    aggregates_n,
-    beta_lambda_n,
     gamma_n,
-    invest_n,
-    rho_n,
+    single_stock_beta,
     single_stock_beta_n,
     single_stock_invest_n,
     solve_n,
@@ -71,6 +63,7 @@ from .types import (
     Population,
     SingleStockMarket,
     TypeDistribution,
+    columns,
     detect_single_stock,
     distribution_from_dict,
     load_config,

@@ -33,11 +33,12 @@ from .types import (
     Population,
     TypeDistribution,
     _AGENT_FIELDS,
-    _columns,
     _failing,
     _from_config,
     _number,
+    columns,
     detect_single_stock,
+    validate_distribution,
 )
 
 EXIT_OK = 0
@@ -116,9 +117,9 @@ def _representative_grid(d: TypeDistribution, raw: dict, deltas: np.ndarray,
 
     The first cell that fails ``AgentType.check`` raises its ValidationError,
     and the first whose lambda leaves the float range a DomainError.
-    Returns the columns, with ``lam`` added, and the mean-field aggregates.
+    Returns the columns and `mfg.representative` on them.
     """
-    agg = mfg.aggregates_mf(d)
+    validate_distribution(d)  # names an empty or invalid distribution before its first atom is read
     overrides = raw.get("representative")
     if overrides is None:
         overrides = {}
@@ -129,18 +130,18 @@ def _representative_grid(d: TypeDistribution, raw: dict, deltas: np.ndarray,
         raise ValidationError(f"unknown representative fields: {sorted(bad)}")
     rep = dataclasses.replace(d.types[0], **{
         k: _number(v, f"representative field '{k}'") for k, v in overrides.items()})
-    t = _columns((rep,))
+    t = columns((rep,))
     if thetas is None:
         thetas = t.theta
     t.delta, t.theta = np.tile(deltas, len(thetas)), np.repeat(thetas, len(deltas))
     for i in np.flatnonzero(_failing(t)):
         dataclasses.replace(rep, delta=float(t.delta[i]), theta=float(t.theta[i])).check()
-    t.lam = nplayer._lambda(t, agg.log_eps_delta, agg.avg_theta_dm1)
-    for lam, delta, theta in zip(t.lam.tolist(), t.delta.tolist(), t.theta.tolist()):
+    m = mfg.representative(d, t)
+    for lam, delta, theta in zip(m.lam.tolist(), t.delta.tolist(), t.theta.tolist()):
         if not lam > 0:
             raise DomainError(f"lambda = {lam!r} is outside the float range at "
                               f"delta = {delta!r}, theta = {theta!r}")
-    return t, agg
+    return t, m
 
 
 _CONFIG_KINDS = {Population: "a population config ('agents' list)",
@@ -206,47 +207,46 @@ def parse_solve_csv(path: str) -> dict:
 def cmd_curves(args: argparse.Namespace) -> int:
     d, raw = _load(args.config, TypeDistribution)
     deltas = args.deltas if args.deltas is not None else np.array([0.5, 1.0, 2.0, 3.0, 5.0])
-    t, agg = _representative_grid(d, raw, deltas)
-    rho = mfg._rho_limit(t, agg.ratio, agg.avg_mu_pi, agg.avg_sigma2_pi2)
-    beta = nplayer._beta(t, rho, agg.avg_delta_rho, agg.avg_theta_dm1)
+    _, m = _representative_grid(d, raw, deltas)
     times = np.linspace(0.0, d.horizon, args.time_grid)
-    curves = policy._rate(beta, t.lam, (d.horizon - times)[:, None])  # (times, deltas)
+    curves = policy._rate(m.beta, m.lam, (d.horizon - times)[:, None])  # (times, deltas)
     comments = ["merton-arena curves", _config_echo(d)]
     if detect_single_stock(d) is not None:
         comments.append(f"theta_crit = {_fmt(mfg.theta_crit_mf(d))}")
     comments += [f"delta = {_fmt(dv)} : beta = {_fmt(b)}, lambda = {_fmt(lam)}"
-                 for dv, b, lam in zip(deltas, beta, t.lam)]
+                 for dv, b, lam in zip(deltas, m.beta, m.lam)]
     header = ["t"] + [f"c(delta={_fmt(dv)})" for dv in deltas]
     _write_csv(args.out, comments, header, [times, *curves.T])
     return EXIT_OK
 
 
 def _single_stock_grid(args: argparse.Namespace):
-    """The distribution, theta_crit, the grid columns, and delta_eff and beta on them."""
+    """The distribution, the grid columns, `mfg.representative` on them, and the corollary beta."""
     d, raw = _load(args.config, TypeDistribution)
+    deltas = args.deltas if args.deltas is not None else np.linspace(0.05, 6.0, 120)
+    t, m = _representative_grid(d, raw, deltas, args.thetas)
     market = detect_single_stock(d)
     if market is None:
         raise ValidationError("regime/sweep need a single-stock distribution")
-    deltas = args.deltas if args.deltas is not None else np.linspace(0.05, 6.0, 120)
-    t, _ = _representative_grid(d, raw, deltas, args.thetas)
-    tc = mfg.theta_crit_mf(d)
-    deff = nplayer._delta_eff(t, tc)
-    return d, tc, t, deff, nplayer._single_stock_beta(market, deff)
+    if m.delta_eff is None:
+        raise ValidationError("regime/sweep need a representative on the distribution's "
+                              f"stock (nu = 0, mu = {market.mu!r}, sigma = {market.sigma!r})")
+    return d, t, m, nplayer.single_stock_beta(market, m.delta_eff)
 
 
 def cmd_regime(args: argparse.Namespace) -> int:
-    d, tc, t, deff, beta = _single_stock_grid(args)
-    comments = ["merton-arena regime", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
-    columns = [t.delta, t.theta, policy._regimes(beta, t.lam).tolist(), beta, deff]
+    d, t, m, beta = _single_stock_grid(args)
+    comments = ["merton-arena regime", _config_echo(d), f"theta_crit = {_fmt(m.theta_crit)}"]
+    columns = [t.delta, t.theta, policy._regimes(beta, m.lam).tolist(), beta, m.delta_eff]
     _write_csv(args.out, comments, ["delta", "theta", "regime", "beta", "delta_eff"], columns)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    d, tc, t, _, beta = _single_stock_grid(args)
-    comments = ["merton-arena sweep", _config_echo(d), f"theta_crit = {_fmt(tc)}"]
-    c_mid = policy._rate(beta, t.lam, 0.5 * d.horizon)  # time to go at t = T/2
-    columns = [t.delta, t.theta, beta, t.lam, c_mid]
+    d, t, m, beta = _single_stock_grid(args)
+    comments = ["merton-arena sweep", _config_echo(d), f"theta_crit = {_fmt(m.theta_crit)}"]
+    c_mid = policy._rate(beta, m.lam, 0.5 * d.horizon)  # time to go at t = T/2
+    columns = [t.delta, t.theta, beta, m.lam, c_mid]
     _write_csv(args.out, comments, ["delta", "theta", "beta", "lambda", "c_mid"], columns)
     return EXIT_OK
 

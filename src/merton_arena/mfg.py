@@ -2,14 +2,18 @@
 
 A continuum of agents is summarized by a `TypeDistribution`; every formula
 below is an exact weighted sum over its atoms.  The limit is the n-agent
-game of `nplayer` at n -> inf: `solve_mf` runs the same private formula
-bodies with ``n = math.inf`` and the atom-weighted average
-``np.dot(a.w, .)`` in place of `nplayer._mean`, so leave-one-out averages become
-distribution-level expectations.  Only rho is written a second time, in
-its limit form.  On the single-stock path the whole equilibrium reduces to
-the effective risk tolerance delta_eff = (1 - theta/theta_crit) delta +
-theta/theta_crit.  The public per-agent names are thin wrappers that
-evaluate one `AgentType` through the same bodies.
+game of `nplayer` at n -> inf: the same private formula bodies run with
+``n = math.inf`` and the atom-weighted average ``np.dot(a.w, .)`` in place
+of `nplayer._mean`, so leave-one-out averages become distribution-level
+expectations.  Only rho is written a second time, in its limit form.  On
+the single-stock path the whole equilibrium reduces to the effective risk
+tolerance delta_eff = (1 - theta/theta_crit) delta + theta/theta_crit.
+
+Two entries answer every question.  `solve_mf` gives the equilibrium of
+the atoms themselves, and `representative` that of any parameter columns,
+one type or a grid of them, against a distribution's aggregates.  Both run
+one body, so ``solve_mf(d)`` is ``representative(d, d.arrays())`` bit for
+bit.
 """
 from __future__ import annotations
 
@@ -31,15 +35,17 @@ from .nplayer import (
     _invest_denom,
     _lambda,
     _moments,
-    _single_stock_beta,
     _theta_crit,
+    single_stock_beta,
 )
 from .types import (
     AgentType,
+    SingleStockMarket,
     TypeDistribution,
-    _columns,
+    _AGENT_FIELDS,
+    _failing,
     _shared_market,
-    detect_single_stock,
+    _trades,
     validate_distribution,
 )
 
@@ -59,10 +65,10 @@ class MfAggregates(Aggregates):
 
 @dataclass(frozen=True)
 class MfEquilibrium(EquilibriumProfile):
-    """Per-atom equilibrium values plus shared aggregates (`MfAggregates`).
+    """Per-type equilibrium values plus shared aggregates (`MfAggregates`).
 
     ``theta_crit`` and ``delta_eff`` are filled on the single-stock path
-    only; ``delta_eff`` is per atom and may be negative.
+    only; ``delta_eff`` is per type and may be negative.
     """
 
     delta_eff: np.ndarray | None = None
@@ -104,61 +110,49 @@ def _limit(a: SimpleNamespace) -> tuple[MfAggregates, np.ndarray, np.ndarray]:
                         avg_mu_pi, avg_sigma2_pi2), pi, rho
 
 
-def aggregates_mf(d: TypeDistribution) -> MfAggregates:
-    """All moments of the distribution used by the equilibrium formulas.
+def _equilibrium(a: SimpleNamespace, t: SimpleNamespace) -> MfEquilibrium:
+    """The types ``t`` against validated atom columns ``a``.
 
-    phi = E[delta mu sigma / (sigma^2 + nu^2)] and psi = E[theta (delta-1)
-    sigma^2 / (sigma^2 + nu^2)]; the remaining fields are the auxiliary
-    expectations consumed by the rho/beta/lambda formulas (E[delta rho] is
-    evaluated at the equilibrium investments).
+    ``t is a`` stands for the atoms themselves, whose pi* and rho the
+    aggregates already needed, so they are not evaluated again.
     """
-    return _limit(validate_distribution(d))[0]
+    agg, pi, rho = _limit(a)
+    if t is not a:
+        pi = _invest(t, _invest_denom(t, math.inf), agg)
+        rho = _rho_limit(t, agg.ratio, agg.avg_mu_pi, agg.avg_sigma2_pi2)
+    market = _shared_market(a)
+    tc = deff = None
+    if market is not None and (t is a or _trades(t, market)):
+        tc = _theta_crit(a, partial(np.dot, a.w))
+        deff = _delta_eff(t, tc)
+    return MfEquilibrium(pi=pi, rho=rho, beta=_beta(t, rho, agg.avg_delta_rho, agg.avg_theta_dm1),
+                         lam=_lambda(t, agg.log_eps_delta, agg.avg_theta_dm1), aggregates=agg,
+                         theta_crit=tc, delta_eff=deff)
 
 
-def pi_star_mf(t: AgentType, agg: MfAggregates) -> float:
-    """Representative agent's constant investment fraction."""
-    c = _columns((t,))
-    return float(_invest(c, _invest_denom(c, math.inf), agg)[0])
+def representative(d: TypeDistribution, t: SimpleNamespace) -> MfEquilibrium:
+    """Equilibrium constants of the types ``t`` against the distribution ``d``.
 
-
-def rho_mf(t: AgentType, agg: MfAggregates, d: TypeDistribution) -> float:
-    """Representative agent's rate rho against the ambient distribution.
-
-    The cross terms use E[mu pi*] and E[(sigma^2+nu^2) pi*^2] evaluated
-    atom-wise over ``d``, the limit of the finite game's leave-one-out
-    sums; rho = 0 whenever delta = 1.
+    ``t`` holds parameter columns as `types.columns` builds them, one entry
+    per type: a single type, the atoms themselves (``d.arrays()``) or a
+    whole grid.  Each entry gets its pi*, rho, beta and lambda against
+    ``d``'s aggregates.  When ``d`` is single-stock and every entry trades
+    that stock (nu = 0 and the same mu and sigma, compared exactly),
+    theta_crit and delta_eff are filled too.  Raises the ValidationError of
+    ``d`` or of the first invalid entry.
     """
-    a = d.arrays()
-    moments = _pi_moments(a, _invest(a, _invest_denom(a, math.inf), agg))
-    return float(_rho_limit(_columns((t,)), agg.ratio, *moments)[0])
-
-
-def beta_mf(t: AgentType, agg: MfAggregates) -> float:
-    """Consumption-slope constant beta of the representative agent."""
-    c = _columns((t,))
-    rho = _rho_limit(c, agg.ratio, agg.avg_mu_pi, agg.avg_sigma2_pi2)
-    return float(_beta(c, rho, agg.avg_delta_rho, agg.avg_theta_dm1)[0])
-
-
-def lambda_mf(t: AgentType, agg: MfAggregates) -> float:
-    """Consumption-level constant lambda, in log space; always positive."""
-    return float(_lambda(_columns((t,)), agg.log_eps_delta, agg.avg_theta_dm1)[0])
+    a = validate_distribution(d)
+    for i in np.flatnonzero(_failing(t)):
+        AgentType(**{name: float(getattr(t, name)[i]) for name in _AGENT_FIELDS}).check(int(i))
+    return _equilibrium(a, t)
 
 
 def theta_crit_mf(d: TypeDistribution) -> float:
-    """Critical competition weight (1 + E[theta(delta-1)]) / E[delta]."""
-    if detect_single_stock(d) is None:
+    """Critical competition weight (1 + E[theta(delta-1)]) / E[delta] of a valid distribution."""
+    a = validate_distribution(d)
+    if _shared_market(a) is None:
         raise NotSingleStock("theta_crit is defined only for single-stock distributions")
-    a = d.arrays()
     return _theta_crit(a, partial(np.dot, a.w))
-
-
-def delta_eff(t: AgentType, theta_crit: float) -> float:
-    """Effective risk tolerance (1 - theta/theta_crit) delta + theta/theta_crit.
-
-    May be negative; the weight theta/theta_crit ranges over [0, inf).
-    """
-    return float(_delta_eff(_columns((t,)), theta_crit)[0])
 
 
 def solve_mf(d: TypeDistribution) -> MfEquilibrium:
@@ -173,18 +167,13 @@ def solve_mf(d: TypeDistribution) -> MfEquilibrium:
 
 def _solve_mf(a: SimpleNamespace) -> MfEquilibrium:
     """`solve_mf` on validated atom columns."""
-    agg, pi, rho = _limit(a)
-    beta = _beta(a, rho, agg.avg_delta_rho, agg.avg_theta_dm1)
-    market = _shared_market(a)
-    tc = deff = None
-    if market is not None:
-        tc = _theta_crit(a, partial(np.dot, a.w))
-        deff = _delta_eff(a, tc)
-        worst = float(np.max(np.abs(beta - _single_stock_beta(market, deff))))
+    m = _equilibrium(a, a)
+    if m.delta_eff is not None:
+        # delta_eff is filled only when every atom trades the first atom's stock
+        market = SingleStockMarket(float(a.mu[0]), float(a.sigma[0]))
+        worst = float(np.max(np.abs(m.beta - single_stock_beta(market, m.delta_eff))))
         if not worst <= SINGLE_STOCK_TOL:
             raise IdentityViolation(
                 f"single-stock beta mismatch {worst:.3e} exceeds {SINGLE_STOCK_TOL}"
             )
-    lam = _lambda(a, agg.log_eps_delta, agg.avg_theta_dm1)
-    return MfEquilibrium(pi=pi, rho=rho, beta=beta, lam=lam, aggregates=agg,
-                         theta_crit=tc, delta_eff=deff)
+    return m

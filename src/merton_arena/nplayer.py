@@ -12,8 +12,12 @@ the parameter columns ``a`` (``Population.arrays()``), the agent count
 (bitwise ``np.mean`` without its Python wrapper) at finite n, and its
 mean-field limit (`mfg`) is ``math.inf`` with the atom-weighted average
 ``np.dot(a.w, .)``.  Only rho has a second body, the limit form in `mfg`.
-The public names are thin wrappers; `solve_n` validates and builds the
-columns once, and each solve evaluates the investment denominator once.
+
+`solve_n` is the one entry to the equilibrium: it validates and builds the
+columns once, and its profile carries every constant, aggregates included.
+The single-stock corollary has its own names: `theta_crit_n`,
+`single_stock_invest_n`, `single_stock_beta_n`, and `single_stock_beta`
+on columns of delta_eff.
 """
 from __future__ import annotations
 
@@ -57,10 +61,11 @@ class Aggregates:
 class EquilibriumProfile:
     """Per-agent equilibrium constants plus the shared aggregates.
 
-    ``pi`` is the constant fraction of wealth invested, ``rho`` the
-    per-agent rate entering beta, and (``beta``, ``lam``) parameterize the
-    consumption curve c*(t).  ``theta_crit`` is set on the single-stock
-    path only.
+    ``pi`` is the constant fraction of wealth invested (negative when
+    shorting, above one with leverage), ``rho`` the per-agent rate entering
+    beta, and (``beta``, ``lam``) parameterize the consumption curve c*(t);
+    rho = beta = 0 wherever delta = 1, and lam > 0 always.  ``theta_crit``
+    is set on the single-stock path only.
     """
 
     pi: np.ndarray
@@ -98,27 +103,16 @@ def _aggregates(a: SimpleNamespace, denom: np.ndarray, avg: Callable) -> Aggrega
     return Aggregates(phi=phi, psi=psi)
 
 
-def aggregates_n(p: Population) -> Aggregates:
-    """Compute (phi, psi) for a finite population."""
-    a = p.arrays()
-    return _aggregates(a, _invest_denom(a, p.n), _mean)
-
-
 def _invest(a: SimpleNamespace, denom: np.ndarray, agg: Aggregates) -> np.ndarray:
     return (a.delta * a.mu - a.theta * (a.delta - 1.0) * a.sigma * agg.ratio) / denom
 
 
-def invest_n(p: Population, agg: Aggregates) -> np.ndarray:
-    """Constant equilibrium investment fractions pi*.
-
-    Values may be negative (shorting) or exceed one (leverage); the
-    strategy space is all of the reals.
-    """
-    a = p.arrays()
-    return _invest(a, _invest_denom(a, p.n), agg)
-
-
 def _rho(a: SimpleNamespace, n: int, pi: np.ndarray) -> np.ndarray:
+    """Per-agent rates rho_i at the investments ``pi``, through leave-one-out averages.
+
+    The squared idiosyncratic term carries a 1/n^2 coefficient, so it
+    vanishes at the mean-field rate; rho_i = 0 whenever delta_i = 1.
+    """
     sigma_pi = a.sigma * pi
     mu_pi = a.mu * pi
     Sigma_pi2 = a.Sigma * pi**2
@@ -145,18 +139,6 @@ def _rho(a: SimpleNamespace, n: int, pi: np.ndarray) -> np.ndarray:
     return one_m * (term_a + term_b + term_c + term_d)
 
 
-def rho_n(p: Population, pi: np.ndarray) -> np.ndarray:
-    """Per-agent rates rho_i evaluated at the equilibrium investments.
-
-    Each rho_i aggregates the other agents' investments through leave-one-out
-    averages; the squared idiosyncratic term carries a 1/n^2 coefficient so
-    that it vanishes at the mean-field rate.  rho_i = 0 whenever delta_i = 1.
-    Raises DegenerateAggregate when some 1/gamma_i <= 0, which valid inputs
-    cannot produce.
-    """
-    return _rho(p.arrays(), p.n, np.asarray(pi, dtype=float))
-
-
 def _moments(a: SimpleNamespace, rho: np.ndarray, avg: Callable) -> tuple[float, float, float]:
     """E[delta rho], E[theta (delta - 1)] and E[delta log eps], the averages beta and lambda read."""
     avg_theta_dm1 = float(avg(a.theta * (a.delta - 1.0)))
@@ -177,22 +159,6 @@ def _lambda(t: SimpleNamespace, log_eps_delta: float, avg_theta_dm1: float) -> n
                   + log_eps_delta * t.theta * (t.delta - 1.0) / (1.0 + avg_theta_dm1))
 
 
-def beta_lambda_n(p: Population, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Consumption constants (beta_i, lambda_i).
-
-    beta_i mixes the population average of delta*rho with the agent's own
-    rate; lambda_i is built from the geometric mean of eps_k^delta_k,
-    computed in log space to avoid overflow.  beta_i = 0 whenever
-    delta_i = 1, and lambda_i > 0 always.  Raises DegenerateAggregate when
-    1 + mean(theta (delta - 1)) <= 0, which valid inputs cannot produce.
-    """
-    a = p.arrays()
-    rho = np.asarray(rho, dtype=float)
-    avg_delta_rho, avg_theta_dm1, log_eps_delta = _moments(a, rho, _mean)
-    return (_beta(a, rho, avg_delta_rho, avg_theta_dm1),
-            _lambda(a, log_eps_delta, avg_theta_dm1))
-
-
 def _theta_crit(a: SimpleNamespace, avg: Callable) -> float:
     return (1.0 + float(avg(a.theta * (a.delta - 1.0)))) / float(avg(a.delta))
 
@@ -202,16 +168,21 @@ def _delta_eff(t: SimpleNamespace, theta_crit: float) -> np.ndarray:
     return (1.0 - x) * t.delta + x
 
 
-def _single_stock_beta(market: SingleStockMarket, deff: np.ndarray) -> np.ndarray:
-    return market.mu**2 / (2.0 * market.sigma**2) * deff * (1.0 - deff)
+def single_stock_beta(market: SingleStockMarket, delta_eff: np.ndarray) -> np.ndarray:
+    """Corollary beta of agents on ``market``'s stock: (mu^2 / 2 sigma^2) delta_eff (1 - delta_eff)."""
+    return market.mu**2 / (2.0 * market.sigma**2) * delta_eff * (1.0 - delta_eff)
 
 
 def _single_stock(p: Population) -> tuple[SingleStockMarket, SimpleNamespace, float]:
-    """The shared market, the columns and theta_crit of a single-stock population."""
+    """The shared market, the validated columns and theta_crit of a single-stock population.
+
+    The market scan stops at the first agent off the stock, so it runs
+    before the validation, which builds every column.
+    """
     market = detect_single_stock(p)
     if market is None:
         raise NotSingleStock("population does not share a single stock")
-    a = p.arrays()
+    a = validate_population(p)
     return market, a, _theta_crit(a, _mean)
 
 
@@ -229,7 +200,7 @@ def single_stock_invest_n(p: Population) -> np.ndarray:
 def single_stock_beta_n(p: Population) -> np.ndarray:
     """Corollary form of beta for a shared stock: (mu^2 / 2 sigma^2) delta_eff (1 - delta_eff)."""
     market, a, tc = _single_stock(p)
-    return _single_stock_beta(market, _delta_eff(a, tc))
+    return single_stock_beta(market, _delta_eff(a, tc))
 
 
 def _identity_residual(a: SimpleNamespace, pi: np.ndarray, agg: Aggregates) -> float:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class AgentType:
         if not 0.0 <= self.theta <= 1.0:
             raise ThetaOutOfRange(index)
         for field in ("nu", "sigma"):
-            if getattr(self, field) < 0:
+            if not getattr(self, field) >= 0:
                 raise NonPositiveParameter(field, index)
         if self.sigma + self.nu <= 0:
             raise DegenerateVolatility(index)
@@ -80,7 +81,7 @@ class Population:
 
     def arrays(self) -> SimpleNamespace:
         """Fresh float64 columns of the agent parameters, plus Sigma."""
-        return _columns(self.agents)
+        return columns(self.agents)
 
     def to_dict(self) -> dict:
         return {"horizon": self.horizon, "agents": [a.to_dict() for a in self.agents]}
@@ -106,7 +107,7 @@ class TypeDistribution:
 
     def arrays(self) -> SimpleNamespace:
         """Fresh float64 columns of the atom parameters, plus Sigma and weights w."""
-        out = _columns(self.types)
+        out = columns(self.types)
         out.w = self.weights
         return out
 
@@ -117,7 +118,7 @@ class TypeDistribution:
         }
 
 
-def _columns(agents: tuple[AgentType, ...]) -> SimpleNamespace:
+def columns(agents: Sequence[AgentType]) -> SimpleNamespace:
     """One float64 array per agent field, in agent order, plus Sigma = sigma^2 + nu^2."""
     out = SimpleNamespace(**{
         name: np.fromiter(map(attrgetter(name), agents), dtype=float, count=len(agents))
@@ -136,11 +137,11 @@ class SingleStockMarket:
 
 def _failing(a: SimpleNamespace) -> np.ndarray:
     """Mask of the agents whose AgentType.check raises: its comparisons, NaN included."""
-    ok = (a.x0 > 0) & (a.delta > 0) & (a.eps > 0) & (a.mu > 0)
+    ok = (a.x0 > 0) & (a.delta > 0) & (a.eps > 0) & (a.mu > 0) & (a.nu >= 0) & (a.sigma >= 0)
     ok &= (0.0 <= a.theta) & (a.theta <= 1.0)
-    # sigma + nu is NaN only for opposite infinities, which the signs already flag.
+    # sigma + nu is NaN only where a sign test already failed: a NaN term or opposite infinities.
     with np.errstate(invalid="ignore"):
-        return ~ok | (a.nu < 0) | (a.sigma < 0) | (a.sigma + a.nu <= 0)
+        return ~ok | (a.sigma + a.nu <= 0)
 
 
 def validate_population(p: Population) -> SimpleNamespace:
@@ -187,9 +188,11 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
 
     Equality is exact (bitwise): the single-stock formulas are algebraic
     identities, not approximations, so callers opting in must supply exactly
-    matching parameters.
+    matching parameters.  An empty population shares no stock.
     """
     agents = p.agents if isinstance(p, Population) else p.types
+    if not agents:
+        return None
     first = agents[0]
     for a in agents:
         if a.nu != 0.0 or a.mu != first.mu or a.sigma != first.sigma:
@@ -199,10 +202,13 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
 
 def _shared_market(a: SimpleNamespace) -> SingleStockMarket | None:
     """`detect_single_stock` on the parameter columns, with the same exact comparisons."""
-    mu, sigma = a.mu[0], a.sigma[0]
-    if a.nu.any() or (a.mu != mu).any() or (a.sigma != sigma).any():
-        return None
-    return SingleStockMarket(float(mu), float(sigma))
+    market = SingleStockMarket(float(a.mu[0]), float(a.sigma[0]))
+    return market if _trades(a, market) else None
+
+
+def _trades(a: SimpleNamespace, market: SingleStockMarket) -> bool:
+    """Whether every entry of the columns trades ``market``'s stock alone: nu = 0, the same (mu, sigma)."""
+    return not (a.nu.any() or (a.mu != market.mu).any() or (a.sigma != market.sigma).any())
 
 
 # ---------------------------------------------------------------------------

@@ -16,22 +16,18 @@ from merton_arena import (
     ConsumptionPolicy,
     Population,
     TypeDistribution,
-    aggregates_mf,
-    beta_mf,
     best_response_scan,
     classify_regime,
+    columns,
     constant_strategy,
-    delta_eff,
     equilibrium_strategy,
     estimate_objective,
     fixed_point_check,
-    lambda_mf,
     mfg_convergence,
-    rho_mf,
+    representative,
     simulate,
     solve_mf,
     solve_n,
-    theta_crit_mf,
 )
 from merton_arena.nplayer import identity_residual
 from merton_arena.policy import Regime
@@ -60,11 +56,10 @@ def test_criterion_02_terminal_consumption_endpoint():
     # ambient moments E[theta (delta-1)] = 0.8, E[delta] = 3; representative
     # agent theta = 0.8, eps = 1, T = 1: c*(T) = lambda = 1 for every delta
     d = single_atom(FIG1_ATOM)
-    agg = aggregates_mf(d)
     worst = 0.0
     for delta in (0.5, 1.0, 2.0, 3.0, 5.0):
-        rep = AgentType(1.0, delta, 0.8, 1.0, 5.0, 0.0, 1.0)
-        pol = ConsumptionPolicy(beta_mf(rep, agg), lambda_mf(rep, agg), 1.0)
+        m = representative(d, columns((AgentType(1.0, delta, 0.8, 1.0, 5.0, 0.0, 1.0),)))
+        pol = ConsumptionPolicy(float(m.beta[0]), float(m.lam[0]), 1.0)
         worst = max(worst, abs(pol.rate(1.0) - 1.0))
     report(2, "terminal consumption equals lambda", worst <= 1e-10,
            f"worst={worst:.2e}")
@@ -224,12 +219,10 @@ def test_criterion_10_mean_field_rho_repair():
                                     mu, 0.0, sigma))
             for j in range(k))
         d = TypeDistribution(1.0, atoms)
-        agg = aggregates_mf(d)
-        tc = theta_crit_mf(d)
         for _, t in d.atoms:
-            deff = delta_eff(t, tc)
+            m = representative(d, columns((t,)))
+            agg, deff, rho = m.aggregates, float(m.delta_eff[0]), float(m.rho[0])
             closed = mu**2 / (2.0 * sigma**2) * deff * (1.0 - deff)
-            rho = rho_mf(t, agg, d)
             denom = 1.0 + agg.avg_theta_dm1
             beta = t.theta * (t.delta - 1.0) * agg.avg_delta_rho / denom \
                 - t.delta * rho

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, exit codes, determinism, round-trips."""
+import ast
 import dataclasses
 import hashlib
 import json
@@ -23,11 +24,11 @@ from merton_arena import (
     Aggregates,
     ConsumptionPolicy,
     Population,
-    aggregates_mf,
-    beta_mf,
+    columns,
     detect_single_stock,
     distribution_from_dict,
-    lambda_mf,
+    representative,
+    solve_mf,
     theta_crit_mf,
 )
 from merton_arena import cli
@@ -185,25 +186,25 @@ NU_CONFIG = {
 
 
 def reference_curves_csv(config, deltas, time_grid):
-    """The per-delta loop of the curves command, with the scalar mean-field API."""
+    """The per-delta loop of the curves command, one `representative` call per delta."""
     d = distribution_from_dict(config)
     rep = dataclasses.replace(d.types[0], **config.get("representative", {}))
-    agg = aggregates_mf(d)
     times = np.linspace(0.0, d.horizon, time_grid)
     lines = ["# merton-arena curves",
              "# config: " + json.dumps(d.to_dict(), sort_keys=True)]
     if detect_single_stock(d) is not None:
         lines.append(f"# theta_crit = {format(theta_crit_mf(d), '.17g')}")
-    columns = []
+    curves = []
     for dv in deltas:
         t = dataclasses.replace(rep, delta=float(dv))
-        beta, lam = beta_mf(t, agg), lambda_mf(t, agg)
+        m = representative(d, columns((t,)))
+        beta, lam = float(m.beta[0]), float(m.lam[0])
         lines.append(f"# delta = {format(dv, '.17g')} : beta = {format(beta, '.17g')}, "
                      f"lambda = {format(lam, '.17g')}")
-        columns.append(ConsumptionPolicy(beta, lam, d.horizon).rate(times))
+        curves.append(ConsumptionPolicy(beta, lam, d.horizon).rate(times))
     lines.append(",".join(["t"] + [f"c(delta={format(dv, '.17g')})" for dv in deltas]))
     for j, tj in enumerate(times):
-        lines.append(",".join(format(float(x), ".17g") for x in [tj] + [c[j] for c in columns]))
+        lines.append(",".join(format(float(x), ".17g") for x in [tj] + [c[j] for c in curves]))
     return "\n".join(lines) + "\n"
 
 
@@ -312,7 +313,7 @@ def reference_grid_csv(command, config, deltas, thetas):
     """The per-cell loop of the regime/sweep commands, with scalar formulas."""
     d = distribution_from_dict(config)
     rep = dataclasses.replace(d.types[0], **config.get("representative", {}))
-    tc, agg = theta_crit_mf(d), aggregates_mf(d)
+    tc, agg = theta_crit_mf(d), solve_mf(d).aggregates
     mu, sigma = d.types[0].mu, d.types[0].sigma
     lines = [f"# merton-arena {command}",
              "# config: " + json.dumps(d.to_dict(), sort_keys=True),
@@ -634,6 +635,25 @@ class TestRangeParsing:
                      "--delta-range", "oops"]) == 2
 
 
+# A single-stock pair whose representative trades another stock.
+OFF_STOCK_CONFIG = {
+    "horizon": 1.0,
+    "atoms": [
+        {"weight": 0.5, "x0": 1.0, "delta": 2.0, "theta": 0.5, "eps": 1.0,
+         "mu": 1.0, "nu": 0.0, "sigma": 1.0},
+        {"weight": 0.5, "x0": 1.0, "delta": 4.0, "theta": 0.9, "eps": 1.0,
+         "mu": 1.0, "nu": 0.0, "sigma": 1.0},
+    ],
+    "representative": {"mu": 2.0, "nu": 0.7},
+}
+
+
+def test_curves_takes_an_off_stock_representative(tmp_path):
+    # only regime/sweep, which print the single-stock corollary, refuse it
+    cfg = write_json(tmp_path, "config.json", OFF_STOCK_CONFIG)
+    assert main(["curves", "--config", cfg, "--out", str(tmp_path / "c.csv"), "--deltas", "2"]) == 0
+
+
 class TestInvalidInput:
     """Malformed or out-of-domain values exit 2 with one stderr line and no output."""
 
@@ -672,6 +692,14 @@ class TestInvalidInput:
         # a closed form outside the float range: lambda = exp(-delta log eps + ...) is 0
         ("curves", dict(CURVES_CONFIG, representative={"eps": 1e300}), ["--deltas", "6"],
          "lambda = 0.0 is outside the float range at delta = 6.0, theta = 0.4"),
+        # NaN in any agent field, atom field or weight
+        *[("solve-n", dict(POP_CONFIG, agents=[REF_AGENT, dict(REF_AGENT, **{f: math.nan})]),
+           [], "(agent 1)") for f in sorted(REF_AGENT)],
+        *[("curves", dict(CURVES_CONFIG, atoms=[dict(CURVES_CONFIG["atoms"][0], **{f: math.nan})]),
+           [], "nan" if f == "weight" else "(agent 0)") for f in ["weight", *sorted(REF_AGENT)]],
+        # regime/sweep print the single-stock corollary, so the representative must trade the stock
+        *[(command, OFF_STOCK_CONFIG, ["--deltas", "2", "--theta-range", "0.5:0.5:1"],
+           "representative on the distribution's stock") for command in ("regime", "sweep")],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, config, flags, names):
         cfg = tmp_path / "config.json"
@@ -684,6 +712,27 @@ class TestInvalidInput:
         assert lines[0].startswith("merton-arena: invalid input: ")
         assert names in lines[0]
         assert not out.exists()
+
+
+class TestPublicSeam:
+    """cli reaches nplayer and mfg through their public names only."""
+
+    def test_no_private_name_of_nplayer_or_mfg(self):
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        modules = {"nplayer", "mfg"}
+        private = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in modules:
+                private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")):
+                private.append(f"{node.value.id}.{node.attr}")
+        assert private == []
+        # the walk does see the public uses
+        names = {f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+        assert {"mfg.representative", "nplayer.solve_n"} <= names
 
 
 class TestImports:

@@ -1,4 +1,6 @@
 """Mean-field equilibrium: examples, single-stock closed forms, properties."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,13 @@ from conftest import profile_sha256, random_distribution, single_atom
 from merton_arena import (
     AgentType,
     IdentityViolation,
+    InvalidWeights,
+    NonPositiveParameter,
     NotSingleStock,
     Population,
     TypeDistribution,
-    aggregates_mf,
-    beta_mf,
-    delta_eff,
-    lambda_mf,
-    pi_star_mf,
-    rho_mf,
+    columns,
+    representative,
     solve_mf,
     solve_n,
     theta_crit_mf,
@@ -29,9 +29,14 @@ REF_RHO = 25.0 / 13.0
 REF_BETA = -375.0 / 169.0
 
 
+def one(t: AgentType, d: TypeDistribution):
+    """`representative` for the single type ``t`` against ``d``."""
+    return representative(d, columns((t,)))
+
+
 class TestAggregates:
     def test_single_atom_point_evaluation(self):
-        agg = aggregates_mf(single_atom(REF_ATOM))
+        agg = solve_mf(single_atom(REF_ATOM)).aggregates
         assert agg.phi == pytest.approx(15.0, abs=1e-12)
         assert agg.psi == pytest.approx(1.6, abs=1e-12)
 
@@ -40,7 +45,7 @@ class TestAggregates:
             (0.5, AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 1.0, 0.0)),
             (0.5, AgentType(1.0, 2.0, 0.4, 1.0, 4.0, 0.8, 0.0)),
         ))
-        agg = aggregates_mf(d)
+        agg = solve_mf(d).aggregates
         assert agg.phi == 0.0 and agg.psi == 0.0
 
     def test_log_investor_pair(self):
@@ -48,7 +53,7 @@ class TestAggregates:
             (0.5, AgentType(1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)),
             (0.5, AgentType(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0)),
         ))
-        agg = aggregates_mf(d)
+        agg = solve_mf(d).aggregates
         assert agg.phi == pytest.approx(1.0, abs=1e-15)
         assert agg.psi == 0.0
 
@@ -56,41 +61,41 @@ class TestAggregates:
 class TestPiStar:
     def test_single_atom(self):
         d = single_atom(REF_ATOM)
-        assert pi_star_mf(REF_ATOM, aggregates_mf(d)) == pytest.approx(REF_PI, abs=1e-12)
+        assert one(REF_ATOM, d).pi[0] == pytest.approx(REF_PI, abs=1e-12)
 
     def test_theta_zero(self):
         d = single_atom(REF_ATOM)
         t = AgentType(1.0, 2.0, 0.0, 1.0, 1.5, 0.3, 0.4)
-        assert pi_star_mf(t, aggregates_mf(d)) == pytest.approx(2.0 * 1.5 / 0.25, abs=1e-12)
+        assert one(t, d).pi[0] == pytest.approx(2.0 * 1.5 / 0.25, abs=1e-12)
 
     def test_log_investor(self):
         d = single_atom(REF_ATOM)
         t = AgentType(1.0, 1.0, 0.9, 1.0, 1.5, 0.3, 0.4)
-        assert pi_star_mf(t, aggregates_mf(d)) == pytest.approx(1.5 / 0.25, abs=1e-12)
+        assert one(t, d).pi[0] == pytest.approx(1.5 / 0.25, abs=1e-12)
 
 
 class TestRho:
     def test_log_investor_zero(self):
         d = single_atom(REF_ATOM)
         t = AgentType(1.0, 1.0, 0.9, 1.0, 1.5, 0.3, 0.4)
-        assert rho_mf(t, aggregates_mf(d), d) == 0.0
+        assert one(t, d).rho[0] == 0.0
 
     def test_theta_zero(self):
         d = single_atom(REF_ATOM)
         t = AgentType(1.0, 2.0, 0.0, 1.0, 1.5, 0.3, 0.4)
-        assert rho_mf(t, aggregates_mf(d), d) == pytest.approx(
+        assert one(t, d).rho[0] == pytest.approx(
             (2.0 - 1.0) * 1.5**2 / (2.0 * 0.25), abs=1e-12)
 
     def test_reference_atom(self):
         d = single_atom(REF_ATOM)
-        assert rho_mf(REF_ATOM, aggregates_mf(d), d) == pytest.approx(REF_RHO, abs=1e-12)
+        assert one(REF_ATOM, d).rho[0] == pytest.approx(REF_RHO, abs=1e-12)
 
 
 def _beta_with_ungrouped_cross_term(t: AgentType, d: TypeDistribution) -> float:
     """Variant whose third rho term multiplies the whole expectation by the
     volatility ratio instead of applying it inside E[mu pi*]; kept as a
     regression reference because it breaks the single-stock closed form."""
-    agg = aggregates_mf(d)
+    agg = solve_mf(d).aggregates
     a = d.arrays()
     r = agg.ratio
     one_m = 1.0 - 1.0 / t.delta
@@ -113,8 +118,7 @@ class TestCrossTermGrouping:
     def test_implemented_form_matches_corollary(self):
         d = single_atom(REF_ATOM)
         m = solve_mf(d)
-        tc = theta_crit_mf(d)
-        deff = delta_eff(REF_ATOM, tc)
+        deff = m.delta_eff[0]
         closed = 25.0 / 2.0 * deff * (1.0 - deff)
         assert m.beta[0] == pytest.approx(closed, abs=1e-10)
         assert m.beta[0] == pytest.approx(REF_BETA, abs=1e-10)
@@ -128,18 +132,17 @@ class TestCrossTermGrouping:
 class TestBetaLambda:
     def test_unit_eps_gives_unit_lambda(self):
         d = single_atom(REF_ATOM)
-        agg = aggregates_mf(d)
         for t in (REF_ATOM, AgentType(1.0, 2.0, 0.3, 1.0, 1.0, 0.2, 0.5)):
-            assert lambda_mf(t, agg) == 1.0
+            assert one(t, d).lam[0] == 1.0
 
     def test_reference_beta(self):
         d = single_atom(REF_ATOM)
-        assert beta_mf(REF_ATOM, aggregates_mf(d)) == pytest.approx(REF_BETA, abs=1e-12)
+        assert one(REF_ATOM, d).beta[0] == pytest.approx(REF_BETA, abs=1e-12)
 
     def test_log_investor_beta_zero(self):
         d = single_atom(REF_ATOM)
         t = AgentType(1.0, 1.0, 0.9, 1.0, 1.5, 0.3, 0.4)
-        assert beta_mf(t, aggregates_mf(d)) == 0.0
+        assert one(t, d).beta[0] == 0.0
 
     def test_lambda_matches_replicated_population(self):
         # the finite-game lambda is n-free once the distribution is replicated
@@ -159,17 +162,37 @@ class TestThetaCritDeltaEff:
         assert theta_crit_mf(d) == 0.52
 
     def test_delta_eff_theta_zero(self):
+        # theta_crit = 0.52 on the figure-3 atom
+        d = single_atom(AgentType(1.0, 5.0, 0.4, 1.0, 5.0, 0.0, 1.0))
         t = AgentType(1.0, 2.7, 0.0, 1.0, 5.0, 0.0, 1.0)
-        assert delta_eff(t, 0.52) == 2.7
+        assert one(t, d).delta_eff[0] == 2.7
 
     def test_delta_eff_reference(self):
+        # theta_crit = 0.6 on the figure-1 atom
+        d = single_atom(AgentType(1.0, 3.0, 0.4, 1.0, 5.0, 0.0, 1.0))
         t = AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 0.0, 1.0)
-        assert delta_eff(t, 0.6) == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert one(t, d).delta_eff[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_requires_single_stock(self):
         d = single_atom(AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 0.5, 1.0))
         with pytest.raises(NotSingleStock):
             theta_crit_mf(d)
+
+    def test_validates_weights_first(self):
+        a = AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 0.0, 1.0)
+        with pytest.raises(InvalidWeights, match="weights sum to 1.4"):
+            theta_crit_mf(TypeDistribution(1.0, ((0.7, a), (0.7, a))))
+
+    def test_empty_distribution(self):
+        with pytest.raises(InvalidWeights, match="no atoms"):
+            theta_crit_mf(TypeDistribution(1.0, ()))
+
+    @pytest.mark.parametrize("override", [{"nu": 0.5}, {"mu": 4.0}, {"sigma": 0.9}])
+    def test_off_stock_type_gets_no_delta_eff(self, override):
+        d = single_atom(REF_ATOM)
+        m = one(dataclasses.replace(REF_ATOM, **override), d)
+        assert m.theta_crit is None and m.delta_eff is None
+        assert one(REF_ATOM, d).theta_crit == theta_crit_mf(d)
 
 
 class TestSolveMf:
@@ -181,7 +204,7 @@ class TestSolveMf:
         assert m.theta_crit == pytest.approx(2.6 / 3.0, abs=1e-15)
 
     def test_single_stock_gate_fails_on_nan(self, monkeypatch):
-        monkeypatch.setattr(mfg, "_single_stock_beta",
+        monkeypatch.setattr(mfg, "single_stock_beta",
                             lambda market, deff: np.full_like(deff, np.nan))
         with pytest.raises(IdentityViolation, match="mismatch nan"):
             solve_mf(single_atom(REF_ATOM))
@@ -234,8 +257,7 @@ class TestLambdaInvariance:
             for w, t in base.atoms))
         m1, m2 = solve_mf(base), solve_mf(powered)
         # recompute directly from the transformed distribution's own formula
-        agg = aggregates_mf(powered)
-        direct = np.array([lambda_mf(t, agg) for t in powered.types])
+        direct = representative(powered, columns(powered.types)).lam
         assert m2.lam == pytest.approx(direct, rel=1e-14)
         # the exponent is linear in log eps, so powers pass straight through
         assert m2.lam == pytest.approx(m1.lam**kappa, rel=1e-12)
@@ -273,22 +295,45 @@ class TestRecordedOutputs:
         assert profile_sha256(solve_mf(d)) == digest
 
 
-class TestWrappersMatchSolve:
-    """The per-agent wrappers evaluate the same formula bodies as solve_mf."""
+def _bits(m: mfg.MfEquilibrium) -> list:
+    """The bytes of every field of ``m``, the aggregates' included; None stays None."""
+    return [None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+            for v in dataclasses.astuple(m)]
+
+
+class TestRepresentativeMatchesSolve:
+    """`representative` and `solve_mf` run one body: the same bits, all atoms or one type."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), atoms=st.integers(1, 12),
            single_stock=st.booleans())
-    def test_bitwise_per_atom(self, seed, atoms, single_stock):
+    def test_bitwise_every_field(self, seed, atoms, single_stock):
         d = random_distribution(np.random.default_rng(seed), atoms, single_stock=single_stock)
         m = solve_mf(d)
-        agg = aggregates_mf(d)
-        assert agg == m.aggregates
+        got = representative(d, d.arrays())
+        assert type(got) is type(m)
+        assert _bits(got) == _bits(m)
         for j, t in enumerate(d.types):
-            assert pi_star_mf(t, agg) == m.pi[j]
-            assert rho_mf(t, agg, d) == m.rho[j]
-            assert beta_mf(t, agg) == m.beta[j]
-            assert lambda_mf(t, agg) == m.lam[j]
-            if single_stock:
-                assert delta_eff(t, m.theta_crit) == m.delta_eff[j]
+            r = one(t, d)
+            assert r.aggregates == m.aggregates and r.theta_crit == m.theta_crit
+            for name in ("pi", "rho", "beta", "lam", "delta_eff"):
+                if single_stock or name != "delta_eff":
+                    assert getattr(r, name)[0] == getattr(m, name)[j]
         assert (m.delta_eff is not None) == single_stock
+
+
+class TestRepresentativeInput:
+    def test_rejects_the_first_invalid_entry(self):
+        t = columns((REF_ATOM, dataclasses.replace(REF_ATOM, delta=-1.0),
+                     dataclasses.replace(REF_ATOM, eps=0.0)))
+        with pytest.raises(NonPositiveParameter, match=r"'delta' .*\(agent 1\)"):
+            representative(single_atom(REF_ATOM), t)
+
+    def test_validates_the_distribution(self):
+        d = TypeDistribution(1.0, ((0.7, REF_ATOM), (0.7, REF_ATOM)))
+        with pytest.raises(InvalidWeights, match="weights sum to 1.4"):
+            representative(d, columns((REF_ATOM,)))
+
+    def test_no_types(self):
+        m = representative(single_atom(REF_ATOM), columns(()))
+        assert m.pi.shape == m.beta.shape == m.delta_eff.shape == (0,)

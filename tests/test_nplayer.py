@@ -24,10 +24,9 @@ from merton_arena import (
     IdentityViolation,
     NotSingleStock,
     Population,
-    aggregates_n,
+    ThetaOutOfRange,
+    TooFewAgents,
     gamma_n,
-    invest_n,
-    rho_n,
     single_stock_beta_n,
     single_stock_invest_n,
     solve_n,
@@ -43,7 +42,7 @@ REF_BETA = -375.0 / 169.0
 
 class TestAggregates:
     def test_reference_values(self, ref_n2):
-        agg = aggregates_n(ref_n2)
+        agg = solve_n(ref_n2).aggregates
         assert agg.phi == pytest.approx(15.0, abs=1e-12)
         assert agg.psi == pytest.approx(1.6, abs=1e-12)
         assert agg.ratio == pytest.approx(15.0 / 2.6, abs=1e-12)
@@ -53,13 +52,13 @@ class TestAggregates:
             AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 1.0, 0.0),
             AgentType(1.0, 2.0, 0.5, 1.0, 4.0, 0.5, 0.0),
         ))
-        agg = aggregates_n(p)
+        agg = solve_n(p).aggregates
         assert agg.phi == 0.0 and agg.psi == 0.0
 
     def test_theta_zero_kills_psi(self):
         rng = np.random.default_rng(1)
         p = random_population(rng, n=5, theta_zero=True)
-        assert aggregates_n(p).psi == 0.0
+        assert solve_n(p).aggregates.psi == 0.0
 
 
 class TestGamma:
@@ -83,7 +82,7 @@ class TestGamma:
 
 class TestInvest:
     def test_reference(self, ref_n2):
-        pi = invest_n(ref_n2, aggregates_n(ref_n2))
+        pi = solve_n(ref_n2).pi
         assert pi == pytest.approx([REF_PI, REF_PI], abs=1e-12)
 
     def test_merton_without_competition(self):
@@ -91,7 +90,7 @@ class TestInvest:
             AgentType(1.0, 2.0, 0.0, 1.0, 1.5, 0.0, 0.5),
             AgentType(1.0, 3.0, 0.0, 1.0, 0.5, 0.0, 1.0),
         ))
-        pi = invest_n(p, aggregates_n(p))
+        pi = solve_n(p).pi
         assert pi[0] == 2.0 * 1.5 / 0.25
         assert pi[1] == 3.0 * 0.5 / 1.0
 
@@ -100,7 +99,7 @@ class TestInvest:
             AgentType(1.0, 1.0, 0.7, 1.0, 1.2, 0.3, 0.4),
             AgentType(1.0, 2.0, 0.5, 1.0, 1.0, 0.0, 1.0),
         ))
-        pi = invest_n(p, aggregates_n(p))
+        pi = solve_n(p).pi
         assert pi[0] == pytest.approx(1.2 / 0.25, abs=1e-12)
 
 
@@ -118,8 +117,7 @@ class TestRho:
             AgentType(1.0, 2.0, 0.0, 1.0, 1.5, 0.0, 0.5),
             AgentType(1.0, 3.0, 0.0, 1.0, 0.5, 0.0, 1.0),
         ))
-        agg = aggregates_n(p)
-        rho = rho_n(p, invest_n(p, agg))
+        rho = solve_n(p).rho
         expected = (np.array([2.0, 3.0]) - 1.0) * np.array([1.5, 0.5]) ** 2 / (
             2.0 * np.array([0.25, 1.0]))
         assert rho == pytest.approx(expected, abs=1e-12)
@@ -174,6 +172,28 @@ class TestThetaCrit:
     def test_requires_single_stock(self, ref_n3):
         with pytest.raises(NotSingleStock):
             theta_crit_n(ref_n3)
+
+    def test_empty_population_is_not_single_stock(self):
+        with pytest.raises(NotSingleStock):
+            theta_crit_n(Population(1.0, ()))
+
+
+SINGLE_STOCK_HELPERS = (theta_crit_n, single_stock_invest_n, single_stock_beta_n)
+
+
+class TestSingleStockValidation:
+    """The single-stock helpers reject what solve_n rejects."""
+
+    @pytest.mark.parametrize("helper", SINGLE_STOCK_HELPERS)
+    def test_theta_out_of_range(self, helper):
+        a = AgentType(1.0, 3.0, 1.5, 1.0, 5.0, 0.0, 1.0)
+        with pytest.raises(ThetaOutOfRange):
+            helper(Population(1.0, (a, a)))
+
+    @pytest.mark.parametrize("helper", SINGLE_STOCK_HELPERS)
+    def test_one_agent(self, helper):
+        with pytest.raises(TooFewAgents):
+            helper(Population(1.0, (AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 0.0, 1.0),)))
 
 
 class TestSolve:
@@ -337,12 +357,12 @@ class TestRaisedInvariants:
         code = (
             "import numpy as np\n"
             "from merton_arena import AgentType, DegenerateAggregate, Population\n"
-            "from merton_arena.nplayer import beta_lambda_n, rho_n\n"
+            "from merton_arena.nplayer import _mean, _moments, _rho\n"
             "if __debug__:\n"
             "    raise SystemExit('assertions are on')\n"
             "a = AgentType(x0=1.0, delta=0.1, theta=3.0, eps=1.0, mu=1.0, nu=0.2, sigma=0.5)\n"
-            "p = Population(1.0, (a, a))\n"
-            "for call in (lambda: rho_n(p, np.ones(2)), lambda: beta_lambda_n(p, np.zeros(2))):\n"
+            "c = Population(1.0, (a, a)).arrays()\n"
+            "for call in (lambda: _rho(c, 2, np.ones(2)), lambda: _moments(c, np.zeros(2), _mean)):\n"
             "    try:\n"
             "        call()\n"
             "    except DegenerateAggregate as exc:\n"

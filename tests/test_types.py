@@ -111,6 +111,10 @@ class TestDetectSingleStock:
         d = TypeDistribution(1.0, ((0.5, agent()), (0.5, agent(delta=2.0))))
         assert detect_single_stock(d) is not None
 
+    def test_empty_shares_no_stock(self):
+        assert detect_single_stock(Population(1.0, ())) is None
+        assert detect_single_stock(TypeDistribution(1.0, ())) is None
+
 
 # Few distinct market values, so that shared markets are common; each has
 # an int, a float and (for nu) a negative-zero spelling of some value.
@@ -268,6 +272,18 @@ def corrupted(draw, min_size):
         else:
             agents[i][target] = draw(BAD_VALUES)
     return horizon, [AgentType(**a) for a in agents], weights
+
+
+class TestNanFields:
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rejected_in_every_field(self, field):
+        bad = agent(**{field: math.nan})
+        with pytest.raises(ValidationError):
+            bad.check()
+        with pytest.raises(ValidationError, match=r"\(agent 1\)"):
+            validate_population(pop(agent(), bad))
+        with pytest.raises(ValidationError, match=r"\(agent 1\)"):
+            validate_distribution(TypeDistribution(1.0, ((0.5, agent()), (0.5, bad))))
 
 
 class TestVectorizedValidators:
