@@ -9,6 +9,7 @@ from .errors import (
     InvalidGrid,
     InvalidWeights,
     MertonArenaError,
+    NegativeParameter,
     NonPositiveConsumption,
     NonPositiveParameter,
     NonPositiveSolution,

@@ -15,11 +15,19 @@ class ValidationError(MertonArenaError, ValueError):
 
 
 class NonPositiveParameter(ValidationError):
+    requirement = "strictly positive"
+
     def __init__(self, field: str, index: int | None = None):
         self.field = field
         self.index = index
         where = "" if index is None else f" (agent {index})"
-        super().__init__(f"parameter '{field}' must be strictly positive{where}")
+        super().__init__(f"parameter '{field}' must be {self.requirement}{where}")
+
+
+class NegativeParameter(NonPositiveParameter):
+    """A parameter that may be 0 (nu, sigma) is negative or NaN."""
+
+    requirement = "nonnegative"
 
 
 class ThetaOutOfRange(ValidationError):

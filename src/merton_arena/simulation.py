@@ -21,7 +21,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -185,12 +185,17 @@ def equilibrium_strategy(p: Population, e: EquilibriumProfile) -> StrategyProfil
 
 @dataclass(frozen=True)
 class SimulationBatch:
-    """Seeded log-wealth paths on a grid (increments are not stored)."""
+    """Seeded log-wealth paths on a grid (increments are not stored).
+
+    ``simulate`` makes ``log_wealth`` read-only: ``estimate_objective``
+    keeps every agent's per-path objective in ``_scores`` (key, (n, P)).
+    """
 
     times: np.ndarray           # (M+1,)
     paths: int
     seed: int
     log_wealth: np.ndarray      # (P, n, M+1)
+    _scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # Always None; benchmarks/tracing.py still sizes these attributes.
     dW = None
     dB = None
@@ -301,7 +306,7 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
     into the batch on ``worker_count()`` threads; the result does not
     depend on the thread count or the unit size.  Memory is the batch,
     paths x n x (grid + 1) doubles, plus a few tile-sized arrays per
-    worker.
+    worker.  The batch's ``log_wealth`` is read-only.
     """
     f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((paths, p.n, grid + 1))
@@ -310,6 +315,7 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
         _fill_block(f, seed, start, log_wealth[start:start + count])
 
     _map_units(fill, paths)
+    log_wealth.flags.writeable = False
     return SimulationBatch(times=f.times, paths=paths, seed=seed, log_wealth=log_wealth)
 
 
@@ -347,44 +353,61 @@ def utility(x, delta: float):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _objective_paths(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
-                     i: int, theta: float, delta: float, eps: float) -> np.ndarray:
-    """Per-path objective of agent i from log-wealth paths and log-rates.
+def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
+                 a: SimpleNamespace, agents: Sequence[int]) -> np.ndarray:
+    """Per-path objectives (len(agents), count) of the agents from one block of paths.
 
-    The running integrand is U applied to c_i X_i times the population
-    geometric mean of c_k X_k raised to -theta; the terminal term applies
-    U to X_i(T) times the geometric mean wealth raised to -theta.  The
-    geometric mean is a running row sum over agents in agent order, the
-    order of numpy's reduction over the agent axis, taken a few rows at a
-    time so that the elementwise passes stay in cache; only the quadrature
-    runs on the whole block.
+    Agent i's running integrand is U applied to c_i X_i times the
+    population geometric mean of c_k X_k raised to -theta_i; the terminal
+    term applies U to X_i(T) times the geometric mean wealth raised to
+    -theta_i.  A few rows at a time, so that the elementwise passes stay
+    in cache, the row sum of log c_k X_k is formed once in agent order,
+    the order of numpy's reduction over the agent axis, and every agent is
+    reduced from it.  OpenBLAS's dgemv takes output rows in fours and numpy
+    hands a single row to ddot, so chunks are multiples of four rows and a
+    one-row tail joins the chunk before it: each path's quadrature is then
+    that of one GEMV over the block.
     """
     count, n, nodes = log_wealth.shape
-    k = None if delta == 1.0 else 1.0 - 1.0 / delta
-    chunk = max(1, _CHUNK_BYTES // (8 * nodes))
-    arg_run = np.empty((count, nodes))
-    log_cx = np.empty((min(chunk, count), nodes))
-    for r in range(0, count, chunk):
-        rows = slice(r, r + chunk)
-        lw, arg, cx = log_wealth[rows], arg_run[rows], log_cx[:count - r]
-        np.add(lw[:, 0], log_c[0], out=arg)
+    chunk = max(4, _CHUNK_BYTES // (8 * nodes) // 4 * 4)
+    s, cx, arg = (np.empty((min(count, chunk + 1), nodes)) for _ in range(3))
+    out = np.empty((len(agents), count))
+    start = 0
+    for stop in [*range(chunk, count - 1, chunk), count]:
+        lw, rows = log_wealth[start:stop], stop - start
+        sk, ck, ak = s[:rows], cx[:rows], arg[:rows]
+        np.add(lw[:, 0], log_c[0], out=sk)
         for j in range(1, n):
-            arg += np.add(lw[:, j], log_c[j], out=cx)
-        arg /= n
-        arg *= theta
-        np.subtract(np.add(lw[:, i], log_c[i], out=cx), arg, out=arg)
-        if k is not None:
-            arg *= k
-            np.exp(arg, out=arg)
-    mean_xt = log_wealth[:, :, -1].mean(axis=1)
-    arg_term = log_wealth[:, i, -1] - theta * mean_xt
-    if k is None:
-        running = arg_run @ weights
-        terminal = eps * arg_term
-    else:
-        running = arg_run @ weights / k
-        terminal = eps * np.exp(k * arg_term) / k
-    return running + terminal
+            sk += np.add(lw[:, j], log_c[j], out=ck)
+        sk /= n
+        mean_xt = lw[:, :, -1].mean(axis=1)
+        for j, i in enumerate(agents):
+            np.multiply(sk, a.theta[i], out=ak)
+            np.subtract(np.add(lw[:, i], log_c[i], out=ck), ak, out=ak)
+            arg_term = lw[:, i, -1] - a.theta[i] * mean_xt
+            if a.delta[i] == 1.0:
+                out[j, start:stop] = ak @ weights + a.eps[i] * arg_term
+            else:
+                k = 1.0 - 1.0 / a.delta[i]
+                ak *= k
+                out[j, start:stop] = (np.exp(ak, out=ak) @ weights / k
+                                      + a.eps[i] * np.exp(k * arg_term) / k)
+        start = stop
+    return out
+
+
+def _score_batch(batch: SimulationBatch, log_c: np.ndarray, weights: np.ndarray,
+                 a: SimpleNamespace, agents: Sequence[int], **errstate) -> np.ndarray:
+    """``_score_block`` over the batch's work units, each under np.errstate(**errstate)."""
+    values = np.empty((len(agents), batch.paths))
+
+    def reduce(start, count):
+        with np.errstate(**errstate):
+            values[:, start:start + count] = _score_block(
+                batch.log_wealth[start:start + count], log_c, weights, a, agents)
+
+    _map_units(reduce, batch.paths)
+    return values
 
 
 def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
@@ -394,11 +417,16 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     The time integral uses trapezoid quadrature on the batch grid; the
     consumption rates must be strictly positive there (DomainError
     otherwise, since the utility argument would leave its domain).
-    Path blocks are reduced on ``worker_count()`` threads; the estimate
-    does not depend on the thread count.
     p is validated as ``simulate`` validates it.  Raises ValueError when
     i is not an agent of p, when the batch or the strategy has a
     different agent count from p, or when the batch's grid is not p's.
+
+    One pass on ``worker_count()`` threads, with floating-point warnings
+    off, scores every agent; the batch keeps the per-path values, keyed by
+    the log consumption rates at the nodes and theta, delta and eps, so a
+    later call with equal ones only reads agent i's row.  An agent whose
+    values are not all finite is scored again alone, under the caller's
+    np.errstate.  Estimates depend on neither the order nor the threads.
     """
     if not 0 <= i < p.n:
         raise ValueError(f"agent index {i} out of range for {p.n} agents")
@@ -411,18 +439,14 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
         raise DomainError("objective needs strictly positive consumption rates")
     log_c = np.log(f.c_nodes)
     weights = trapezoid_weights(f.times)
-    theta = float(f.a.theta[i])
-    delta = float(f.a.delta[i])
-    eps = float(f.a.eps[i])
-
-    values = np.empty(batch.paths)
-
-    def reduce(start, count):
-        rows = slice(start, start + count)
-        values[rows] = _objective_paths(batch.log_wealth[rows], log_c, weights,
-                                        i, theta, delta, eps)
-
-    _map_units(reduce, batch.paths)
+    key = b"".join(x.tobytes() for x in (log_c, f.a.theta, f.a.delta, f.a.eps))
+    kept = batch._scores  # read once: another thread may replace it
+    if kept is None or kept[0] != key:
+        kept = (key, _score_batch(batch, log_c, weights, f.a, range(p.n), all="ignore"))
+        object.__setattr__(batch, "_scores", kept)
+    values = kept[1][i]
+    if not np.all(np.isfinite(values)):
+        values = _score_batch(batch, log_c, weights, f.a, [i])[0]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(batch.paths)) if batch.paths > 1 else 0.0
     return UtilityEstimate(mean=mean, stderr=stderr, paths=batch.paths)

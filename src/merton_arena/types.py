@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DegenerateVolatility,
     InvalidWeights,
+    NegativeParameter,
     NonPositiveParameter,
     ThetaOutOfRange,
     TooFewAgents,
@@ -57,7 +58,7 @@ class AgentType:
             raise ThetaOutOfRange(index)
         for field in ("nu", "sigma"):
             if not getattr(self, field) >= 0:
-                raise NonPositiveParameter(field, index)
+                raise NegativeParameter(field, index)
         if self.sigma + self.nu <= 0:
             raise DegenerateVolatility(index)
 

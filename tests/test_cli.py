@@ -713,6 +713,14 @@ class TestInvalidInput:
         assert names in lines[0]
         assert not out.exists()
 
+    def test_negative_nu_says_nonnegative(self, tmp_path, capsys):
+        # nu = 0 is valid, so the line must not ask for a strictly positive nu
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(POP_CONFIG, agents=[REF_AGENT, dict(REF_AGENT, nu=-0.1)])))
+        assert main(["solve-n", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "merton-arena: invalid input: parameter 'nu' must be nonnegative (agent 1)\n")
+
 
 class TestPublicSeam:
     """cli reaches nplayer and mfg through their public names only."""

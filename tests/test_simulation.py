@@ -1,7 +1,10 @@
 """Exact-path simulation: determinism, common random numbers, analytics."""
 import dataclasses
 import math
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from merton_arena import (
     InvalidGrid,
     NonPositiveConsumption,
     Population,
+    UtilityEstimate,
     ValidationError,
     constant_strategy,
     equilibrium_strategy,
@@ -28,8 +32,9 @@ from merton_arena import simulation
 from merton_arena.simulation import (
     _CHUNK_BYTES,
     COMMON_STREAM,
+    WORK_UNIT,
     StrategyProfile,
-    _objective_paths,
+    _score_block,
     _simulate_nodes,
     agent_stream,
     block_normals,
@@ -373,22 +378,38 @@ class TestInPlaceBlocks:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_estimate_equals_reference(self, monkeypatch, threads):
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+        self.check_estimate(self.GRID, self.BLOCK + 904)  # a full block and a partial one
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("paths", [
+        1027,  # a 3-row unit
+        WORK_UNIT + 81,  # an 81-row unit, whose last row joins the chunk before it
+    ])
+    def test_estimate_equals_reference_at_chunk_edges(self, monkeypatch, threads, paths):
+        # at grid 400 the raw 256 KiB chunk is 81 rows, rounded down to 80
+        monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+        self.check_estimate(400, paths)
+
+    def check_estimate(self, grid, paths):
         p, s = self.case()
-        paths = self.BLOCK + 904  # a full block and a partial one
-        batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED)
+        batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED)
         ar = p.arrays()
         log_c = np.log(s.consumption_on(batch.times))
         weights = trapezoid_weights(batch.times)
         assert ar.delta[0] == 1.0 and np.all(ar.delta[1:] != 1.0)
+        blocks = [batch.log_wealth[start:start + self.BLOCK]
+                  for start in range(0, paths, self.BLOCK)]
+        scores = np.concatenate([_score_block(b, log_c, weights, ar, range(p.n))
+                                 for b in blocks], axis=1)
         for i in range(p.n):
             args = (log_c, weights, i, float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i]))
-            blocks = [batch.log_wealth[start:start + self.BLOCK]
-                      for start in range(0, paths, self.BLOCK)]
             values = np.concatenate([reference_objective_paths(b, *args) for b in blocks])
             # per path, not only through the mean, which can absorb a last-bit change
-            assert np.array_equal(np.concatenate([_objective_paths(b, *args) for b in blocks]),
-                                  values)
+            assert np.array_equal(scores[i], values)
+            assert np.array_equal(np.concatenate([_score_block(b, log_c, weights, ar, [i])[0]
+                                                  for b in blocks]), values)
             est = estimate_objective(batch, s, i, p)
+            assert np.array_equal(batch._scores[1][i], values)
             assert est.mean == float(values.mean())
             assert est.stderr == float(values.std(ddof=1) / math.sqrt(paths))
 
@@ -436,6 +457,144 @@ class TestInPlaceBlocks:
         times, log_wealth = _simulate_nodes(p, s, self.GRID, self.PATHS, self.SEED, nodes)
         assert np.array_equal(times, batch.times[nodes])
         assert np.array_equal(log_wealth, np.moveaxis(batch.log_wealth[:, :, nodes], 0, -1))
+
+
+class TestKeptScores:
+    """estimate_objective scores every agent in one pass and keeps the values on the batch."""
+
+    GRID, PATHS, SEED = 48, 3000, 17
+
+    def batch(self, p, s):
+        return simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED)
+
+    def test_batch_is_read_only(self):
+        p, s = TestInPlaceBlocks.case()
+        batch = self.batch(p, s)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.log_wealth[0, 0, 1] = 0.0
+
+    def test_one_pass_scores_every_agent(self, monkeypatch):
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        p, s = TestInPlaceBlocks.case(n=4)
+        batch = self.batch(p, s)
+        calls = []
+        real = simulation._map_units
+
+        def counting(fn, paths):
+            calls.append(paths)
+            return real(fn, paths)
+
+        monkeypatch.setattr(simulation, "_map_units", counting)
+        for i in range(p.n):
+            estimate_objective(batch, s, i, p)
+        assert calls == [self.PATHS]
+
+    def test_any_order_gives_the_same_estimates(self):
+        p, s = TestInPlaceBlocks.case(n=4)
+        first = {i: estimate_objective(self.batch(p, s), s, i, p) for i in range(p.n)}
+        for order in ([3, 2, 1, 0], [2, 0, 2, 3, 1]):
+            batch = self.batch(p, s)
+            for i in order:
+                assert estimate_objective(batch, s, i, p) == first[i]
+
+    def test_changed_inputs_score_as_a_fresh_batch(self):
+        p, s = TestInPlaceBlocks.case()
+        batch = self.batch(p, s)
+        for i in range(p.n):
+            estimate_objective(batch, s, i, p)
+        dev = s.perturb(1, dpi=0.2, a=0.1, b=-0.3)
+        q = Population(p.horizon, p.agents[:2] + (
+            dataclasses.replace(p.agents[2], theta=0.5 * p.agents[2].theta),))
+        # and back to the inputs the kept scores were first formed for
+        for s2, p2 in ((dev, p), (s, q), (s, p)):
+            for i in range(p.n):
+                fresh = estimate_objective(self.batch(p, s), s2, i, p2)
+                assert estimate_objective(batch, s2, i, p2) == fresh
+
+    def test_threads_sharing_a_batch(self):
+        # callers on four threads, with two strategies, replace the kept
+        # scores under each other; every call still scores its own inputs
+        p, s = TestInPlaceBlocks.case()
+        strategies = (s, s.perturb(2, a=0.2))
+        batch = simulate(p, s, grid=8, paths=64, seed=3)
+        expected = [[estimate_objective(simulate(p, s, grid=8, paths=64, seed=3), st, i, p)
+                     for i in range(p.n)] for st in strategies]
+
+        def work(k):
+            return all(estimate_objective(batch, strategies[k % 2], i, p) == expected[k % 2][i]
+                       for _ in range(50) for i in range(p.n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, k) for k in range(4)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def overflowing_pair():
+        # agent 1's utility argument overflows exp: its objective is -inf
+        kw = dict(theta=0.5, eps=1.0, mu=0.5, nu=0.3, sigma=0.4)
+        p = Population(1.0, (AgentType(x0=1.0, delta=2.0, **kw),
+                             AgentType(x0=1e-6, delta=0.01, **kw)))
+        s = equilibrium_strategy(p, solve_n(p))
+        return p, s, simulate(p, s, grid=50, paths=200, seed=1)
+
+    @staticmethod
+    def scored(batch, s, i, p):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_objective(batch, s, i, p)
+        return est, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("order", [(0, 1, 0, 1), (1, 0, 1, 0)])
+    def test_warnings_are_not_leaked(self, order):
+        # the values and warnings of a single-agent pass, whichever agent goes first
+        p, s, batch = self.overflowing_pair()
+        ar = p.arrays()
+        values = reference_objective_paths(
+            batch.log_wealth, np.log(s.consumption_on(batch.times)),
+            trapezoid_weights(batch.times), 0, ar.theta[0], ar.delta[0], ar.eps[0])
+        clean = UtilityEstimate(mean=float(values.mean()),
+                                stderr=float(values.std(ddof=1) / math.sqrt(200)), paths=200)
+        for i in order:
+            est, messages = self.scored(batch, s, i, p)
+            if i == 0:
+                assert est == clean and math.isfinite(est.mean)
+                assert messages == []
+            else:
+                assert est.mean == -math.inf and math.isnan(est.stderr)
+                assert messages == ["overflow encountered in exp", "overflow encountered in exp",
+                                    "invalid value encountered in subtract"]
+
+    def test_caller_error_state_reaches_a_non_finite_agent(self):
+        p, s, batch = self.overflowing_pair()
+        with np.errstate(over="raise"):
+            assert math.isfinite(estimate_objective(batch, s, 0, p).mean)
+            with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
+                estimate_objective(batch, s, 1, p)
+
+    def test_memory_is_the_kept_scores_and_chunks(self, monkeypatch):
+        # Beyond the kept n x paths values, each of the two workers holds three
+        # (chunk + 1, grid + 1) buffers, and the path model's (n, grid + 1)
+        # columns, the key and the workers' (n, unit) outputs stay under two
+        # more per worker; one (unit, grid + 1) array would be 8.2 MB.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        grid, paths = 1000, 2 * WORK_UNIT
+        p, s = TestInPlaceBlocks.case()
+        batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED)
+        chunk_bytes = (_CHUNK_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8
+        tracemalloc.start()
+        try:
+            for i in range(p.n):
+                estimate_objective(batch, s, i, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch._scores[1].nbytes == p.n * paths * 8
+        assert peak - batch._scores[1].nbytes <= 2 * 5 * chunk_bytes < WORK_UNIT * (grid + 1) * 8
 
 
 class TestWorkerCount:

@@ -11,6 +11,7 @@ from merton_arena import (
     AgentType,
     DegenerateVolatility,
     InvalidWeights,
+    NegativeParameter,
     NonPositiveParameter,
     Population,
     ThetaOutOfRange,
@@ -64,6 +65,13 @@ class TestValidatePopulation:
             validate_population(pop(agent(nu=-0.1), agent()))
         with pytest.raises(NonPositiveParameter):
             validate_population(pop(agent(sigma=-0.1, nu=1.0), agent()))
+
+    @pytest.mark.parametrize("field", ["nu", "sigma"])
+    def test_negative_volatility_message(self, field):
+        # 0 is a valid volatility, so the message asks for a nonnegative one
+        with pytest.raises(NegativeParameter,
+                           match=f"^parameter '{field}' must be nonnegative \\(agent 1\\)$"):
+            validate_population(pop(agent(), agent(**{field: -0.1})))
 
     def test_too_few_agents(self):
         with pytest.raises(TooFewAgents):
