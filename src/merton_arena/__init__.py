@@ -42,12 +42,10 @@ from .nplayer import (
 from .policy import (
     ConsumptionPolicy,
     Regime,
-    RegimeReport,
     classify_regime,
     consumption_rate,
     cumulative_consumption,
     delta_band,
-    regime_report,
 )
 from .simulation import (
     SimulationBatch,

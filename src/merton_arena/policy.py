@@ -161,22 +161,3 @@ def delta_band(mu: float, sigma: float, theta: float,
     lo = 1.0 + 0.5 * (1.0 / (x - 1.0) - root / abs(x - 1.0))
     hi = 1.0 + 0.5 * (1.0 / (x - 1.0) + root / abs(x - 1.0))
     return lo, hi
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Regime classification plus the single-stock band when it exists."""
-
-    regime: Regime
-    band: tuple[float, float] | None
-    condition_8s2_gt_m2: bool
-
-
-def regime_report(beta: float, lam: float, mu: float, sigma: float,
-                  theta: float, theta_crit: float) -> RegimeReport:
-    """Assemble a RegimeReport for one agent on the single-stock path."""
-    return RegimeReport(
-        regime=classify_regime(beta, lam),
-        band=delta_band(mu, sigma, theta, theta_crit),
-        condition_8s2_gt_m2=8.0 * sigma**2 > mu**2,
-    )

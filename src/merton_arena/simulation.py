@@ -17,6 +17,7 @@ path's draws can be regenerated with ``block_normals``.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -187,8 +188,8 @@ def equilibrium_strategy(p: Population, e: EquilibriumProfile) -> StrategyProfil
 class SimulationBatch:
     """Seeded log-wealth paths on a grid (increments are not stored).
 
-    ``simulate`` makes ``log_wealth`` read-only: ``estimate_objective``
-    keeps every agent's per-path objective in ``_scores`` (key, (n, P)).
+    ``simulate`` makes ``log_wealth`` read-only: ``estimate_objective`` keeps
+    every agent's per-path objective, finite or not, in ``_scores`` (key, (n, P)).
     """
 
     times: np.ndarray           # (M+1,)
@@ -218,16 +219,20 @@ def _units(paths: int) -> list[tuple[int, int]]:
 def _map_units(fn: Callable[[int, int], object], paths: int) -> list:
     """[fn(start, count) for each unit of [0, paths)], on worker_count() threads.
 
-    Results come back in unit order.  Memory stays bounded per unit, and
-    numpy releases the interpreter lock inside the array passes that
-    dominate one.
+    Results come back in unit order, and each unit runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in it.  Memory
+    stays bounded per unit, and numpy releases the interpreter lock inside
+    the array passes that dominate one.
     """
     units = _units(paths)
     workers = min(worker_count(), len(units))
     if workers > 1:
+        # one Context cannot be entered by two threads at once: a copy per unit
+        caller = contextvars.copy_context()
         starts, counts = zip(*units)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, starts, counts))
+            return list(pool.map(lambda start, count: caller.copy().run(fn, start, count),
+                                 starts, counts))
     return [fn(start, count) for start, count in units]
 
 
@@ -257,10 +262,15 @@ def _path_model(p: Population, s: StrategyProfile, grid: int,
         raise ValueError(f"strategy has {s.n} agents, population has {p.n}")
     dt = np.diff(times)
     c_nodes = s.consumption_on(times)
-    drift = (s.pi * ar.mu - 0.5 * s.pi**2 * ar.Sigma)[:, None] * dt
-    det_seg = drift - 0.5 * (c_nodes[:, :-1] + c_nodes[:, 1:]) * dt
-    return SimpleNamespace(a=ar, times=times, c_nodes=c_nodes, det_seg=det_seg, pi=s.pi,
+    return SimpleNamespace(a=ar, times=times, c_nodes=c_nodes, pi=s.pi,
+                           det_seg=_segments(s.pi, ar.mu, ar.Sigma, c_nodes, dt),
                            sqrt_dt=np.sqrt(dt), log_x0=np.log(ar.x0))
+
+
+def _segments(pi: np.ndarray, mu, Sigma, c_nodes: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Each segment's drift minus its trapezoid consumption integral, a row per pi."""
+    drift = (pi * mu - 0.5 * pi**2 * Sigma)[:, None] * dt
+    return drift - 0.5 * (c_nodes[:, :-1] + c_nodes[:, 1:]) * dt
 
 
 def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarray) -> None:
@@ -354,8 +364,8 @@ def utility(x, delta: float):
 
 
 def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
-                 a: SimpleNamespace, agents: Sequence[int]) -> np.ndarray:
-    """Per-path objectives (len(agents), count) of the agents from one block of paths.
+                 a: SimpleNamespace) -> np.ndarray:
+    """Per-path objectives (n, count) of every agent from one block of paths.
 
     Agent i's running integrand is U applied to c_i X_i times the
     population geometric mean of c_k X_k raised to -theta_i; the terminal
@@ -371,7 +381,7 @@ def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
     count, n, nodes = log_wealth.shape
     chunk = max(4, _CHUNK_BYTES // (8 * nodes) // 4 * 4)
     s, cx, arg = (np.empty((min(count, chunk + 1), nodes)) for _ in range(3))
-    out = np.empty((len(agents), count))
+    out = np.empty((n, count))
     start = 0
     for stop in [*range(chunk, count - 1, chunk), count]:
         lw, rows = log_wealth[start:stop], stop - start
@@ -381,33 +391,24 @@ def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
             sk += np.add(lw[:, j], log_c[j], out=ck)
         sk /= n
         mean_xt = lw[:, :, -1].mean(axis=1)
-        for j, i in enumerate(agents):
+        for i in range(n):
             np.multiply(sk, a.theta[i], out=ak)
             np.subtract(np.add(lw[:, i], log_c[i], out=ck), ak, out=ak)
             arg_term = lw[:, i, -1] - a.theta[i] * mean_xt
             if a.delta[i] == 1.0:
-                out[j, start:stop] = ak @ weights + a.eps[i] * arg_term
+                out[i, start:stop] = ak @ weights + a.eps[i] * arg_term
             else:
                 k = 1.0 - 1.0 / a.delta[i]
                 ak *= k
-                out[j, start:stop] = (np.exp(ak, out=ak) @ weights / k
+                out[i, start:stop] = (np.exp(ak, out=ak) @ weights / k
                                       + a.eps[i] * np.exp(k * arg_term) / k)
         start = stop
     return out
 
 
-def _score_batch(batch: SimulationBatch, log_c: np.ndarray, weights: np.ndarray,
-                 a: SimpleNamespace, agents: Sequence[int], **errstate) -> np.ndarray:
-    """``_score_block`` over the batch's work units, each under np.errstate(**errstate)."""
-    values = np.empty((len(agents), batch.paths))
-
-    def reduce(start, count):
-        with np.errstate(**errstate):
-            values[:, start:start + count] = _score_block(
-                batch.log_wealth[start:start + count], log_c, weights, a, agents)
-
-    _map_units(reduce, batch.paths)
-    return values
+def _out_of_range(i: int) -> DomainError:
+    """The error for agent i's Monte Carlo objective outside the float range."""
+    return DomainError(f"the objective of agent {i} leaves the float range")
 
 
 def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
@@ -424,9 +425,10 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     One pass on ``worker_count()`` threads, with floating-point warnings
     off, scores every agent; the batch keeps the per-path values, keyed by
     the log consumption rates at the nodes and theta, delta and eps, so a
-    later call with equal ones only reads agent i's row.  An agent whose
-    values are not all finite is scored again alone, under the caller's
-    np.errstate.  Estimates depend on neither the order nor the threads.
+    later call with equal ones only reads agent i's row.  Estimates depend
+    on neither the order nor the threads.  Raises DomainError when agent
+    i's objective leaves the float range (its mean or standard error is
+    not finite); the other agents still score.
     """
     if not 0 <= i < p.n:
         raise ValueError(f"agent index {i} out of range for {p.n} agents")
@@ -442,11 +444,20 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     key = b"".join(x.tobytes() for x in (log_c, f.a.theta, f.a.delta, f.a.eps))
     kept = batch._scores  # read once: another thread may replace it
     if kept is None or kept[0] != key:
-        kept = (key, _score_batch(batch, log_c, weights, f.a, range(p.n), all="ignore"))
+        values = np.empty((p.n, batch.paths))
+
+        def score(start, count):
+            values[:, start:start + count] = _score_block(
+                batch.log_wealth[start:start + count], log_c, weights, f.a)
+
+        with np.errstate(all="ignore"):
+            _map_units(score, batch.paths)
+        kept = (key, values)
         object.__setattr__(batch, "_scores", kept)
     values = kept[1][i]
-    if not np.all(np.isfinite(values)):
-        values = _score_batch(batch, log_c, weights, f.a, [i])[0]
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(batch.paths)) if batch.paths > 1 else 0.0
+    with np.errstate(all="ignore"):
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(batch.paths)) if batch.paths > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise _out_of_range(i)
     return UtilityEstimate(mean=mean, stderr=stderr, paths=batch.paths)

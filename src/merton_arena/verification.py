@@ -30,9 +30,12 @@ from .nplayer import IDENTITY_TOL, EquilibriumProfile, _gamma, _identity_residua
 from .policy import ConsumptionPolicy
 from .simulation import (
     COMMON_STREAM,
+    DEFAULT_GRID,
     UtilityEstimate,
     _map_units,
+    _out_of_range,
     _path_model,
+    _segments,
     agent_stream,
     block_normals,
     equilibrium_strategy,
@@ -467,12 +470,9 @@ class _AgentScan:
     columns: tuple[int, ...]                     # stacked column of each reported cell
 
 
-def _cum_trapezoid(values: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Trapezoid cumulative integral along the last axis, 0 at the first node."""
-    out = np.zeros(values.shape)
-    np.cumsum(0.5 * (values[..., :-1] + values[..., 1:]) * dt, axis=-1,
-              out=out[..., 1:])
-    return out
+def _node_values(log_x0, segments: np.ndarray) -> np.ndarray:
+    """log x0 plus the running sum of the segments, at each grid node."""
+    return log_x0 + np.cumsum(np.pad(segments, ((0, 0), (1, 0))), axis=1)
 
 
 def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
@@ -482,6 +482,7 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
     ``f`` is the equilibrium's path model and ``det[k]`` the deterministic
     part of agent k's equilibrium log wealth at the grid nodes.  Cell (dpi, a, b)
     plays pi_i + dpi and consumes c_i(t) e^(a + b t) against everyone else's equilibrium.
+    DomainError when a cell's weights or terminal factor leave the float range.
     """
     ar, pi, times, c_eq = f.a, f.pi, f.times, f.c_nodes
     n = len(pi)
@@ -501,10 +502,8 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
 
     dp, a, b = (np.array(order)[:, k:k + 1] for k in range(3))
     tilt = a + b * times
-    pi_cell = pi[i] + dp
-    det_cell = (math.log(ar.x0[i])
-                + (pi_cell * ar.mu[i] - 0.5 * pi_cell**2 * ar.Sigma[i]) * times
-                - _cum_trapezoid(c_eq[i] * np.exp(tilt), np.diff(times)))
+    det_cell = _node_values(f.log_x0[i], _segments(
+        pi[i] + dp[:, 0], ar.mu[i], ar.Sigma[i], c_eq[i] * np.exp(tilt), np.diff(times)))
     row_run = own * ((log_c_eq[i] + tilt) + det_cell) - (theta / n) * row_others
     row_term = own * det_cell[:, -1] - (theta / n) * row_others_term
 
@@ -513,8 +512,14 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
         weights = None
         terminal = np.array([float(r @ w) for r in row_run]) + eps * row_term
     else:
-        weights = w * np.exp(k_pow * row_run) / k_pow
-        terminal = np.array([eps * math.exp(k_pow * t) / k_pow for t in row_term])
+        with np.errstate(over="ignore"):
+            weights = w * np.exp(k_pow * row_run) / k_pow
+        try:
+            terminal = np.array([eps * math.exp(k_pow * t) / k_pow for t in row_term])
+        except OverflowError:
+            raise _out_of_range(i) from None
+    if not (np.all(np.isfinite(terminal)) and (weights is None or np.all(np.isfinite(weights)))):
+        raise _out_of_range(i)
     groups = []
     lo = 0
     for dpi, group in by_dpi.items():
@@ -592,8 +597,8 @@ def _scan_block(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray
 
 
 def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[int],
-                       dpi_grid: Sequence[float], ab_grid: Sequence[float],
-                       paths: int, seed: int, grid: int = 1000) -> tuple[BestResponseReport, ...]:
+                       dpi_grid: Sequence[float], ab_grid: Sequence[float], paths: int,
+                       seed: int, grid: int = DEFAULT_GRID) -> tuple[BestResponseReport, ...]:
     """Scan unilateral deviations of each listed agent with paired CRN.
 
     Every other agent plays the closed-form equilibrium; the scanned agent
@@ -607,7 +612,8 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     exception is raised for a profitable deviation: check ``violations()``.
     The population, ``grid``, ``paths`` and the profile's agent count are
     checked as ``simulate`` checks them, and an empty ``dpi_grid`` or
-    ``ab_grid`` raises ValueError.
+    ``ab_grid`` raises ValueError.  An agent whose deterministic factors or
+    summed cell values leave the float range raises DomainError, with no warning.
     """
     f = _path_model(p, equilibrium_strategy(p, e), grid, paths)
     agents = tuple(int(i) for i in agents)
@@ -618,10 +624,7 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
         if len(values) == 0:
             raise ValueError(f"{name} is empty: the scan needs at least one cell")
     w = trapezoid_weights(f.times)
-    ar, pi = f.a, f.pi
-    drift = pi * ar.mu - 0.5 * pi**2 * ar.Sigma
-    det = (f.log_x0[:, None] + drift[:, None] * f.times[None, :]
-           - _cum_trapezoid(f.c_nodes, np.diff(f.times)))
+    det = _node_values(f.log_x0[:, None], f.det_seg)
 
     cells = [(float(dp), float(a), float(b))
              for dp in dpi_grid for a in ab_grid for b in ab_grid]
@@ -634,7 +637,8 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
         noise, base, path = (np.empty((count, grid + 1)) for _ in range(3))
         return count, [_scan_block(scan, cum, noise, base, path) for scan in scans]
 
-    results = _map_units(unit_task, paths)
+    with np.errstate(all="ignore"):
+        results = _map_units(unit_task, paths)
     total = sum(count for count, _ in results)
 
     def mean_stderr(s, sq):
@@ -647,6 +651,8 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
         # Unit results summed in unit order, whatever the thread count.
         sums, sqsums, eq_sum, eq_sqsum = (
             sum(parts) for parts in zip(*(per_agent[k] for _, per_agent in results)))
+        if not np.all(np.isfinite([*sums, *sqsums, eq_sum, eq_sqsum])):
+            raise _out_of_range(scan.agent)
         eq_mean, eq_se = mean_stderr(eq_sum, eq_sqsum)
         out_cells = []
         for cell, j in zip(cells, scan.columns):
@@ -662,7 +668,7 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
 
 def best_response_test(p: Population, e: EquilibriumProfile, i: int,
                        dpi_grid: Sequence[float], ab_grid: Sequence[float],
-                       paths: int, seed: int, grid: int = 1000) -> BestResponseReport:
+                       paths: int, seed: int, grid: int = DEFAULT_GRID) -> BestResponseReport:
     """Scan deviations of agent i alone (see best_response_scan).
 
     Raises ProfitableDeviationFound if any cell's mean paired difference

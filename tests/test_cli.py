@@ -713,6 +713,21 @@ class TestInvalidInput:
         assert names in lines[0]
         assert not out.exists()
 
+    def test_verify_objective_out_of_range(self, tmp_path, capsys):
+        # a valid pair whose second agent's CRRA objective (delta = 0.01,
+        # x0 = 1e-6) overflows: one line, no warning and no report
+        market = dict(theta=0.5, eps=1.0, mu=0.5, nu=0.3, sigma=0.4)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(POP_CONFIG, agents=[
+            dict(market, x0=1.0, delta=2.0), dict(market, x0=1e-6, delta=0.01)])))
+        out = tmp_path / "v.json"
+        argv = ["verify", "--config", str(cfg), "--out", str(out),
+                "--paths", "2000", "--grid", "50", "--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "merton-arena: invalid input: the objective of agent 1 leaves the float range\n")
+        assert not out.exists()
+
     def test_negative_nu_says_nonnegative(self, tmp_path, capsys):
         # nu = 0 is valid, so the line must not ask for a strictly positive nu
         cfg = tmp_path / "config.json"

@@ -19,7 +19,6 @@ from merton_arena import (
     consumption_rate,
     cumulative_consumption,
     delta_band,
-    regime_report,
 )
 
 C0_REF = 2.501294573933245
@@ -212,18 +211,15 @@ class TestDeltaBand:
 
 
 class TestRegimeReport:
+    # the regime and the delta band, read from classify_regime and delta_band
     def test_fields(self):
-        rep = regime_report(beta=2.0, lam=1.0, mu=5.0, sigma=1.0, theta=0.0,
-                            theta_crit=0.52)
-        assert rep.regime is Regime.DECREASING
-        assert rep.band is not None
-        assert rep.condition_8s2_gt_m2 is False
+        assert classify_regime(2.0, 1.0) is Regime.DECREASING
+        assert delta_band(mu=5.0, sigma=1.0, theta=0.0, theta_crit=0.52) is not None
 
     def test_high_volatility_flag(self):
-        rep = regime_report(beta=0.2, lam=1.0, mu=1.0, sigma=1.0, theta=0.0,
-                            theta_crit=0.52)
-        assert rep.band is None
-        assert rep.condition_8s2_gt_m2 is True
+        # 8 sigma^2 = 8 > mu^2 = 1: beta < 1 for every delta
+        assert classify_regime(0.2, 1.0) is Regime.INCREASING
+        assert delta_band(mu=1.0, sigma=1.0, theta=0.0, theta_crit=0.52) is None
 
 
 class TestPolicyValidation:

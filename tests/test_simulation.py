@@ -399,15 +399,12 @@ class TestInPlaceBlocks:
         assert ar.delta[0] == 1.0 and np.all(ar.delta[1:] != 1.0)
         blocks = [batch.log_wealth[start:start + self.BLOCK]
                   for start in range(0, paths, self.BLOCK)]
-        scores = np.concatenate([_score_block(b, log_c, weights, ar, range(p.n))
-                                 for b in blocks], axis=1)
+        scores = np.concatenate([_score_block(b, log_c, weights, ar) for b in blocks], axis=1)
         for i in range(p.n):
             args = (log_c, weights, i, float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i]))
             values = np.concatenate([reference_objective_paths(b, *args) for b in blocks])
             # per path, not only through the mean, which can absorb a last-bit change
             assert np.array_equal(scores[i], values)
-            assert np.array_equal(np.concatenate([_score_block(b, log_c, weights, ar, [i])[0]
-                                                  for b in blocks]), values)
             est = estimate_objective(batch, s, i, p)
             assert np.array_equal(batch._scores[1][i], values)
             assert est.mean == float(values.mean())
@@ -535,23 +532,17 @@ class TestKeptScores:
 
     @staticmethod
     def overflowing_pair():
-        # agent 1's utility argument overflows exp: its objective is -inf
+        # agent 1's utility argument overflows exp: its objective leaves the float range
         kw = dict(theta=0.5, eps=1.0, mu=0.5, nu=0.3, sigma=0.4)
         p = Population(1.0, (AgentType(x0=1.0, delta=2.0, **kw),
                              AgentType(x0=1e-6, delta=0.01, **kw)))
         s = equilibrium_strategy(p, solve_n(p))
         return p, s, simulate(p, s, grid=50, paths=200, seed=1)
 
-    @staticmethod
-    def scored(batch, s, i, p):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            est = estimate_objective(batch, s, i, p)
-        return est, [str(w.message) for w in caught]
-
     @pytest.mark.parametrize("order", [(0, 1, 0, 1), (1, 0, 1, 0)])
     def test_warnings_are_not_leaked(self, order):
-        # the values and warnings of a single-agent pass, whichever agent goes first
+        # agent 1's objective leaves the float range; agent 0 still scores
+        # bitwise as the reference, and neither call warns
         p, s, batch = self.overflowing_pair()
         ar = p.arrays()
         values = reference_objective_paths(
@@ -560,21 +551,14 @@ class TestKeptScores:
         clean = UtilityEstimate(mean=float(values.mean()),
                                 stderr=float(values.std(ddof=1) / math.sqrt(200)), paths=200)
         for i in order:
-            est, messages = self.scored(batch, s, i, p)
-            if i == 0:
-                assert est == clean and math.isfinite(est.mean)
-                assert messages == []
-            else:
-                assert est.mean == -math.inf and math.isnan(est.stderr)
-                assert messages == ["overflow encountered in exp", "overflow encountered in exp",
-                                    "invalid value encountered in subtract"]
-
-    def test_caller_error_state_reaches_a_non_finite_agent(self):
-        p, s, batch = self.overflowing_pair()
-        with np.errstate(over="raise"):
-            assert math.isfinite(estimate_objective(batch, s, 0, p).mean)
-            with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
-                estimate_objective(batch, s, 1, p)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if i == 0:
+                    assert estimate_objective(batch, s, i, p) == clean
+                else:
+                    with pytest.raises(DomainError, match="objective of agent 1 leaves"):
+                        estimate_objective(batch, s, i, p)
+            assert [str(w.message) for w in caught] == []
 
     def test_memory_is_the_kept_scores_and_chunks(self, monkeypatch):
         # Beyond the kept n x paths values, each of the two workers holds three
@@ -595,6 +579,20 @@ class TestKeptScores:
             tracemalloc.stop()
         assert batch._scores[1].nbytes == p.n * paths * 8
         assert peak - batch._scores[1].nbytes <= 2 * 5 * chunk_bytes < WORK_UNIT * (grid + 1) * 8
+
+
+class TestMapUnits:
+    def test_units_run_under_the_callers_error_state(self, monkeypatch):
+        # pool threads start in a fresh context, where numpy only warns
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        monkeypatch.setattr(simulation, "WORK_UNIT", 10)
+
+        def unit(start, count):
+            return np.exp(1000.0) if start == 10 else 0.0
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
+                simulation._map_units(unit, 30)
 
 
 class TestWorkerCount:

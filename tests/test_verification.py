@@ -1,6 +1,7 @@
 """ODE oracle, fixed-point residuals, best-response scan, convergence."""
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from merton_arena import (
     AgentType,
     BernoulliInputs,
     ConsumptionPolicy,
+    DomainError,
     InvalidGrid,
     NonPositiveParameter,
     NonReplicableWeights,
@@ -308,6 +310,25 @@ class TestBestResponseScan:
         (rep,) = best_response_scan(ref_n3, bad, (0,), (0.0, 1.0), (0.0,),
                                     paths=20000, seed=23, grid=200)
         assert rep.violations()
+
+    @pytest.mark.parametrize("x0", [
+        1e-6,  # agent 1's deterministic weights overflow
+        1.0,  # its deterministic factors are finite, its summed squares are not
+    ])
+    def test_out_of_range_objective_is_a_domain_error(self, x0):
+        market = dict(theta=0.5, eps=1.0, mu=0.5, nu=0.3, sigma=0.4)
+        p = Population(1.0, (AgentType(x0=1.0, delta=2.0, **market),
+                             AgentType(x0=x0, delta=0.01, **market)))
+        e = solve_n(p)
+        args = (self.GRID_DPI, self.GRID_AB, 2000, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (rep,) = best_response_scan(p, e, (0,), *args, grid=50)
+            for agents in ((1,), (0, 1)):
+                with pytest.raises(DomainError, match="objective of agent 1 leaves the float"):
+                    best_response_scan(p, e, agents, *args, grid=50)
+        assert caught == []
+        assert all(np.isfinite([c.mean_diff, c.stderr]).all() for c in rep.cells)
 
     def test_agent_out_of_range(self, ref_n2):
         with pytest.raises(ValueError):
