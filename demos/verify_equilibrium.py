@@ -3,6 +3,8 @@ Monte Carlo best-response scan, and mean-field convergence.
 
 Run:  python demos/verify_equilibrium.py     (about a minute)
 """
+import dataclasses
+
 from merton_arena import (
     AgentType,
     Population,
@@ -34,9 +36,9 @@ print(f"RK4 vs closed-form gap:         {rep.f_gap_ode_closed.max():.2e}")
 print(f"RK4 vs exponential-form gap:    {rep.f_gap_ode_exp.max():.2e}")
 print()
 
-# Sensitivity: scale every consumption curve by 1% and the detector fires.
-bad = fixed_point_check(trio, eq, consumption_scale=1.01)
-print(f"same residual with all curves scaled by 1.01: {bad.systeq1_max:.2e}")
+# Sensitivity: tamper every lambda = c(T) by 1% and the detector fires.
+bad = fixed_point_check(trio, dataclasses.replace(eq, lam=eq.lam * 1.01))
+print(f"same residual with every lambda scaled by 1.01: {bad.systeq1_max:.2e}")
 print("(a non-fixed-point is six orders of magnitude louder)")
 print()
 

@@ -462,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
             code = _COMMANDS[args.command][0](args)
     except NumericalError as exc:
         code, line = EXIT_NUMERICAL, f"numerical failure: {exc}"
-    except (MertonArenaError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (MertonArenaError, FileNotFoundError, json.JSONDecodeError) as exc:
         code, line = EXIT_VALIDATION, f"invalid input: {exc}"
     except BaseException:
         _reemit(caught)

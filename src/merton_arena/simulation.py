@@ -351,15 +351,22 @@ def _simulate_nodes(p: Population, s: StrategyProfile, grid: int, paths: int, se
 
 
 def utility(x, delta: float):
-    """CRRA utility x^(1 - 1/delta) / (1 - 1/delta), or log x at delta = 1."""
+    """CRRA utility x^(1 - 1/delta) / (1 - 1/delta), or log x at delta = 1.
+
+    DomainError, with no warning, unless every x is positive and every
+    value is finite.
+    """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
+    if not np.all(x_arr > 0.0):
         raise DomainError("utility requires strictly positive arguments")
-    if delta == 1.0:
-        out = np.log(x_arr)
-    else:
-        k = 1.0 - 1.0 / delta
-        out = x_arr**k / k
+    with np.errstate(over="ignore"):
+        if delta == 1.0:
+            out = np.log(x_arr)
+        else:
+            k = 1.0 - 1.0 / delta
+            out = x_arr**k / k
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"utility at delta = {delta!r} leaves the float range")
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -406,6 +413,16 @@ def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
     return out
 
 
+def _pow2_scale(magnitude: float) -> float:
+    """2^-e with magnitude < 2^e, or 1 for a magnitude below 1 or not finite.
+
+    Multiplying by a power of two is exact in IEEE arithmetic (barring
+    subnormals), so values scaled by it keep every bit while their squares
+    stay in range.
+    """
+    return math.ldexp(1.0, -max(math.frexp(magnitude)[1], 0))
+
+
 def _out_of_range(i: int) -> DomainError:
     """The error for agent i's Monte Carlo objective outside the float range."""
     return DomainError(f"the objective of agent {i} leaves the float range")
@@ -426,7 +443,9 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     off, scores every agent; the batch keeps the per-path values, keyed by
     the log consumption rates at the nodes and theta, delta and eps, so a
     later call with equal ones only reads agent i's row.  Estimates depend
-    on neither the order nor the threads.  Raises DomainError when agent
+    on neither the order nor the threads.  The standard error is taken on
+    the values scaled by a power of two, so that their squares stay in
+    range and a finite mean has a finite one.  Raises DomainError when agent
     i's objective leaves the float range (its mean or standard error is
     not finite); the other agents still score.
     """
@@ -457,7 +476,12 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     values = kept[1][i]
     with np.errstate(all="ignore"):
         mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(batch.paths)) if batch.paths > 1 else 0.0
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
+    if not math.isfinite(mean):
+        raise _out_of_range(i)
+    # a finite mean means finite values; their squares are taken scaled
+    scale = _pow2_scale(float(np.abs(values).max()))
+    stderr = (float((values * scale).std(ddof=1) / math.sqrt(batch.paths)) / scale
+              if batch.paths > 1 else 0.0)
+    if not math.isfinite(stderr):
         raise _out_of_range(i)
     return UtilityEstimate(mean=mean, stderr=stderr, paths=batch.paths)

@@ -228,6 +228,28 @@ def _number(value, what: str) -> float:
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
+def _object(value, what: str) -> dict:
+    """``value`` when it is a JSON object (a dict), else a ValidationError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _entries(cfg: dict, key: str, what: str) -> list[dict]:
+    """``cfg[key]``, which must be a list of objects; ``what`` names one entry."""
+    entries = _object(cfg, "config").get(key)
+    if not isinstance(entries, list):
+        raise ValidationError(f"'{key}' must be a list, got {type(entries).__name__}")
+    return [_object(entry, f"{what} {i}") for i, entry in enumerate(entries)]
+
+
+def _field(cfg: dict, key: str, what: str) -> float:
+    """``cfg[key]`` as a number; a ValidationError naming ``what`` if it is missing or not one."""
+    if key not in cfg:
+        raise ValidationError(f"{what} is missing")
+    return _number(cfg[key], what)
+
+
 def _agent_from_dict(entry: dict, index: int) -> AgentType:
     missing = [k for k in _AGENT_FIELDS if k not in entry]
     if missing:
@@ -237,19 +259,21 @@ def _agent_from_dict(entry: dict, index: int) -> AgentType:
 
 
 def population_from_dict(cfg: dict) -> Population:
-    agents = tuple(_agent_from_dict(e, i) for i, e in enumerate(cfg["agents"]))
-    return Population(horizon=_number(cfg["horizon"], "horizon"), agents=agents)
+    entries = _entries(cfg, "agents", "agent entry")
+    agents = tuple(_agent_from_dict(e, i) for i, e in enumerate(entries))
+    return Population(horizon=_field(cfg, "horizon", "horizon"), agents=agents)
 
 
 def distribution_from_dict(cfg: dict) -> TypeDistribution:
     atoms = tuple(
-        (_number(e["weight"], f"atom {i} weight"), _agent_from_dict(e, i))
-        for i, e in enumerate(cfg["atoms"])
+        (_field(e, "weight", f"atom {i} weight"), _agent_from_dict(e, i))
+        for i, e in enumerate(_entries(cfg, "atoms", "atom"))
     )
-    return TypeDistribution(horizon=_number(cfg["horizon"], "horizon"), atoms=atoms)
+    return TypeDistribution(horizon=_field(cfg, "horizon", "horizon"), atoms=atoms)
 
 
 def _from_config(cfg: dict) -> Population | TypeDistribution:
+    _object(cfg, "config")
     if "agents" in cfg:
         return population_from_dict(cfg)
     if "atoms" in cfg:

@@ -35,6 +35,7 @@ from .simulation import (
     _map_units,
     _out_of_range,
     _path_model,
+    _pow2_scale,
     _segments,
     agent_stream,
     block_normals,
@@ -264,8 +265,7 @@ _FP_GROUP = 2  # agents per residual pass; bounds its (group, steps + 1) tempora
 
 
 def fixed_point_check(p: Population, e: EquilibriumProfile,
-                      steps: int = DEFAULT_ODE_STEPS,
-                      consumption_scale: float = 1.0) -> FixedPointReport:
+                      steps: int = DEFAULT_ODE_STEPS) -> FixedPointReport:
     """Confirm that the closed-form consumption solves the coupled system.
 
     Builds each agent's leave-one-out consumption averages from the
@@ -274,8 +274,6 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     reports the maxima of the best-response residual, the ODE defect of
     the exponential form, and the volatility identity over a subsampled
     grid, absolute and relative (see `FixedPointReport`).
-    ``consumption_scale`` multiplies every curve and exists so detector
-    sensitivity can be demonstrated on non-fixed-point input.
 
     The curves are evaluated once per agent on the half-step grid; each
     agent's leave-one-out averages are the full sums minus its own term.
@@ -303,7 +301,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     times = half_times[::2].copy()  # bitwise np.linspace(0, T, steps + 1)
     c_half = np.empty((2 * steps + 1, n))
     for k, (beta, lam) in enumerate(zip(e.beta, e.lam)):
-        c_half[:, k] = consumption_scale * ConsumptionPolicy(float(beta), float(lam), T).rate(half_times)
+        c_half[:, k] = ConsumptionPolicy(float(beta), float(lam), T).rate(half_times)
 
     def coefficients(c, log_c, c_sum, log_sum, k):
         """BernoulliInputs.a and .b of agents k, whose curves are c, given the sums over all agents.
@@ -465,6 +463,7 @@ class _AgentScan:
     others_scale: float                          # -theta / n
     k_pow: float | None                          # 1 - 1/delta; None at delta = 1
     eps: float
+    scale: float                                 # power of two the cell values carry
     w: np.ndarray                                # trapezoid weights
     groups: tuple[_DeviationGroup, ...]          # dpi = 0 first, (0, 0, 0) its first cell
     columns: tuple[int, ...]                     # stacked column of each reported cell
@@ -482,7 +481,11 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
     ``f`` is the equilibrium's path model and ``det[k]`` the deterministic
     part of agent k's equilibrium log wealth at the grid nodes.  Cell (dpi, a, b)
     plays pi_i + dpi and consumes c_i(t) e^(a + b t) against everyone else's equilibrium.
-    DomainError when a cell's weights or terminal factor leave the float range.
+    At delta != 1 the weights and terminal factors are multiplied by a
+    power of two that brings the largest cell's sum of their magnitudes
+    below 1, so the values and their squares stay in range; the product is
+    exact.  A weight or terminal factor that overflows is left infinite:
+    the agent's summed values are then not finite, which the scan reports.
     """
     ar, pi, times, c_eq = f.a, f.pi, f.times, f.c_nodes
     n = len(pi)
@@ -508,18 +511,17 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
     row_term = own * det_cell[:, -1] - (theta / n) * row_others_term
 
     k_pow = 1.0 - 1.0 / delta if delta != 1.0 else None
-    if k_pow is None:
-        weights = None
-        terminal = np.array([float(r @ w) for r in row_run]) + eps * row_term
-    else:
-        with np.errstate(over="ignore"):
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        if k_pow is None:
+            weights = None
+            terminal = row_run @ w + eps * row_term
+        else:
             weights = w * np.exp(k_pow * row_run) / k_pow
-        try:
-            terminal = np.array([eps * math.exp(k_pow * t) / k_pow for t in row_term])
-        except OverflowError:
-            raise _out_of_range(i) from None
-    if not (np.all(np.isfinite(terminal)) and (weights is None or np.all(np.isfinite(weights)))):
-        raise _out_of_range(i)
+            terminal = eps * np.exp(k_pow * row_term) / k_pow
+            scale = _pow2_scale(float((np.abs(weights).sum(axis=1) + np.abs(terminal)).max()))
+            weights *= scale
+            terminal *= scale
     groups = []
     lo = 0
     for dpi, group in by_dpi.items():
@@ -537,7 +539,7 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
     others_noise = ((COMMON_STREAM, float(np.sum(pi[others] * ar.sigma[others]))),)
     others_noise += tuple((agent_stream(k), w_nu[k]) for k in others if w_nu[k] != 0.0)
     return _AgentScan(agent=i, own_noise=own_noise, others_noise=others_noise,
-                      others_scale=-(theta / n), k_pow=k_pow, eps=eps, w=w,
+                      others_scale=-(theta / n), k_pow=k_pow, eps=eps, scale=scale, w=w,
                       groups=tuple(groups),
                       columns=tuple(column[cell] for cell in cells))
 
@@ -612,8 +614,10 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     exception is raised for a profitable deviation: check ``violations()``.
     The population, ``grid``, ``paths`` and the profile's agent count are
     checked as ``simulate`` checks them, and an empty ``dpi_grid`` or
-    ``ab_grid`` raises ValueError.  An agent whose deterministic factors or
-    summed cell values leave the float range raises DomainError, with no warning.
+    ``ab_grid`` raises ValueError.  Each agent's values are computed
+    scaled by a power of two (see `_agent_scan`), so a finite mean has a
+    finite standard error; an agent with any mean or standard error that
+    is not finite raises DomainError once the units are done, with no warning.
     """
     f = _path_model(p, equilibrium_strategy(p, e), grid, paths)
     agents = tuple(int(i) for i in agents)
@@ -635,30 +639,30 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     def unit_task(start, count):
         cum = {s: _cumulative_noise(seed, s, start, count, f.sqrt_dt) for s in streams}
         noise, base, path = (np.empty((count, grid + 1)) for _ in range(3))
-        return count, [_scan_block(scan, cum, noise, base, path) for scan in scans]
+        return [_scan_block(scan, cum, noise, base, path) for scan in scans]
 
     with np.errstate(all="ignore"):
         results = _map_units(unit_task, paths)
-    total = sum(count for count, _ in results)
+    total = paths  # the units partition [0, paths)
 
-    def mean_stderr(s, sq):
+    def mean_stderr(s, sq, scale):
+        """Mean and standard error of values carrying ``scale``; Python floats never warn."""
+        s, sq = float(s), float(sq)
         mean = s / total
         var = max((sq - total * mean * mean) / (total - 1), 0.0) if total > 1 else 0.0
-        return mean, math.sqrt(var / total)
+        return mean / scale, math.sqrt(var / total) / scale
 
     reports = []
     for k, scan in enumerate(scans):
         # Unit results summed in unit order, whatever the thread count.
         sums, sqsums, eq_sum, eq_sqsum = (
-            sum(parts) for parts in zip(*(per_agent[k] for _, per_agent in results)))
-        if not np.all(np.isfinite([*sums, *sqsums, eq_sum, eq_sqsum])):
+            sum(parts) for parts in zip(*(per_agent[k] for per_agent in results)))
+        eq_mean, eq_se = mean_stderr(eq_sum, eq_sqsum, scan.scale)
+        estimates = [mean_stderr(sums[j], sqsums[j], scan.scale) for j in scan.columns]
+        if not np.all(np.isfinite([(eq_mean, eq_se), *estimates])):
             raise _out_of_range(scan.agent)
-        eq_mean, eq_se = mean_stderr(eq_sum, eq_sqsum)
-        out_cells = []
-        for cell, j in zip(cells, scan.columns):
-            mean, se = mean_stderr(sums[j], sqsums[j])
-            out_cells.append(BestResponseCell(dpi=cell[0], a=cell[1], b=cell[2],
-                                              mean_diff=mean, stderr=se))
+        out_cells = [BestResponseCell(dpi=cell[0], a=cell[1], b=cell[2], mean_diff=mean, stderr=se)
+                     for cell, (mean, se) in zip(cells, estimates)]
         reports.append(BestResponseReport(
             agent=scan.agent, paths=total, seed=seed,
             equilibrium=UtilityEstimate(mean=eq_mean, stderr=eq_se, paths=total),

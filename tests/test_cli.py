@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, round-trips."""
 import ast
 import dataclasses
+import glob
 import hashlib
 import json
 import math
@@ -700,6 +701,15 @@ class TestInvalidInput:
         # regime/sweep print the single-stock corollary, so the representative must trade the stock
         *[(command, OFF_STOCK_CONFIG, ["--deltas", "2", "--theta-range", "0.5:0.5:1"],
            "representative on the distribution's stock") for command in ("regime", "sweep")],
+        # config shapes: not an object, lists that are not lists of objects, missing keys
+        ("solve-n", 5, [], "config must be an object, got int"),
+        ("solve-n", [POP_CONFIG], [], "config must be an object, got list"),
+        ("solve-n", dict(POP_CONFIG, agents=5), [], "'agents' must be a list, got int"),
+        ("solve-n", dict(POP_CONFIG, agents=[5, 6]), [], "agent entry 0 must be an object"),
+        ("solve-n", {"agents": [REF_AGENT, REF_AGENT]}, [], "horizon is missing"),
+        ("curves", dict(CURVES_CONFIG, atoms={"weight": 1.0}), [], "'atoms' must be a list"),
+        ("curves", dict(CURVES_CONFIG, atoms=[[1.0]]), [], "atom 0 must be an object"),
+        ("curves", dict(CURVES_CONFIG, atoms=[dict(REF_AGENT)]), [], "atom 0 weight is missing"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, config, flags, names):
         cfg = tmp_path / "config.json"
@@ -727,6 +737,22 @@ class TestInvalidInput:
         assert capsys.readouterr().err == (
             "merton-arena: invalid input: the objective of agent 1 leaves the float range\n")
         assert not out.exists()
+
+    def test_verify_huge_but_finite_objective(self, tmp_path, capsys):
+        # at x0 = 1 the same agent's per-path values reach about -5e177, so
+        # their squares overflow, but every mean and standard error is finite
+        market = dict(theta=0.5, eps=1.0, mu=0.5, nu=0.3, sigma=0.4)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(POP_CONFIG, agents=[
+            dict(market, x0=1.0, delta=2.0), dict(market, x0=1.0, delta=0.01)])))
+        out = tmp_path / "v.json"
+        argv = ["verify", "--config", str(cfg), "--out", str(out),
+                "--paths", "2000", "--grid", "50", "--seed", "1"]
+        assert main(argv) != 2
+        assert "invalid input" not in capsys.readouterr().err
+        big = json.loads(out.read_text())["best_response"]["reports"][1]
+        assert -1e175 < big["equilibrium_mean"] < -1e174
+        assert 0.0 < big["equilibrium_stderr"] < math.inf
 
     def test_negative_nu_says_nonnegative(self, tmp_path, capsys):
         # nu = 0 is valid, so the line must not ask for a strictly positive nu
@@ -756,6 +782,22 @@ class TestPublicSeam:
         names = {f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
         assert {"mfg.representative", "nplayer.solve_n"} <= names
+
+
+class TestNoAssertInPackage:
+    """Invariants hold under ``python -O``: no package module checks one with assert."""
+
+    def test_no_assert_statement(self):
+        package = os.path.dirname(os.path.abspath(merton_arena.__file__))
+        modules = sorted(glob.glob(os.path.join(package, "*.py")))
+        found = []
+        for path in modules:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+        assert found == []
+        assert os.path.join(package, "verification.py") in modules  # the walk sees the package
 
 
 class TestImports:

@@ -190,6 +190,20 @@ class TestUtility:
     def test_risk_averse_branch_negative(self):
         assert utility(2.0, 0.5) < 0.0
 
+    @pytest.mark.parametrize("x, delta", [(1e-6, 0.01), (np.array([1.0, 1e-6]), 0.01),
+                                          (1e-300, 0.25), (math.inf, 2.0)])
+    def test_out_of_range_is_a_domain_error(self, x, delta):
+        # 1e-6 ** -99 and 1e-300 ** -3 overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="leaves the float range"):
+                utility(x, delta)
+        assert caught == []
+
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(DomainError, match="strictly positive"):
+            utility(math.nan, 2.0)
+
 
 class TestEstimateObjective:
     def test_deterministic_log_case(self):
@@ -538,6 +552,27 @@ class TestKeptScores:
                              AgentType(x0=1e-6, delta=0.01, **kw)))
         s = equilibrium_strategy(p, solve_n(p))
         return p, s, simulate(p, s, grid=50, paths=200, seed=1)
+
+    def test_finite_mean_has_finite_stderr(self):
+        # at x0 = 1 agent 1's per-path values reach about -5e177, so their
+        # squares overflow, but its mean is representable: so is its stderr
+        kw = dict(theta=0.5, eps=1.0, mu=0.5, nu=0.3, sigma=0.4)
+        p = Population(1.0, (AgentType(x0=1.0, delta=2.0, **kw),
+                             AgentType(x0=1.0, delta=0.01, **kw)))
+        s = equilibrium_strategy(p, solve_n(p))
+        batch = simulate(p, s, grid=50, paths=2000, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_objective(batch, s, 1, p)
+        assert caught == []
+        values = batch._scores[1][1]
+        assert np.abs(values).max() > 1e177
+        assert -1e175 < est.mean < -1e174
+        assert 0.0 < est.stderr < math.inf
+        # the same as the unscaled formula on values scaled down by 2^-600
+        scaled = values * 2.0**-600
+        assert est.stderr == pytest.approx(
+            scaled.std(ddof=1) / math.sqrt(2000) * 2.0**600, rel=1e-14)
 
     @pytest.mark.parametrize("order", [(0, 1, 0, 1), (1, 0, 1, 0)])
     def test_warnings_are_not_leaked(self, order):

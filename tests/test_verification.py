@@ -1,4 +1,6 @@
 """ODE oracle, fixed-point residuals, best-response scan, convergence."""
+import dataclasses
+import math
 import re
 import tracemalloc
 import warnings
@@ -104,23 +106,24 @@ class TestFixedPoint:
         assert rep.max_f_gap <= 1e-8
 
     def test_detector_sensitivity(self, ref_n2):
+        # lambda scaled by 1.01 moves every curve off the fixed point
         e = solve_n(ref_n2)
-        rep = fixed_point_check(ref_n2, e, consumption_scale=1.01)
+        rep = fixed_point_check(ref_n2, dataclasses.replace(e, lam=e.lam * 1.01))
         assert rep.systeq1_max >= 1e-3
 
     def test_detector_catches_relative_tamper(self, ref_n2):
-        # Gated on relative errors, a 1e-6 scaling of every curve fails even
+        # Gated on relative errors, a 1e-6 scaling of every lambda fails even
         # where value factors exceed 1e8, and the untouched input passes;
         # that population's absolute f gap is about 1e-2.
         e = solve_n(ref_n2)
         assert fixed_point_check(ref_n2, e).passes()
-        assert not fixed_point_check(ref_n2, e, consumption_scale=1 + 1e-6).passes()
+        assert not fixed_point_check(ref_n2, dataclasses.replace(e, lam=e.lam * (1 + 1e-6))).passes()
         p = random_population(np.random.default_rng(35), n_max=4)
         e = solve_n(p)
         _, scale = reference_fixed_point(p, e, steps=200)
         assert max(scale["f_gap"]) > 1e8
         assert fixed_point_check(p, e).passes()
-        assert not fixed_point_check(p, e, consumption_scale=1 + 1e-6).passes()
+        assert not fixed_point_check(p, dataclasses.replace(e, lam=e.lam * (1 + 1e-6))).passes()
 
     def test_random_corpus_small(self):
         rng = np.random.default_rng(2024)
@@ -312,8 +315,8 @@ class TestBestResponseScan:
         assert rep.violations()
 
     @pytest.mark.parametrize("x0", [
-        1e-6,  # agent 1's deterministic weights overflow
-        1.0,  # its deterministic factors are finite, its summed squares are not
+        1e-6,  # agent 1's deterministic weights overflow: its mean is -inf
+        1.0,  # its values reach 1e177 and their squares overflow, but its mean is finite
     ])
     def test_out_of_range_objective_is_a_domain_error(self, x0):
         market = dict(theta=0.5, eps=1.0, mu=0.5, nu=0.3, sigma=0.4)
@@ -324,11 +327,29 @@ class TestBestResponseScan:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             (rep,) = best_response_scan(p, e, (0,), *args, grid=50)
-            for agents in ((1,), (0, 1)):
-                with pytest.raises(DomainError, match="objective of agent 1 leaves the float"):
-                    best_response_scan(p, e, agents, *args, grid=50)
+            if x0 < 1.0:
+                for agents in ((1,), (0, 1)):
+                    with pytest.raises(DomainError, match="objective of agent 1 leaves the float"):
+                        best_response_scan(p, e, agents, *args, grid=50)
+            else:
+                together = best_response_scan(p, e, (0, 1), *args, grid=50)
         assert caught == []
         assert all(np.isfinite([c.mean_diff, c.stderr]).all() for c in rep.cells)
+        if x0 == 1.0:
+            assert together[0] == rep
+            big = together[1]
+            assert -1e175 < big.equilibrium.mean < -1e174
+            assert 0.0 < big.equilibrium.stderr < math.inf
+            for cell in big.cells:
+                assert np.isfinite(cell.mean_diff)
+                null = (cell.dpi, cell.a, cell.b) == (0.0, 0.0, 0.0)
+                assert (cell.stderr == 0.0) if null else (0.0 < cell.stderr < math.inf)
+            assert big.violations() == []
+            # the stored-path route scores the same paths to the same values
+            s = equilibrium_strategy(p, e)
+            est = estimate_objective(simulate(p, s, grid=50, paths=2000, seed=1), s, 1, p)
+            assert big.equilibrium.mean == pytest.approx(est.mean, rel=1e-10)
+            assert big.equilibrium.stderr == pytest.approx(est.stderr, rel=1e-10)
 
     def test_agent_out_of_range(self, ref_n2):
         with pytest.raises(ValueError):
