@@ -37,8 +37,9 @@ from .types import Population, validate_population
 DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
 # Paths per work unit of every Monte Carlo route (read only by `_units`):
-# two workers share 10^4 paths evenly, and each (unit, grid + 1) array a
-# scan worker holds is 8.2 MB at grid 1000.
+# two workers share 10^4 paths evenly.  Inside a unit the routes work on
+# row tiles, so no worker holds a (unit, grid + 1) array (8.2 MB at grid
+# 1000) except the stored batch and `_simulate_nodes`' block.
 WORK_UNIT = 1024
 # Rows of a path block that elementwise passes take at once: about 256 KiB.
 _CHUNK_BYTES = 1 << 18
@@ -216,6 +217,20 @@ def _units(paths: int) -> list[tuple[int, int]]:
     return [(start, min(WORK_UNIT, paths - start)) for start in range(0, paths, WORK_UNIT)]
 
 
+def _row_chunks(count: int, nodes: int, nbytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of the consecutive row chunks of a (count, nodes) block.
+
+    A chunk holds about ``nbytes`` of doubles.  OpenBLAS's dgemv takes
+    output rows in fours and numpy hands a single row to ddot, so chunks
+    are multiples of four rows and a one-row tail joins the chunk before
+    it: each row's matrix-vector product is then that of one product over
+    the block.  The chunks depend on nothing but the three sizes.
+    """
+    chunk = max(4, nbytes // (8 * nodes) // 4 * 4)
+    stops = [*range(chunk, count - 1, chunk), count]
+    return list(zip([0, *stops[:-1]], stops))
+
+
 def _map_units(fn: Callable[[int, int], object], paths: int) -> list:
     """[fn(start, count) for each unit of [0, paths)], on worker_count() threads.
 
@@ -377,20 +392,18 @@ def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
     Agent i's running integrand is U applied to c_i X_i times the
     population geometric mean of c_k X_k raised to -theta_i; the terminal
     term applies U to X_i(T) times the geometric mean wealth raised to
-    -theta_i.  A few rows at a time, so that the elementwise passes stay
-    in cache, the row sum of log c_k X_k is formed once in agent order,
-    the order of numpy's reduction over the agent axis, and every agent is
-    reduced from it.  OpenBLAS's dgemv takes output rows in fours and numpy
-    hands a single row to ddot, so chunks are multiples of four rows and a
-    one-row tail joins the chunk before it: each path's quadrature is then
-    that of one GEMV over the block.
+    -theta_i.  One `_row_chunks` chunk at a time, so that the elementwise
+    passes stay in cache, the row sum of log c_k X_k is formed once in
+    agent order, the order of numpy's reduction over the agent axis, and
+    every agent is reduced from it; each path's quadrature is that of one
+    GEMV over the block.
     """
     count, n, nodes = log_wealth.shape
-    chunk = max(4, _CHUNK_BYTES // (8 * nodes) // 4 * 4)
-    s, cx, arg = (np.empty((min(count, chunk + 1), nodes)) for _ in range(3))
+    chunks = _row_chunks(count, nodes, _CHUNK_BYTES)
+    s, cx, arg = (np.empty((max(stop - start for start, stop in chunks), nodes))
+                  for _ in range(3))
     out = np.empty((n, count))
-    start = 0
-    for stop in [*range(chunk, count - 1, chunk), count]:
+    for start, stop in chunks:
         lw, rows = log_wealth[start:stop], stop - start
         sk, ck, ak = s[:rows], cx[:rows], arg[:rows]
         np.add(lw[:, 0], log_c[0], out=sk)
@@ -409,7 +422,6 @@ def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
                 ak *= k
                 out[i, start:stop] = (np.exp(ak, out=ak) @ weights / k
                                       + a.eps[i] * np.exp(k * arg_term) / k)
-        start = stop
     return out
 
 

@@ -36,6 +36,7 @@ from .simulation import (
     _out_of_range,
     _path_model,
     _pow2_scale,
+    _row_chunks,
     _segments,
     agent_stream,
     block_normals,
@@ -437,36 +438,40 @@ class BestResponseReport:
         }
 
 
-@dataclass(frozen=True)
-class _DeviationGroup:
-    """One agent's cells that share a dpi, evaluated together on each block.
-
-    For delta != 1 a cell's objective on a block is
-    exp_path @ weights[c] + terminal[c] * exp_path[:, -1], so the group
-    costs one GEMM plus a rank-1 term.  For delta = 1 the path part
-    path @ w + eps * path[:, -1] is the same for every cell and
-    ``terminal`` holds each cell's additive constant.
-    """
-
-    scale: float                 # own * (pi_i + dpi): weight of the agent's own noise
-    weights: np.ndarray | None   # (cells, grid + 1); None at delta = 1
-    terminal: np.ndarray         # (cells,)
+# Bytes of one (rows, grid + 1) tile of the scan: 64 rows at grid 1000.
+# On the reference trio at 20k paths x grid 1000 (125 cells, 2 worker
+# threads, BLAS on one thread, a 2-core x86 VM) the scan took a median
+# 1.395 s at 512 KiB, 1.409 s at 256 KiB and 1.434 s at 1 MiB (7 runs
+# each), and 1.82 s at 128 KiB.  At 256 KiB a tile has 32 rows, and
+# OpenBLAS's GEMM there costs 30% more per multiply-add than at 64.
+_TILE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
 class _AgentScan:
-    """The deterministic half of one agent's scan; path blocks supply the rest."""
+    """The deterministic half of one agent's scan; path tiles supply the rest.
+
+    On a tile, a cell's path is slope[c] * noise + base, where noise and
+    base are the weighted sums of the cumulated streams in ``own_noise``
+    and ``others_noise``.  For delta != 1 the cell's objective is
+    weights[c] @ exp(path) + terminal[c] * exp(path[-1]): the slopes and
+    the base's weights carry 1 - 1/delta, so a group of cells that share a
+    dpi costs one exp, one GEMM and a rank-1 term.  For delta = 1 the
+    objective path @ w + eps * path[-1] + terminal[c] is affine in the
+    slope, so two GEMVs per tile give every cell.
+    """
 
     agent: int
     own_noise: tuple[tuple[int, float], ...]     # (stream, weight) terms
-    others_noise: tuple[tuple[int, float], ...]
-    others_scale: float                          # -theta / n
-    k_pow: float | None                          # 1 - 1/delta; None at delta = 1
+    others_noise: tuple[tuple[int, float], ...]  # the others' terms, times -theta / n
     eps: float
     scale: float                                 # power of two the cell values carry
     w: np.ndarray                                # trapezoid weights
-    groups: tuple[_DeviationGroup, ...]          # dpi = 0 first, (0, 0, 0) its first cell
-    columns: tuple[int, ...]                     # stacked column of each reported cell
+    slope: np.ndarray                            # (cells,) weight of noise in the path
+    weights: np.ndarray | None                   # (cells, grid + 1); None at delta = 1
+    terminal: np.ndarray                         # (cells,)
+    groups: tuple[slice, ...]                    # cells of equal dpi; (0, 0, 0) is cell 0
+    columns: tuple[int, ...]                     # stacked cell of each reported cell
 
 
 def _node_values(log_x0, segments: np.ndarray) -> np.ndarray:
@@ -509,28 +514,23 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
         pi[i] + dp[:, 0], ar.mu[i], ar.Sigma[i], c_eq[i] * np.exp(tilt), np.diff(times)))
     row_run = own * ((log_c_eq[i] + tilt) + det_cell) - (theta / n) * row_others
     row_term = own * det_cell[:, -1] - (theta / n) * row_others_term
+    slope = own * (pi[i] + dp[:, 0])
+    base_scale = -(theta / n)
 
-    k_pow = 1.0 - 1.0 / delta if delta != 1.0 else None
     scale = 1.0
     with np.errstate(over="ignore"):
-        if k_pow is None:
+        if delta == 1.0:
             weights = None
             terminal = row_run @ w + eps * row_term
         else:
+            k_pow = 1.0 - 1.0 / delta
+            slope *= k_pow
+            base_scale *= k_pow
             weights = w * np.exp(k_pow * row_run) / k_pow
             terminal = eps * np.exp(k_pow * row_term) / k_pow
             scale = _pow2_scale(float((np.abs(weights).sum(axis=1) + np.abs(terminal)).max()))
             weights *= scale
             terminal *= scale
-    groups = []
-    lo = 0
-    for dpi, group in by_dpi.items():
-        hi = lo + len(group)
-        groups.append(_DeviationGroup(
-            scale=own * (pi[i] + dpi),
-            weights=None if weights is None else weights[lo:hi],
-            terminal=terminal[lo:hi]))
-        lo = hi
 
     w_nu = pi * ar.nu
     own_noise = ((COMMON_STREAM, ar.sigma[i]),)
@@ -538,21 +538,12 @@ def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
         own_noise += ((agent_stream(i), ar.nu[i]),)
     others_noise = ((COMMON_STREAM, float(np.sum(pi[others] * ar.sigma[others]))),)
     others_noise += tuple((agent_stream(k), w_nu[k]) for k in others if w_nu[k] != 0.0)
-    return _AgentScan(agent=i, own_noise=own_noise, others_noise=others_noise,
-                      others_scale=-(theta / n), k_pow=k_pow, eps=eps, scale=scale, w=w,
-                      groups=tuple(groups),
+    return _AgentScan(agent=i, own_noise=own_noise,
+                      others_noise=tuple((k, base_scale * v) for k, v in others_noise),
+                      eps=eps, scale=scale, w=w, slope=slope, weights=weights,
+                      terminal=terminal,
+                      groups=tuple(slice(column[g[0]], column[g[-1]] + 1) for g in by_dpi.values()),
                       columns=tuple(column[cell] for cell in cells))
-
-
-def _cumulative_noise(seed: int, stream: int, start: int, count: int,
-                      sqrt_dt: np.ndarray) -> np.ndarray:
-    """One stream's Brownian motion at the grid nodes for a block of paths."""
-    dz = block_normals(seed, stream, start, count, len(sqrt_dt))
-    dz *= sqrt_dt
-    out = np.empty((count, len(sqrt_dt) + 1))
-    out[:, 0] = 0.0
-    np.cumsum(dz, axis=1, out=out[:, 1:])
-    return out
 
 
 def _weighted_sum(cum: dict, terms: tuple[tuple[int, float], ...],
@@ -565,37 +556,39 @@ def _weighted_sum(cum: dict, terms: tuple[tuple[int, float], ...],
         out += scratch
 
 
-def _scan_block(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray,
-                path: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Paired sums of one block for one agent, per stacked column.
+def _scan_tile(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray,
+               path: np.ndarray, out: np.ndarray) -> None:
+    """Write every stacked cell's objective on one tile of paths into out (cells, rows).
 
-    Returns (sums, sqsums) of the differences against the reference
-    column, plus the sum and square sum of the equilibrium objective.
-    ``noise``, ``base`` and ``path`` are (count, grid + 1) work buffers.
+    ``cum`` maps each stream to its cumulated noise on the tile, and
+    ``noise``, ``base`` and ``path`` are (rows, grid + 1) work buffers.
     """
     _weighted_sum(cum, scan.own_noise, noise, path)
     _weighted_sum(cum, scan.others_noise, base, path)
-    base *= scan.others_scale
-    sums, sqsums = [], []
-    j_eq = None
+    if scan.weights is None:
+        np.multiply.outer(scan.slope, noise @ scan.w + scan.eps * noise[:, -1], out=out)
+        out += base @ scan.w + scan.eps * base[:, -1]
+        out += scan.terminal[:, None]
+        return
     for group in scan.groups:
-        np.multiply(noise, group.scale, out=path)
+        np.multiply(noise, scan.slope[group.start], out=path)
         path += base
-        if scan.k_pow is None:
-            values = (path @ scan.w + scan.eps * path[:, -1]) + group.terminal[:, None]
-        else:
-            path *= scan.k_pow
-            np.exp(path, out=path)
-            values = group.weights @ path.T
-            values += group.terminal[:, None] * path[:, -1]
-        if j_eq is None:
-            j_eq = values[0].copy()
-        values -= j_eq
-        sums.append(values.sum(axis=1))
-        values *= values
-        sqsums.append(values.sum(axis=1))
-    return (np.concatenate(sums), np.concatenate(sqsums),
-            float(j_eq.sum()), float((j_eq * j_eq).sum()))
+        np.exp(path, out=path)
+        np.matmul(scan.weights[group], path.T, out=out[group])
+        out[group] += scan.terminal[group, None] * path[:, -1]
+
+
+def _paired_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Sums and square sums of each row's difference from row 0, plus row 0's.
+
+    ``values`` is one unit's (cells, paths) objectives, row 0 the
+    equilibrium; it is overwritten.
+    """
+    j_eq = values[0].copy()
+    values -= j_eq
+    sums = values.sum(axis=1)
+    values *= values
+    return sums, values.sum(axis=1), float(j_eq.sum()), float((j_eq * j_eq).sum())
 
 
 def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[int],
@@ -606,11 +599,16 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     Every other agent plays the closed-form equilibrium; the scanned agent
     plays (pi* + dpi, c*(t) e^(a + b t)) for each cell of
     dpi_grid x ab_grid^2.  Each work unit of paths draws the common stream and
-    every idiosyncratic stream some scanned agent needs once, and all
-    agents are evaluated on those same increments; the perturbed and the
-    equilibrium objective share them path by path, so the (0, 0, 0) cell
-    differs by exactly zero.  Reports come back in the order of ``agents``
-    and do not depend on which other agents are scanned alongside.  No
+    every idiosyncratic stream some scanned agent needs once, one row tile
+    (`_TILE_BYTES`, a function of ``grid`` alone) at a time, and evaluates
+    every agent's cells on a tile while it is in cache; the perturbed and
+    the equilibrium objective share the increments path by path, so the
+    (0, 0, 0) cell differs by exactly zero.  A worker holds one tile per
+    stream plus four more, and each scanned agent's (cells, unit) values,
+    which it reduces once per unit.  Reports come back in the order of
+    ``agents``, do not depend on which other agents are scanned alongside,
+    and are bitwise the same for every thread count; the GEMM bits depend
+    on a tile's row count, so a different tile size moves them.  No
     exception is raised for a profitable deviation: check ``violations()``.
     The population, ``grid``, ``paths`` and the profile's agent count are
     checked as ``simulate`` checks them, and an empty ``dpi_grid`` or
@@ -637,9 +635,22 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
                       for stream, _ in scan.own_noise + scan.others_noise})
 
     def unit_task(start, count):
-        cum = {s: _cumulative_noise(seed, s, start, count, f.sqrt_dt) for s in streams}
-        noise, base, path = (np.empty((count, grid + 1)) for _ in range(3))
-        return [_scan_block(scan, cum, noise, base, path) for scan in scans]
+        tiles = _row_chunks(count, grid + 1, _TILE_BYTES)
+        size = (max(hi - lo for lo, hi in tiles), grid + 1)
+        cum = {s: np.zeros(size) for s in streams}  # column 0 stays 0
+        work = [np.empty(size) for _ in range(3)]  # noise, base, path
+        values = [np.empty((len(scan.slope), count)) for scan in scans]
+        for lo, hi in tiles:
+            rows = slice(0, hi - lo)
+            for s, buffer in cum.items():
+                dz = block_normals(seed, s, start + lo, hi - lo, grid)
+                dz *= f.sqrt_dt
+                np.cumsum(dz, axis=1, out=buffer[rows, 1:])
+                del dz  # before the next draw, so a worker holds streams + 4 tiles
+            tile = {s: buffer[rows] for s, buffer in cum.items()}
+            for scan, out in zip(scans, values):
+                _scan_tile(scan, tile, *(buffer[rows] for buffer in work), out[:, lo:hi])
+        return [_paired_sums(v) for v in values]
 
     with np.errstate(all="ignore"):
         results = _map_units(unit_task, paths)

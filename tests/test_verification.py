@@ -240,10 +240,19 @@ class TestBestResponseScan:
     )
     PINNED_EQ = (3.6752275318138925, -8.63394468621851, -0.661506479430248)
 
+    # Two units at grid 1000: the first splits into several row tiles, the
+    # second (129 rows) into a tile and a 4m + 1-row tile whose one-row
+    # tail joined the tile before it.
+    TILED = dict(paths=simulation.WORK_UNIT + 129, grid=1000)
+
     def test_matches_single_agent_scans(self, ref_n3, monkeypatch):
-        monkeypatch.setattr(simulation, "WORK_UNIT", 1500)
         e = solve_n(ref_n3)
         args = (self.GRID_DPI, self.GRID_AB)
+        tiled = dict(seed=3, **self.TILED)
+        alone = [best_response_scan(ref_n3, e, (i,), *args, **tiled)[0] for i in range(3)]
+        assert best_response_scan(ref_n3, e, range(3), *args, **tiled) == tuple(alone)
+        assert best_response_scan(ref_n3, e, (2, 0), *args, **tiled) == (alone[2], alone[0])
+        monkeypatch.setattr(simulation, "WORK_UNIT", 1500)
         kw = dict(paths=4000, seed=3, grid=200)
         together = best_response_scan(ref_n3, e, range(3), *args, **kw)
         alone = [best_response_test(ref_n3, e, i, *args, **kw) for i in range(3)]
@@ -269,14 +278,39 @@ class TestBestResponseScan:
         assert len(calls) == 3 * streams
         assert len(set(calls)) == len(calls)
 
+    def test_tiles_partition_each_stream(self, ref_n3, monkeypatch):
+        calls = []
+        draw = verification.block_normals
+
+        def counted(seed, stream, start, count, draws):
+            calls.append((stream, start, count, draws))
+            return draw(seed, stream, start, count, draws)
+
+        monkeypatch.setattr(verification, "block_normals", counted)
+        paths, grid, streams = self.TILED["paths"], self.TILED["grid"], 1 + ref_n3.n
+        best_response_scan(ref_n3, solve_n(ref_n3), range(3), (0.0, 0.1), (0.0,), seed=5,
+                           **self.TILED)
+        counts = [count for _, _, count, _ in calls]
+        assert len(calls) > 2 * streams  # more tiles than units
+        assert any(count % 4 == 1 for count in counts)
+        assert len({(stream, start) for stream, start, _, _ in calls}) == len(calls)
+        for s in range(streams):
+            windows = sorted((start, start + count) for stream, start, count, _ in calls
+                             if stream == s)
+            assert [lo for lo, _ in windows] == [0] + [hi for _, hi in windows[:-1]]
+            assert windows[-1][1] == paths
+        assert sum(count * draws for _, _, count, draws in calls) == streams * paths * grid
+
     def test_thread_count_does_not_change_bits(self, ref_n3, monkeypatch):
         e = solve_n(ref_n3)
-        reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
-            reports.append(best_response_scan(ref_n3, e, range(3), self.GRID_DPI,
-                                              self.GRID_AB, paths=3000, seed=3, grid=50))
-        assert reports[0] == reports[1]  # three units, summed in unit order
+        # three one-tile units, then two units of several tiles; summed in unit order
+        for sizes in (dict(paths=3000, grid=50), self.TILED):
+            reports = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+                reports.append(best_response_scan(ref_n3, e, range(3), self.GRID_DPI,
+                                                  self.GRID_AB, seed=3, **sizes))
+            assert reports[0] == reports[1]
 
     def test_peak_memory_is_per_unit(self, ref_n3, monkeypatch):
         # Each of the two workers holds one (unit, grid + 1) array per stream
@@ -294,6 +328,35 @@ class TestBestResponseScan:
             tracemalloc.stop()
         unit_bytes = simulation.WORK_UNIT * (grid + 1) * 8
         assert peak <= 2 * (streams + 4) * unit_bytes
+
+    def test_peak_memory_is_per_tile(self, monkeypatch):
+        # Each of the two workers holds one tile per stream, its noise, base
+        # and path tiles and one stream's draws (streams + 4 tiles), plus
+        # every agent's (cells, unit) values.  The scan also keeps every
+        # agent's (cells, grid + 1) weights, builds one agent's with at most
+        # eight temporaries of that size, and holds a few (n, grid + 1)
+        # columns of the path model.  Before the scan worked on row tiles,
+        # each worker held streams + 3 (unit, grid + 1) arrays, 164 MB here.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        rng = np.random.default_rng(16)
+        p = Population(1.0, tuple(random_agent(rng, gentle=True) for _ in range(16)))
+        e = solve_n(p)
+        assert np.all(p.arrays().nu * e.pi != 0.0)  # all 16 idiosyncratic streams are drawn
+        dpi, ab, grid, streams = (0.0, 0.1), self.GRID_AB, 1000, 1 + p.n
+        cells = len(dpi) * len(ab) ** 2  # (0, 0, 0) among them
+        best_response_scan(p, e, (0,), dpi, ab, paths=8, seed=1, grid=8)  # loads ndtri
+        tracemalloc.start()
+        try:
+            best_response_scan(p, e, range(p.n), dpi, ab, paths=2 * simulation.WORK_UNIT,
+                               seed=1, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tile = verification._TILE_BYTES + 8 * (grid + 1)  # a one-row tail may join a tile
+        per_worker = (streams + 4) * tile + p.n * cells * simulation.WORK_UNIT * 8
+        weights = (p.n + 8) * cells * (grid + 1) * 8
+        columns = 8 * p.n * (grid + 1) * 8
+        assert peak <= weights + columns + 2 * per_worker
 
     def test_means_match_recorded_values(self, ref_n3):
         e = solve_n(ref_n3)
