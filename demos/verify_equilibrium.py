@@ -1,7 +1,7 @@
 """Put the closed forms on trial: ODE oracle, fixed-point residuals,
 Monte Carlo best-response scan, and mean-field convergence.
 
-Run:  python demos/verify_equilibrium.py     (about a minute)
+Run:  python demos/verify_equilibrium.py     (about a second)
 """
 import dataclasses
 

@@ -32,7 +32,7 @@ _WEIGHT_TOL = 1e-12
 _AGENT_FIELDS = ("x0", "delta", "theta", "eps", "mu", "nu", "sigma")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentType:
     """One agent's parameter vector."""
 

@@ -16,7 +16,9 @@ mean-field limit.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
+from functools import reduce
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -38,6 +40,7 @@ from .simulation import (
     _pow2_scale,
     _row_chunks,
     _segments,
+    _units,
     agent_stream,
     block_normals,
     equilibrium_strategy,
@@ -578,17 +581,29 @@ def _scan_tile(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray,
         out[group] += scan.terminal[group, None] * path[:, -1]
 
 
-def _paired_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Sums and square sums of each row's difference from row 0, plus row 0's.
+def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, M2) of each row of ``values``, M2 its sum of squared deviations.
 
-    ``values`` is one unit's (cells, paths) objectives, row 0 the
-    equilibrium; it is overwritten.
+    Two passes: the mean, then the squares of the deviations from it, so a
+    row whose values are all equal has M2 = 0.  ``values`` is overwritten.
     """
-    j_eq = values[0].copy()
-    values -= j_eq
-    sums = values.sum(axis=1)
+    count = values.shape[1]
+    mean = values.sum(axis=1) / count
+    values -= mean[:, None]
     values *= values
-    return sums, values.sum(axis=1), float(j_eq.sum()), float((j_eq * j_eq).sum())
+    return count, mean, values.sum(axis=1)
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The (count, mean, M2) of two samples joined, from those of each.
+
+    The pairwise update of Chan, Golub & LeVeque (Amer. Statist. 37, 1983):
+    no raw sum of squares is formed, so nothing cancels.
+    """
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n = na + nb
+    d = mean_b - mean_a
+    return n, mean_a + d * (nb / n), m2_a + m2_b + d * d * (na * nb / n)
 
 
 def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[int],
@@ -603,9 +618,14 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     (`_TILE_BYTES`, a function of ``grid`` alone) at a time, and evaluates
     every agent's cells on a tile while it is in cache; the perturbed and
     the equilibrium objective share the increments path by path, so the
-    (0, 0, 0) cell differs by exactly zero.  A worker holds one tile per
-    stream plus four more, and each scanned agent's (cells, unit) values,
-    which it reduces once per unit.  Reports come back in the order of
+    (0, 0, 0) cell differs by exactly zero.  Each agent's (cells, rows)
+    tile of objectives is reduced at once: the equilibrium row is
+    subtracted from the others, and the tile's count, mean and sum of
+    squared deviations (`_moments`) are merged into the unit's by
+    Chan's update (`_merge`) in tile order; unit moments merge in unit
+    order.  A worker allocates its tiles once per scan, one per stream
+    plus four more and each scanned agent's (cells, tile rows) values,
+    whatever ``WORK_UNIT`` is.  Reports come back in the order of
     ``agents``, do not depend on which other agents are scanned alongside,
     and are bitwise the same for every thread count; the GEMM bits depend
     on a tile's row count, so a different tile size moves them.  No
@@ -634,49 +654,54 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     streams = sorted({stream for scan in scans
                       for stream, _ in scan.own_noise + scan.others_noise})
 
+    # The largest tile of any unit, a joined one-row tail included: the last
+    # unit, if shorter, may end in a longer tile than a full one.
+    rows = max(hi - lo for count in {count for _, count in _units(paths)}
+               for lo, hi in _row_chunks(count, grid + 1, _TILE_BYTES))
+    own = threading.local()
+
     def unit_task(start, count):
-        tiles = _row_chunks(count, grid + 1, _TILE_BYTES)
-        size = (max(hi - lo for lo, hi in tiles), grid + 1)
-        cum = {s: np.zeros(size) for s in streams}  # column 0 stays 0
-        work = [np.empty(size) for _ in range(3)]  # noise, base, path
-        values = [np.empty((len(scan.slope), count)) for scan in scans]
-        for lo, hi in tiles:
-            rows = slice(0, hi - lo)
-            for s, buffer in cum.items():
-                dz = block_normals(seed, s, start + lo, hi - lo, grid)
+        if not hasattr(own, "cum"):  # this worker's tiles, reused by its later units
+            own.cum = {s: np.zeros((rows, grid + 1)) for s in streams}  # column 0 stays 0
+            own.work = [np.empty((rows, grid + 1)) for _ in range(3)]  # noise, base, path
+            own.out = [np.empty(len(scan.slope) * rows) for scan in scans]
+        moments = [None] * len(scans)  # each agent's, merged tile by tile in tile order
+        for lo, hi in _row_chunks(count, grid + 1, _TILE_BYTES):
+            m = hi - lo
+            for s, buffer in own.cum.items():
+                dz = block_normals(seed, s, start + lo, m, grid)
                 dz *= f.sqrt_dt
-                np.cumsum(dz, axis=1, out=buffer[rows, 1:])
+                np.cumsum(dz, axis=1, out=buffer[:m, 1:])
                 del dz  # before the next draw, so a worker holds streams + 4 tiles
-            tile = {s: buffer[rows] for s, buffer in cum.items()}
-            for scan, out in zip(scans, values):
-                _scan_tile(scan, tile, *(buffer[rows] for buffer in work), out[:, lo:hi])
-        return [_paired_sums(v) for v in values]
+            tile = {s: buffer[:m] for s, buffer in own.cum.items()}
+            for k, (scan, out) in enumerate(zip(scans, own.out)):
+                values = out[:len(scan.slope) * m].reshape(-1, m)
+                _scan_tile(scan, tile, *(buffer[:m] for buffer in own.work), values)
+                values[1:] -= values[0]  # paired differences; row 0 keeps the equilibrium
+                part = _moments(values)
+                moments[k] = part if moments[k] is None else _merge(moments[k], part)
+        return moments
 
-    with np.errstate(all="ignore"):
-        results = _map_units(unit_task, paths)
-    total = paths  # the units partition [0, paths)
+    with np.errstate(all="ignore"):  # the merges too: no warning for an agent out of range
+        totals = [reduce(_merge, units) for units in zip(*_map_units(unit_task, paths))]
 
-    def mean_stderr(s, sq, scale):
+    def mean_stderr(mean, m2, scale):
         """Mean and standard error of values carrying ``scale``; Python floats never warn."""
-        s, sq = float(s), float(sq)
-        mean = s / total
-        var = max((sq - total * mean * mean) / (total - 1), 0.0) if total > 1 else 0.0
-        return mean / scale, math.sqrt(var / total) / scale
+        var = float(m2) / (paths - 1) if paths > 1 else 0.0
+        return float(mean) / scale, math.sqrt(var / paths) / scale
 
     reports = []
-    for k, scan in enumerate(scans):
-        # Unit results summed in unit order, whatever the thread count.
-        sums, sqsums, eq_sum, eq_sqsum = (
-            sum(parts) for parts in zip(*(per_agent[k] for per_agent in results)))
-        eq_mean, eq_se = mean_stderr(eq_sum, eq_sqsum, scan.scale)
-        estimates = [mean_stderr(sums[j], sqsums[j], scan.scale) for j in scan.columns]
+    for scan, (_, means, m2s) in zip(scans, totals):
+        eq_mean, eq_se = mean_stderr(means[0], m2s[0], scan.scale)
+        means[0] = m2s[0] = 0.0  # the (0, 0, 0) cell's differences are exactly zero
+        estimates = [mean_stderr(means[j], m2s[j], scan.scale) for j in scan.columns]
         if not np.all(np.isfinite([(eq_mean, eq_se), *estimates])):
             raise _out_of_range(scan.agent)
         out_cells = [BestResponseCell(dpi=cell[0], a=cell[1], b=cell[2], mean_diff=mean, stderr=se)
                      for cell, (mean, se) in zip(cells, estimates)]
         reports.append(BestResponseReport(
-            agent=scan.agent, paths=total, seed=seed,
-            equilibrium=UtilityEstimate(mean=eq_mean, stderr=eq_se, paths=total),
+            agent=scan.agent, paths=paths, seed=seed,
+            equilibrium=UtilityEstimate(mean=eq_mean, stderr=eq_se, paths=paths),
             cells=tuple(out_cells)))
     return tuple(reports)
 

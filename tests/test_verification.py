@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -332,7 +333,7 @@ class TestBestResponseScan:
     def test_peak_memory_is_per_tile(self, monkeypatch):
         # Each of the two workers holds one tile per stream, its noise, base
         # and path tiles and one stream's draws (streams + 4 tiles), plus
-        # every agent's (cells, unit) values.  The scan also keeps every
+        # every agent's (cells, tile rows) values.  The scan also keeps every
         # agent's (cells, grid + 1) weights, builds one agent's with at most
         # eight temporaries of that size, and holds a few (n, grid + 1)
         # columns of the path model.  Before the scan worked on row tiles,
@@ -353,10 +354,63 @@ class TestBestResponseScan:
         finally:
             tracemalloc.stop()
         tile = verification._TILE_BYTES + 8 * (grid + 1)  # a one-row tail may join a tile
-        per_worker = (streams + 4) * tile + p.n * cells * simulation.WORK_UNIT * 8
+        per_worker = (streams + 4) * tile + p.n * cells * (tile // (8 * (grid + 1))) * 8
         weights = (p.n + 8) * cells * (grid + 1) * 8
         columns = 8 * p.n * (grid + 1) * 8
         assert peak <= weights + columns + 2 * per_worker
+
+    def test_peak_memory_does_not_grow_with_the_unit(self, ref_n3, monkeypatch):
+        # A worker's buffers are sized by the tile, not by WORK_UNIT: before
+        # each tile was reduced as it was written, a worker held every
+        # agent's (cells, unit) values, 6.6 MB more here at 4096 paths a unit.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        e = solve_n(ref_n3)
+        best_response_scan(ref_n3, e, (0,), (0.0,), (0.0,), paths=8, seed=1, grid=8)  # loads ndtri
+        peaks = {}
+        for unit in (1024, 4096):
+            monkeypatch.setattr(simulation, "WORK_UNIT", unit)
+            tracemalloc.start()
+            try:
+                best_response_scan(ref_n3, e, range(3), self.GRID_DPI, self.GRID_AB,
+                                   paths=8192, seed=1, grid=1000)
+                _, peaks[unit] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # the two workers' draws may overlap differently: allow a quarter tile
+        assert peaks[4096] <= peaks[1024] + verification._TILE_BYTES // 4
+
+    def test_constant_differences_have_no_cancellation_noise(self, ref_n3):
+        # The log investor (agent 2) at dpi = 0 plays the equilibrium's
+        # investment, and its tilted consumption changes the objective by
+        # the same amount on every path, up to the rounding of objectives
+        # near 0.7: about 1e-16 a path, 1e-18 in the standard error.  Taken
+        # from raw sums of squares, that standard error was cancellation
+        # noise up to 4e-12.  The tilts of 0.2 move the mean by 4e-3 or more.
+        e = solve_n(ref_n3)
+        (rep,) = best_response_scan(ref_n3, e, (2,), (0.0,), self.GRID_AB,
+                                    paths=4096, seed=777, grid=1000)
+        for cell in rep.cells:
+            if (cell.a, cell.b) == (0.0, 0.0):
+                assert cell.mean_diff == 0.0 and cell.stderr == 0.0
+            else:
+                assert abs(cell.mean_diff) >= 4e-3
+                assert cell.stderr <= 1e-15 * abs(cell.mean_diff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_merged_moments_match_two_pass(self, data):
+        # values whose squares neither overflow nor underflow
+        values = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+        x = data.draw(hnp.arrays(np.float64, st.integers(2, 300), elements=values))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(x) - 1), max_size=12)))
+        pieces = np.split(x, cuts)
+        count, mean, m2 = reduce(verification._merge,
+                                 (verification._moments(piece[None].copy()) for piece in pieces))
+        # relative to the sample's mean square, which bounds both roundings
+        scale = float(np.mean(x * x))
+        assert count == len(x)
+        assert abs(mean[0] - np.mean(x)) <= 1e-12 * math.sqrt(scale)
+        assert abs(m2[0] / (count - 1) - np.var(x, ddof=1)) <= 1e-12 * scale
 
     def test_means_match_recorded_values(self, ref_n3):
         e = solve_n(ref_n3)
