@@ -9,7 +9,7 @@ Randomness comes from counter-based Philox streams: stream 0 carries the
 common noise shared by every agent, stream k+1 the idiosyncratic noise of
 agent k.  Each stream is keyed by (seed, stream id) and each path owns a
 fixed window of the stream's counter, so draws for a given (seed, stream,
-path) never depend on how paths are grouped into blocks.  Two batches run
+path) never depend on how paths are grouped into tiles.  Two batches run
 with the same seed therefore share identical Brownian increments whatever
 the strategies -- the common-random-numbers contract the verification
 module's paired tests rely on.  Increments are never stored; any
@@ -20,11 +20,12 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -36,13 +37,15 @@ from .types import Population, validate_population
 
 DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
-# Paths per work unit of every Monte Carlo route (read only by `_units`):
-# two workers share 10^4 paths evenly.  Inside a unit the routes work on
-# row tiles, so no worker holds a (unit, grid + 1) array (8.2 MB at grid
-# 1000) except the stored batch and `_simulate_nodes`' block.
-WORK_UNIT = 1024
-# Rows of a path block that elementwise passes take at once: about 256 KiB.
-_CHUNK_BYTES = 1 << 18
+# Bytes of one (rows, grid + 1) row tile, the work unit of every Monte
+# Carlo route: 64 rows at grid 1000.  No worker holds a (paths, grid + 1)
+# array; only `simulate`'s batch is that large.  On the reference trio's
+# best-response scan at 20k paths x grid 1000 (125 cells, 2 worker
+# threads, BLAS on one thread, a 2-core x86 VM) the scan took a median
+# 1.395 s at 512 KiB, 1.409 s at 256 KiB and 1.434 s at 1 MiB (7 runs
+# each), and 1.82 s at 128 KiB.  At 256 KiB a tile has 32 rows, and
+# OpenBLAS's GEMM there costs 30% more per multiply-add than at 64.
+TILE_BYTES = 1 << 19
 
 COMMON_STREAM = 0
 
@@ -52,10 +55,10 @@ _HALF_ULP = 2.0**-54
 
 
 def worker_count() -> int:
-    """Worker threads for path blocks: min(4, cores), or MERTON_ARENA_THREADS.
+    """Worker threads for row tiles: min(4, cores), or MERTON_ARENA_THREADS.
 
     ``simulate``, ``estimate_objective``, the best-response scan and
-    ``cli simulate`` run their path blocks on this many threads; their
+    ``cli simulate`` run their row tiles on this many threads; their
     results do not depend on it.  MERTON_ARENA_THREADS sets the count,
     also above the number of cores; values below 1 mean 1, and a value
     that is not an integer raises ValidationError, a ValueError that the
@@ -189,8 +192,9 @@ def equilibrium_strategy(p: Population, e: EquilibriumProfile) -> StrategyProfil
 class SimulationBatch:
     """Seeded log-wealth paths on a grid (increments are not stored).
 
-    ``simulate`` makes ``log_wealth`` read-only: ``estimate_objective`` keeps
-    every agent's per-path objective, finite or not, in ``_scores`` (key, (n, P)).
+    ``simulate`` writes ``log_wealth`` one row tile at a time and makes it
+    read-only: ``estimate_objective`` keeps every agent's per-path
+    objective, finite or not, in ``_scores`` (key, (n, P)).
     """
 
     times: np.ndarray           # (M+1,)
@@ -212,43 +216,47 @@ class UtilityEstimate:
     paths: int
 
 
-def _units(paths: int) -> list[tuple[int, int]]:
-    """(start, count) of the consecutive WORK_UNIT-path units of [0, paths)."""
-    return [(start, min(WORK_UNIT, paths - start)) for start in range(0, paths, WORK_UNIT)]
+def _row_chunks(count: int, nodes: int, nbytes: int) -> range:
+    """Starts of the consecutive row chunks of a (count, nodes) block.
 
-
-def _row_chunks(count: int, nodes: int, nbytes: int) -> list[tuple[int, int]]:
-    """(start, stop) of the consecutive row chunks of a (count, nodes) block.
-
-    A chunk holds about ``nbytes`` of doubles.  OpenBLAS's dgemv takes
-    output rows in fours and numpy hands a single row to ddot, so chunks
-    are multiples of four rows and a one-row tail joins the chunk before
-    it: each row's matrix-vector product is then that of one product over
-    the block.  The chunks depend on nothing but the three sizes.
+    A chunk runs to the next start, the last one to ``count``, and holds
+    about ``nbytes`` of doubles.  OpenBLAS's dgemv takes output rows in
+    fours and numpy hands a single row to ddot, so chunks are multiples of
+    four rows and a one-row tail joins the chunk before it: each row's
+    matrix-vector product is then that of one product over the block.
+    The chunks depend on nothing but the three sizes.
     """
-    chunk = max(4, nbytes // (8 * nodes) // 4 * 4)
-    stops = [*range(chunk, count - 1, chunk), count]
-    return list(zip([0, *stops[:-1]], stops))
+    return range(0, max(count - 1, 1), max(4, nbytes // (8 * nodes) // 4 * 4))
 
 
-def _map_units(fn: Callable[[int, int], object], paths: int) -> list:
-    """[fn(start, count) for each unit of [0, paths)], on worker_count() threads.
+def _map_tiles(fn: Callable[[int, int], object], paths: int, nodes: int) -> Iterator:
+    """Yield fn(start, count) for each row tile of a (paths, nodes) block, in tile order.
 
-    Results come back in unit order, and each unit runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds in it.  Memory
-    stays bounded per unit, and numpy releases the interpreter lock inside
-    the array passes that dominate one.
+    The tiles are the `_row_chunks` of ``TILE_BYTES``, the one partition
+    of every Monte Carlo route.  They run on ``worker_count()`` threads,
+    each in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in it.  At most two tiles per worker are queued
+    or done ahead of the caller, so memory does not grow with ``paths``;
+    numpy releases the interpreter lock inside the array passes that
+    dominate a tile.
     """
-    units = _units(paths)
-    workers = min(worker_count(), len(units))
-    if workers > 1:
-        # one Context cannot be entered by two threads at once: a copy per unit
-        caller = contextvars.copy_context()
-        starts, counts = zip(*units)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda start, count: caller.copy().run(fn, start, count),
-                                 starts, counts))
-    return [fn(start, count) for start, count in units]
+    starts = _row_chunks(paths, nodes, TILE_BYTES)
+    tiles = ((start, stop - start) for start, stop in zip(starts, chain(starts[1:], [paths])))
+    workers = min(worker_count(), len(starts))
+    if workers == 1:
+        for start, count in tiles:
+            yield fn(start, count)
+        return
+    caller = contextvars.copy_context()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque()
+        for start, count in tiles:
+            # one Context cannot be entered by two threads at once: a copy per tile
+            ahead.append(pool.submit(caller.copy().run, fn, start, count))
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _time_grid(horizon: float, grid: int, paths: int) -> np.ndarray:
@@ -289,36 +297,32 @@ def _segments(pi: np.ndarray, mu, Sigma, c_nodes: np.ndarray, dt: np.ndarray) ->
 
 
 def _fill_block(f: SimpleNamespace, seed: int, start: int, log_wealth: np.ndarray) -> None:
-    """Write paths [start, start + count) into log_wealth (count, n, grid + 1).
+    """Write the tile of paths [start, start + count) into log_wealth (count, n, grid + 1).
 
-    The rows go one cache-sized tile at a time: the tile's common
-    normals, then each agent's normals, which are scaled into dW and
-    then serve as the scratch where the row is combined and cumulated.
-    Per-path counter windows make a tile's normals the same rows of its
-    block's, and each element sees the same IEEE operations as the
-    whole-block expression pi (nu dW + sigma dB) + det, cumulated and
-    shifted by log x0, so results do not depend on the block or tile
-    layout.
+    The tile's common normals come first, then each agent's normals,
+    which are scaled into dW and then serve as the scratch where the row
+    is combined and cumulated.  Per-path counter windows make a tile's
+    normals the same rows of the whole batch's, and each element sees the
+    same IEEE operations as the whole-batch expression
+    pi (nu dW + sigma dB) + det, cumulated and shifted by log x0, so
+    results do not depend on the tiles.
     """
     count, n, _ = log_wealth.shape
     grid = len(f.sqrt_dt)
-    tile = max(1, _CHUNK_BYTES // (8 * grid))
-    for r in range(0, count, tile):
-        rows = min(tile, count - r)
-        db = block_normals(seed, COMMON_STREAM, start + r, rows, grid)
-        db *= f.sqrt_dt
-        for k in range(n):
-            row = log_wealth[r:r + rows, k, 1:]
-            z = block_normals(seed, agent_stream(k), start + r, rows, grid)
-            z *= f.sqrt_dt
-            np.multiply(z, f.a.nu[k], out=row)
-            np.multiply(db, f.a.sigma[k], out=z)
-            z += row
-            z *= f.pi[k]
-            z += f.det_seg[k]
-            np.cumsum(z, axis=1, out=row)
-            row += f.log_x0[k]
-            del z  # before the next agent's draw, so a worker holds two tiles
+    db = block_normals(seed, COMMON_STREAM, start, count, grid)
+    db *= f.sqrt_dt
+    for k in range(n):
+        row = log_wealth[:, k, 1:]
+        z = block_normals(seed, agent_stream(k), start, count, grid)
+        z *= f.sqrt_dt
+        np.multiply(z, f.a.nu[k], out=row)
+        np.multiply(db, f.a.sigma[k], out=z)
+        z += row
+        z *= f.pi[k]
+        z += f.det_seg[k]
+        np.cumsum(z, axis=1, out=row)
+        row += f.log_x0[k]
+        del z  # before the next agent's draw, so a worker holds two tiles
     log_wealth[:, :, 0] = f.log_x0
 
 
@@ -327,11 +331,11 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
     """Simulate the n coupled wealth processes under strategy profile s.
 
     Deterministic given the seed: the same inputs reproduce the batch
-    bitwise.  Work units of ``WORK_UNIT`` paths are written in place
-    into the batch on ``worker_count()`` threads; the result does not
-    depend on the thread count or the unit size.  Memory is the batch,
-    paths x n x (grid + 1) doubles, plus a few tile-sized arrays per
-    worker.  The batch's ``log_wealth`` is read-only.
+    bitwise.  Row tiles of paths are written in place into the batch on
+    ``worker_count()`` threads; the result depends on neither the thread
+    count nor the tile size.  Memory is the batch, paths x n x (grid + 1)
+    doubles, plus two tile-sized arrays per worker.  The batch's
+    ``log_wealth`` is read-only.
     """
     f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((paths, p.n, grid + 1))
@@ -339,7 +343,8 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
     def fill(start, count):
         _fill_block(f, seed, start, log_wealth[start:start + count])
 
-    _map_units(fill, paths)
+    for _ in _map_tiles(fill, paths, grid + 1):
+        pass
     log_wealth.flags.writeable = False
     return SimulationBatch(times=f.times, paths=paths, seed=seed, log_wealth=log_wealth)
 
@@ -348,20 +353,20 @@ def _simulate_nodes(p: Population, s: StrategyProfile, grid: int, paths: int, se
                     nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(times[nodes], log_wealth): ``simulate``'s batch at the nodes, paths last.
 
-    log_wealth is (n, len(nodes), paths).  Each worker fills its units
-    into one (WORK_UNIT, n, grid + 1) block of its own, not the batch.
+    log_wealth is (n, len(nodes), paths).  Each tile is filled into a
+    (tile rows, n, grid + 1) block of its own, not a batch, so a worker
+    holds n + 2 tiles.
     """
     f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((p.n, len(nodes), paths))
-    own = threading.local()
 
     def fill(start, count):
-        if not hasattr(own, "block"):
-            own.block = np.empty((min(WORK_UNIT, paths), p.n, grid + 1))
-        _fill_block(f, seed, start, own.block[:count])
-        log_wealth[:, :, start:start + count] = np.moveaxis(own.block[:count, :, nodes], 0, -1)
+        block = np.empty((count, p.n, grid + 1))
+        _fill_block(f, seed, start, block)
+        log_wealth[:, :, start:start + count] = np.moveaxis(block[:, :, nodes], 0, -1)
 
-    _map_units(fill, paths)
+    for _ in _map_tiles(fill, paths, grid + 1):
+        pass
     return f.times[nodes], log_wealth
 
 
@@ -387,41 +392,35 @@ def utility(x, delta: float):
 
 def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
                  a: SimpleNamespace) -> np.ndarray:
-    """Per-path objectives (n, count) of every agent from one block of paths.
+    """Per-path objectives (n, count) of every agent from one tile of paths.
 
     Agent i's running integrand is U applied to c_i X_i times the
     population geometric mean of c_k X_k raised to -theta_i; the terminal
     term applies U to X_i(T) times the geometric mean wealth raised to
-    -theta_i.  One `_row_chunks` chunk at a time, so that the elementwise
-    passes stay in cache, the row sum of log c_k X_k is formed once in
-    agent order, the order of numpy's reduction over the agent axis, and
-    every agent is reduced from it; each path's quadrature is that of one
-    GEMV over the block.
+    -theta_i.  The tile's row sum of log c_k X_k is formed once in agent
+    order, the order of numpy's reduction over the agent axis, and every
+    agent is reduced from it, while the elementwise passes stay in cache.
+    Each path's quadrature is that of one GEMV over any run of whole
+    `_row_chunks` tiles.
     """
     count, n, nodes = log_wealth.shape
-    chunks = _row_chunks(count, nodes, _CHUNK_BYTES)
-    s, cx, arg = (np.empty((max(stop - start for start, stop in chunks), nodes))
-                  for _ in range(3))
+    s, cx, arg = (np.empty((count, nodes)) for _ in range(3))
     out = np.empty((n, count))
-    for start, stop in chunks:
-        lw, rows = log_wealth[start:stop], stop - start
-        sk, ck, ak = s[:rows], cx[:rows], arg[:rows]
-        np.add(lw[:, 0], log_c[0], out=sk)
-        for j in range(1, n):
-            sk += np.add(lw[:, j], log_c[j], out=ck)
-        sk /= n
-        mean_xt = lw[:, :, -1].mean(axis=1)
-        for i in range(n):
-            np.multiply(sk, a.theta[i], out=ak)
-            np.subtract(np.add(lw[:, i], log_c[i], out=ck), ak, out=ak)
-            arg_term = lw[:, i, -1] - a.theta[i] * mean_xt
-            if a.delta[i] == 1.0:
-                out[i, start:stop] = ak @ weights + a.eps[i] * arg_term
-            else:
-                k = 1.0 - 1.0 / a.delta[i]
-                ak *= k
-                out[i, start:stop] = (np.exp(ak, out=ak) @ weights / k
-                                      + a.eps[i] * np.exp(k * arg_term) / k)
+    np.add(log_wealth[:, 0], log_c[0], out=s)
+    for j in range(1, n):
+        s += np.add(log_wealth[:, j], log_c[j], out=cx)
+    s /= n
+    mean_xt = log_wealth[:, :, -1].mean(axis=1)
+    for i in range(n):
+        np.multiply(s, a.theta[i], out=arg)
+        np.subtract(np.add(log_wealth[:, i], log_c[i], out=cx), arg, out=arg)
+        arg_term = log_wealth[:, i, -1] - a.theta[i] * mean_xt
+        if a.delta[i] == 1.0:
+            out[i] = arg @ weights + a.eps[i] * arg_term
+        else:
+            k = 1.0 - 1.0 / a.delta[i]
+            arg *= k
+            out[i] = np.exp(arg, out=arg) @ weights / k + a.eps[i] * np.exp(k * arg_term) / k
     return out
 
 
@@ -482,7 +481,8 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
                 batch.log_wealth[start:start + count], log_c, weights, f.a)
 
         with np.errstate(all="ignore"):
-            _map_units(score, batch.paths)
+            for _ in _map_tiles(score, batch.paths, len(f.times)):
+                pass
         kept = (key, values)
         object.__setattr__(batch, "_scores", kept)
     values = kept[1][i]

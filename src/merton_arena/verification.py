@@ -34,13 +34,11 @@ from .simulation import (
     COMMON_STREAM,
     DEFAULT_GRID,
     UtilityEstimate,
-    _map_units,
+    _map_tiles,
     _out_of_range,
     _path_model,
     _pow2_scale,
-    _row_chunks,
     _segments,
-    _units,
     agent_stream,
     block_normals,
     equilibrium_strategy,
@@ -441,15 +439,6 @@ class BestResponseReport:
         }
 
 
-# Bytes of one (rows, grid + 1) tile of the scan: 64 rows at grid 1000.
-# On the reference trio at 20k paths x grid 1000 (125 cells, 2 worker
-# threads, BLAS on one thread, a 2-core x86 VM) the scan took a median
-# 1.395 s at 512 KiB, 1.409 s at 256 KiB and 1.434 s at 1 MiB (7 runs
-# each), and 1.82 s at 128 KiB.  At 256 KiB a tile has 32 rows, and
-# OpenBLAS's GEMM there costs 30% more per multiply-add than at 64.
-_TILE_BYTES = 1 << 19
-
-
 @dataclass(frozen=True)
 class _AgentScan:
     """The deterministic half of one agent's scan; path tiles supply the rest.
@@ -561,17 +550,24 @@ def _weighted_sum(cum: dict, terms: tuple[tuple[int, float], ...],
 
 def _scan_tile(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray,
                path: np.ndarray, out: np.ndarray) -> None:
-    """Write every stacked cell's objective on one tile of paths into out (cells, rows).
+    """Write the equilibrium objective and each cell's paired difference into out (cells, rows).
 
-    ``cum`` maps each stream to its cumulated noise on the tile, and
-    ``noise``, ``base`` and ``path`` are (rows, grid + 1) work buffers.
+    Row 0 is the (0, 0, 0) cell's objective on each path of the tile, row
+    c the c-th stacked cell's objective minus it.  ``cum`` maps each
+    stream to its cumulated noise on the tile, and ``noise``, ``base`` and
+    ``path`` are (rows, grid + 1) work buffers.  At delta = 1 the
+    differences are formed from the slope and terminal differences alone,
+    so a cell with the equilibrium's slope differs by one constant on
+    every path.
     """
     _weighted_sum(cum, scan.own_noise, noise, path)
     _weighted_sum(cum, scan.others_noise, base, path)
     if scan.weights is None:
-        np.multiply.outer(scan.slope, noise @ scan.w + scan.eps * noise[:, -1], out=out)
-        out += base @ scan.w + scan.eps * base[:, -1]
-        out += scan.terminal[:, None]
+        noise_w = noise @ scan.w + scan.eps * noise[:, -1]
+        out[0] = scan.slope[0] * noise_w + (base @ scan.w + scan.eps * base[:, -1])
+        out[0] += scan.terminal[0]
+        np.multiply.outer(scan.slope[1:] - scan.slope[0], noise_w, out=out[1:])
+        out[1:] += (scan.terminal[1:] - scan.terminal[0])[:, None]
         return
     for group in scan.groups:
         np.multiply(noise, scan.slope[group.start], out=path)
@@ -579,6 +575,7 @@ def _scan_tile(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray,
         np.exp(path, out=path)
         np.matmul(scan.weights[group], path.T, out=out[group])
         out[group] += scan.terminal[group, None] * path[:, -1]
+    out[1:] -= out[0]
 
 
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -613,29 +610,28 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
 
     Every other agent plays the closed-form equilibrium; the scanned agent
     plays (pi* + dpi, c*(t) e^(a + b t)) for each cell of
-    dpi_grid x ab_grid^2.  Each work unit of paths draws the common stream and
-    every idiosyncratic stream some scanned agent needs once, one row tile
-    (`_TILE_BYTES`, a function of ``grid`` alone) at a time, and evaluates
-    every agent's cells on a tile while it is in cache; the perturbed and
-    the equilibrium objective share the increments path by path, so the
-    (0, 0, 0) cell differs by exactly zero.  Each agent's (cells, rows)
-    tile of objectives is reduced at once: the equilibrium row is
-    subtracted from the others, and the tile's count, mean and sum of
-    squared deviations (`_moments`) are merged into the unit's by
-    Chan's update (`_merge`) in tile order; unit moments merge in unit
-    order.  A worker allocates its tiles once per scan, one per stream
-    plus four more and each scanned agent's (cells, tile rows) values,
-    whatever ``WORK_UNIT`` is.  Reports come back in the order of
-    ``agents``, do not depend on which other agents are scanned alongside,
-    and are bitwise the same for every thread count; the GEMM bits depend
-    on a tile's row count, so a different tile size moves them.  No
-    exception is raised for a profitable deviation: check ``violations()``.
+    dpi_grid x ab_grid^2.  Each row tile of paths (`simulation._map_tiles`)
+    draws the common stream and every idiosyncratic stream some scanned
+    agent needs once, and every agent's cells are evaluated on the tile
+    while it is in cache; the perturbed and the equilibrium objective
+    share the increments path by path, so the (0, 0, 0) cell differs by
+    exactly zero.  Each agent's (cells, rows) tile of the equilibrium
+    objective and the paired differences (`_scan_tile`) is reduced at
+    once to its count, mean and sum of squared deviations (`_moments`),
+    and the tiles' moments are merged by Chan's update (`_merge`) in tile
+    order as they arrive.  A worker holds one tile per stream plus four
+    more and each scanned agent's (cells, tile rows) values, whatever
+    ``paths`` is.  Reports come back in the order of ``agents``, do not
+    depend on which other agents are scanned alongside, and are bitwise
+    the same for every thread count; the GEMM bits depend on a tile's row
+    count, so a different tile size moves them.  No exception is raised
+    for a profitable deviation: check ``violations()``.
     The population, ``grid``, ``paths`` and the profile's agent count are
     checked as ``simulate`` checks them, and an empty ``dpi_grid`` or
     ``ab_grid`` raises ValueError.  Each agent's values are computed
     scaled by a power of two (see `_agent_scan`), so a finite mean has a
     finite standard error; an agent with any mean or standard error that
-    is not finite raises DomainError once the units are done, with no warning.
+    is not finite raises DomainError once the tiles are done, with no warning.
     """
     f = _path_model(p, equilibrium_strategy(p, e), grid, paths)
     agents = tuple(int(i) for i in agents)
@@ -654,36 +650,34 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     streams = sorted({stream for scan in scans
                       for stream, _ in scan.own_noise + scan.others_noise})
 
-    # The largest tile of any unit, a joined one-row tail included: the last
-    # unit, if shorter, may end in a longer tile than a full one.
-    rows = max(hi - lo for count in {count for _, count in _units(paths)}
-               for lo, hi in _row_chunks(count, grid + 1, _TILE_BYTES))
     own = threading.local()
 
-    def unit_task(start, count):
-        if not hasattr(own, "cum"):  # this worker's tiles, reused by its later units
-            own.cum = {s: np.zeros((rows, grid + 1)) for s in streams}  # column 0 stays 0
-            own.work = [np.empty((rows, grid + 1)) for _ in range(3)]  # noise, base, path
-            own.out = [np.empty(len(scan.slope) * rows) for scan in scans]
-        moments = [None] * len(scans)  # each agent's, merged tile by tile in tile order
-        for lo, hi in _row_chunks(count, grid + 1, _TILE_BYTES):
-            m = hi - lo
-            for s, buffer in own.cum.items():
-                dz = block_normals(seed, s, start + lo, m, grid)
-                dz *= f.sqrt_dt
-                np.cumsum(dz, axis=1, out=buffer[:m, 1:])
-                del dz  # before the next draw, so a worker holds streams + 4 tiles
-            tile = {s: buffer[:m] for s, buffer in own.cum.items()}
-            for k, (scan, out) in enumerate(zip(scans, own.out)):
-                values = out[:len(scan.slope) * m].reshape(-1, m)
-                _scan_tile(scan, tile, *(buffer[:m] for buffer in own.work), values)
-                values[1:] -= values[0]  # paired differences; row 0 keeps the equilibrium
-                part = _moments(values)
-                moments[k] = part if moments[k] is None else _merge(moments[k], part)
+    def tile_task(start, count):
+        """Each scanned agent's (count, mean, M2) on the tile of paths [start, start + count)."""
+        # this worker's buffers, grown once if the tail tile is a row longer
+        if getattr(own, "rows", 0) < count:
+            own.cum = own.work = own.out = None  # freed before the larger set is made
+            own.cum = {s: np.zeros((count, grid + 1)) for s in streams}  # column 0 stays 0
+            own.work = [np.empty((count, grid + 1)) for _ in range(3)]  # noise, base, path
+            own.out = [np.empty(len(scan.slope) * count) for scan in scans]
+            own.rows = count
+        for s, buffer in own.cum.items():
+            dz = block_normals(seed, s, start, count, grid)
+            dz *= f.sqrt_dt
+            np.cumsum(dz, axis=1, out=buffer[:count, 1:])
+            del dz  # before the next draw, so a worker holds streams + 4 tiles
+        tile = {s: buffer[:count] for s, buffer in own.cum.items()}
+        work = [buffer[:count] for buffer in own.work]
+        moments = []
+        for scan, out in zip(scans, own.out):
+            values = out[:len(scan.slope) * count].reshape(-1, count)
+            _scan_tile(scan, tile, *work, values)
+            moments.append(_moments(values))
         return moments
 
     with np.errstate(all="ignore"):  # the merges too: no warning for an agent out of range
-        totals = [reduce(_merge, units) for units in zip(*_map_units(unit_task, paths))]
+        totals = reduce(lambda acc, part: list(map(_merge, acc, part)),
+                        _map_tiles(tile_task, paths, grid + 1))
 
     def mean_stderr(mean, m2, scale):
         """Mean and standard error of values carrying ``scale``; Python floats never warn."""

@@ -800,6 +800,38 @@ class TestNoAssertInPackage:
         assert os.path.join(package, "verification.py") in modules  # the walk sees the package
 
 
+class TestOnePartition:
+    """Only ``simulation`` knows how paths are cut into tiles and threads."""
+
+    # simulation's tiling internals, and the unit-era names they replaced
+    TILING = {"TILE_BYTES", "_row_chunks", "worker_count", "_TILE_BYTES", "_CHUNK_BYTES",
+              "WORK_UNIT", "_units", "_map_units", "ThreadPoolExecutor", "contextvars"}
+
+    @staticmethod
+    def names(module) -> set[str]:
+        """Every name, attribute and imported name in a package module."""
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name for alias in node.names)
+        return found
+
+    def test_verification_names_only_the_tile_mapper(self):
+        from merton_arena import simulation, verification
+        names = self.names(verification)
+        assert "_map_tiles" in names
+        assert names & self.TILING == set()
+        # the set names what simulation really defines and uses
+        assert self.TILING & self.names(simulation) == {
+            "TILE_BYTES", "_row_chunks", "worker_count", "ThreadPoolExecutor", "contextvars"}
+
+
 class TestImports:
     """A run imports scipy.special only once it draws normals, and never scipy.integrate."""
 

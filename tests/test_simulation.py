@@ -30,9 +30,8 @@ from merton_arena import (
 from conftest import random_population
 from merton_arena import simulation
 from merton_arena.simulation import (
-    _CHUNK_BYTES,
     COMMON_STREAM,
-    WORK_UNIT,
+    TILE_BYTES,
     StrategyProfile,
     _score_block,
     _simulate_nodes,
@@ -94,9 +93,9 @@ class TestSimulateDeterminism:
     def test_block_size_does_not_change_paths(self, monkeypatch):
         p = two_agents(nu=0.3)
         s = constant_strategy([0.5, 0.7], [1.0, 1.2])
-        monkeypatch.setattr(simulation, "WORK_UNIT", 500)
+        monkeypatch.setattr(simulation, "TILE_BYTES", 500 * 8 * 65)  # one 500-row tile
         b1 = simulate(p, s, grid=64, paths=500, seed=3)
-        monkeypatch.setattr(simulation, "WORK_UNIT", 128)
+        monkeypatch.setattr(simulation, "TILE_BYTES", 128 * 8 * 65)  # 128-row tiles
         b2 = simulate(p, s, grid=64, paths=500, seed=3)
         assert np.array_equal(b1.log_wealth, b2.log_wealth)
 
@@ -363,8 +362,12 @@ class TestInPlaceBlocks:
     """simulate and estimate_objective equal the whole-block reference bitwise."""
 
     GRID, PATHS, SEED = 48, 1000, 17
-    TILE = _CHUNK_BYTES // (8 * GRID)  # rows _fill_block takes at once
     BLOCK = 4096  # rows of a reference block
+
+    @classmethod
+    def tile_rows(cls, monkeypatch, rows, grid=None):
+        """Make every route's tiles ``rows`` rows long (a multiple of four)."""
+        monkeypatch.setattr(simulation, "TILE_BYTES", rows * 8 * ((grid or cls.GRID) + 1))
 
     @staticmethod
     def case(n=3, perturbed=True):
@@ -380,10 +383,11 @@ class TestInPlaceBlocks:
     @pytest.mark.parametrize("perturbed", [True, False])
     def test_simulate_equals_reference(self, monkeypatch, threads, block_size, perturbed):
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
-        monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
+        self.tile_rows(monkeypatch, block_size)
         p, s = self.case(perturbed=perturbed)
-        # tile edges, and a full reference block plus a partial one
-        for paths in (1, self.TILE - 1, self.TILE + 1, self.BLOCK + 904):
+        # tile edges (one tile with a joined one-row tail), and a full
+        # reference block plus a partial one
+        for paths in (1, block_size - 1, block_size + 1, self.BLOCK + 904):
             log_wealth = reference_batch(p, s, self.GRID, paths, self.SEED, block_size)
             batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED)
             assert np.array_equal(batch.log_wealth, log_wealth)
@@ -396,11 +400,11 @@ class TestInPlaceBlocks:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("paths", [
-        1027,  # a 3-row unit
-        WORK_UNIT + 81,  # an 81-row unit, whose last row joins the chunk before it
+        1027,  # six tiles and a 67-row tail
+        1105,  # six tiles and a 145-row one, whose one-row tail joined the tile before it
     ])
     def test_estimate_equals_reference_at_chunk_edges(self, monkeypatch, threads, paths):
-        # at grid 400 the raw 256 KiB chunk is 81 rows, rounded down to 80
+        # at grid 400 the raw 512 KiB tile is 163 rows, rounded down to 160
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         self.check_estimate(400, paths)
 
@@ -438,36 +442,57 @@ class TestInPlaceBlocks:
     @pytest.mark.parametrize("perturbed", [True, False])
     def test_peak_memory_is_per_block_row(self, monkeypatch, perturbed):
         # Beyond the batch itself, each of the two workers holds at most four
-        # (count, grid) arrays; one (count, n, grid) temporary is 16 of them.
+        # (tile, grid) arrays; one (tile, n, grid) temporary is 16 of them.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
-        grid, paths, block_size = 200, 2048, 512
-        monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
+        grid, paths, rows = 200, 2048, 512
+        self.tile_rows(monkeypatch, rows, grid)
         p, s = self.case(n=16, perturbed=perturbed)
-        row_bytes = block_size * grid * 8
+        row_bytes = rows * grid * 8
         assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * row_bytes
 
     def test_peak_memory_is_per_tile(self, monkeypatch):
         # Each of the two workers holds two (tile, grid) arrays, the common
-        # increments and one agent's, whatever the unit size.
+        # increments and one agent's, whatever the number of paths.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
-        grid, paths = 200, 4096
-        tile_bytes = _CHUNK_BYTES // (8 * grid) * grid * 8
+        grid = 200
+        tile_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * grid * 8  # a tail may add a row
         p, s = self.case(n=16)
-        for block_size in (128, 1024, 4096):
-            monkeypatch.setattr(simulation, "WORK_UNIT", block_size)
+        for paths in (1024, 4096):
             assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * tile_bytes
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_simulate_nodes_are_batch_columns(self, monkeypatch, threads):
-        # units of 300 paths, the last one partial, refill each worker's block
+        # tiles of 300 paths: the last one partial, or one a row longer
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
-        monkeypatch.setattr(simulation, "WORK_UNIT", 300)
+        self.tile_rows(monkeypatch, 300)
         p, s = self.case()
         nodes = [0, 3, self.GRID]
-        batch = simulate(p, s, grid=self.GRID, paths=self.PATHS, seed=self.SEED)
-        times, log_wealth = _simulate_nodes(p, s, self.GRID, self.PATHS, self.SEED, nodes)
-        assert np.array_equal(times, batch.times[nodes])
-        assert np.array_equal(log_wealth, np.moveaxis(batch.log_wealth[:, :, nodes], 0, -1))
+        for paths in (self.PATHS, 901):
+            batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED)
+            times, log_wealth = _simulate_nodes(p, s, self.GRID, paths, self.SEED, nodes)
+            assert np.array_equal(times, batch.times[nodes])
+            assert np.array_equal(log_wealth, np.moveaxis(batch.log_wealth[:, :, nodes], 0, -1))
+
+    def test_simulate_nodes_memory_is_per_tile(self, monkeypatch):
+        # Beyond its (n, nodes, paths) output and the path model's columns,
+        # each of the two workers holds one (tile, n, grid + 1) block and
+        # two (tile, grid) draws, n + 2 tiles, and numpy's ufunc buffers and
+        # the tile's node columns, under one tile more.  One (1024, n,
+        # grid + 1) block per worker would be 24.6 MB here.
+        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
+        p, s = self.case()
+        grid, paths, nodes = 1000, 4096, [0, 10, 500, 1000]
+        tile_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8  # a tail may add a row
+        columns = 8 * p.n * (grid + 1) * 8
+        _simulate_nodes(p, s, 8, 8, 1, [0, 8])  # loads ndtri
+        tracemalloc.start()
+        try:
+            _, log_wealth = _simulate_nodes(p, s, grid, paths, self.SEED, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log_wealth.shape == (p.n, len(nodes), paths)
+        assert peak - log_wealth.nbytes <= columns + 2 * (p.n + 3) * tile_bytes
 
 
 class TestKeptScores:
@@ -489,13 +514,13 @@ class TestKeptScores:
         p, s = TestInPlaceBlocks.case(n=4)
         batch = self.batch(p, s)
         calls = []
-        real = simulation._map_units
+        real = simulation._map_tiles
 
-        def counting(fn, paths):
+        def counting(fn, paths, nodes):
             calls.append(paths)
-            return real(fn, paths)
+            return real(fn, paths, nodes)
 
-        monkeypatch.setattr(simulation, "_map_units", counting)
+        monkeypatch.setattr(simulation, "_map_tiles", counting)
         for i in range(p.n):
             estimate_objective(batch, s, i, p)
         assert calls == [self.PATHS]
@@ -597,14 +622,14 @@ class TestKeptScores:
 
     def test_memory_is_the_kept_scores_and_chunks(self, monkeypatch):
         # Beyond the kept n x paths values, each of the two workers holds three
-        # (chunk + 1, grid + 1) buffers, and the path model's (n, grid + 1)
-        # columns, the key and the workers' (n, unit) outputs stay under two
-        # more per worker; one (unit, grid + 1) array would be 8.2 MB.
+        # (tile + 1, grid + 1) buffers, and the path model's (n, grid + 1)
+        # columns, the key and the workers' (n, tile) outputs stay under two
+        # more per worker; one (paths, grid + 1) array would be 16.4 MB.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
-        grid, paths = 1000, 2 * WORK_UNIT
+        grid, paths = 1000, 2048
         p, s = TestInPlaceBlocks.case()
         batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED)
-        chunk_bytes = (_CHUNK_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8
+        chunk_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8
         tracemalloc.start()
         try:
             for i in range(p.n):
@@ -613,21 +638,29 @@ class TestKeptScores:
         finally:
             tracemalloc.stop()
         assert batch._scores[1].nbytes == p.n * paths * 8
-        assert peak - batch._scores[1].nbytes <= 2 * 5 * chunk_bytes < WORK_UNIT * (grid + 1) * 8
+        assert peak - batch._scores[1].nbytes <= 2 * 5 * chunk_bytes < paths * (grid + 1) * 8
 
 
-class TestMapUnits:
-    def test_units_run_under_the_callers_error_state(self, monkeypatch):
+class TestMapTiles:
+    def test_tiles_run_under_the_callers_error_state(self, monkeypatch):
         # pool threads start in a fresh context, where numpy only warns
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
-        monkeypatch.setattr(simulation, "WORK_UNIT", 10)
+        nodes = TILE_BYTES // (8 * 4)  # four-row tiles
 
-        def unit(start, count):
-            return np.exp(1000.0) if start == 10 else 0.0
+        def tile(start, count):
+            return np.exp(1000.0) if start == 4 else 0.0
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
-                simulation._map_units(unit, 30)
+                list(simulation._map_tiles(tile, 12, nodes))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_results_come_in_tile_order(self, monkeypatch, threads):
+        # 4-row tiles, the last one 5 rows: a one-row tail joins the tile before it
+        monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+        tiles = list(simulation._map_tiles(lambda start, count: (start, count), 41,
+                                           TILE_BYTES // (8 * 4)))
+        assert tiles == [(start, 4) for start in range(0, 36, 4)] + [(36, 5)]
 
 
 class TestWorkerCount:

@@ -182,7 +182,7 @@ class TestBestResponse:
         assert exc.value.cell[0] == 1.0  # moving back toward the optimum wins
 
     def test_paths_accounted(self, ref_n2, monkeypatch):
-        monkeypatch.setattr(simulation, "WORK_UNIT", 128)
+        monkeypatch.setattr(simulation, "TILE_BYTES", 128 * 8 * 65)  # 128-row tiles at grid 64
         e = solve_n(ref_n2)
         rep = best_response_test(ref_n2, e, 0, (0.0,), (0.0,), paths=1000,
                                  seed=0, grid=64)
@@ -241,10 +241,9 @@ class TestBestResponseScan:
     )
     PINNED_EQ = (3.6752275318138925, -8.63394468621851, -0.661506479430248)
 
-    # Two units at grid 1000: the first splits into several row tiles, the
-    # second (129 rows) into a tile and a 4m + 1-row tile whose one-row
-    # tail joined the tile before it.
-    TILED = dict(paths=simulation.WORK_UNIT + 129, grid=1000)
+    # 18 row tiles at grid 1000: 17 of 64 rows, then a 4m + 1-row tile
+    # whose one-row tail joined the tile before it.
+    TILED = dict(paths=1153, grid=1000)
 
     def test_matches_single_agent_scans(self, ref_n3, monkeypatch):
         e = solve_n(ref_n3)
@@ -253,7 +252,7 @@ class TestBestResponseScan:
         alone = [best_response_scan(ref_n3, e, (i,), *args, **tiled)[0] for i in range(3)]
         assert best_response_scan(ref_n3, e, range(3), *args, **tiled) == tuple(alone)
         assert best_response_scan(ref_n3, e, (2, 0), *args, **tiled) == (alone[2], alone[0])
-        monkeypatch.setattr(simulation, "WORK_UNIT", 1500)
+        monkeypatch.setattr(simulation, "TILE_BYTES", 1500 * 8 * 201)  # 1500-row tiles at grid 200
         kw = dict(paths=4000, seed=3, grid=200)
         together = best_response_scan(ref_n3, e, range(3), *args, **kw)
         alone = [best_response_test(ref_n3, e, i, *args, **kw) for i in range(3)]
@@ -273,7 +272,7 @@ class TestBestResponseScan:
             return draw(seed, stream, start, count, draws)
 
         monkeypatch.setattr(verification, "block_normals", counted)
-        monkeypatch.setattr(simulation, "WORK_UNIT", 100)
+        monkeypatch.setattr(simulation, "TILE_BYTES", 100 * 8 * 51)  # 100-row tiles at grid 50
         best_response_scan(p, solve_n(p), range(p.n), self.GRID_DPI, self.GRID_AB,
                            paths=300, seed=5, grid=50)
         assert len(calls) == 3 * streams
@@ -292,7 +291,7 @@ class TestBestResponseScan:
         best_response_scan(ref_n3, solve_n(ref_n3), range(3), (0.0, 0.1), (0.0,), seed=5,
                            **self.TILED)
         counts = [count for _, _, count, _ in calls]
-        assert len(calls) > 2 * streams  # more tiles than units
+        assert len(calls) == 18 * streams  # 17 tiles of 64 rows and one of 65
         assert any(count % 4 == 1 for count in counts)
         assert len({(stream, start) for stream, start, _, _ in calls}) == len(calls)
         for s in range(streams):
@@ -304,7 +303,7 @@ class TestBestResponseScan:
 
     def test_thread_count_does_not_change_bits(self, ref_n3, monkeypatch):
         e = solve_n(ref_n3)
-        # three one-tile units, then two units of several tiles; summed in unit order
+        # three tiles, then 18 tiles; merged in tile order
         for sizes in (dict(paths=3000, grid=50), self.TILED):
             reports = []
             for threads in ("1", "2"):
@@ -314,12 +313,17 @@ class TestBestResponseScan:
             assert reports[0] == reports[1]
 
     def test_peak_memory_is_per_unit(self, ref_n3, monkeypatch):
-        # Each of the two workers holds one (unit, grid + 1) array per stream
+        # Each of the two workers holds one (tile, grid + 1) array per stream
         # (the cumulated noise), its noise/base/path buffers and, while a
-        # stream is cumulated, its draws: streams + 4 arrays in all.
+        # stream is cumulated, its draws: streams + 4 tiles in all, plus
+        # every agent's (cells, tile rows) values and the buffer numpy takes
+        # to scale the draws in place.  The scan also holds each agent's
+        # (cells, grid + 1) weights and the path model's columns.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         grid, paths, streams = 200, 8192, 1 + ref_n3.n  # every agent has nu != 0
+        cells = 2
         e = solve_n(ref_n3)
+        best_response_scan(ref_n3, e, (0,), (0.0,), (0.0,), paths=8, seed=1, grid=8)  # loads ndtri
         tracemalloc.start()
         try:
             best_response_scan(ref_n3, e, range(3), (0.0, 0.1), (0.0,),
@@ -327,8 +331,12 @@ class TestBestResponseScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        unit_bytes = simulation.WORK_UNIT * (grid + 1) * 8
-        assert peak <= 2 * (streams + 4) * unit_bytes
+        rows = simulation.TILE_BYTES // (8 * (grid + 1)) + 1  # a one-row tail may join a tile
+        per_worker = ((streams + 4) * rows * (grid + 1) * 8 + ref_n3.n * cells * rows * 8
+                      + np.getbufsize() * 8)
+        weights = (ref_n3.n + 8) * cells * (grid + 1) * 8
+        columns = 8 * ref_n3.n * (grid + 1) * 8
+        assert peak <= weights + columns + 2 * per_worker
 
     def test_peak_memory_is_per_tile(self, monkeypatch):
         # Each of the two workers holds one tile per stream, its noise, base
@@ -348,53 +356,53 @@ class TestBestResponseScan:
         best_response_scan(p, e, (0,), dpi, ab, paths=8, seed=1, grid=8)  # loads ndtri
         tracemalloc.start()
         try:
-            best_response_scan(p, e, range(p.n), dpi, ab, paths=2 * simulation.WORK_UNIT,
-                               seed=1, grid=grid)
+            best_response_scan(p, e, range(p.n), dpi, ab, paths=2048, seed=1, grid=grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        tile = verification._TILE_BYTES + 8 * (grid + 1)  # a one-row tail may join a tile
+        tile = simulation.TILE_BYTES + 8 * (grid + 1)  # a one-row tail may join a tile
         per_worker = (streams + 4) * tile + p.n * cells * (tile // (8 * (grid + 1))) * 8
         weights = (p.n + 8) * cells * (grid + 1) * 8
         columns = 8 * p.n * (grid + 1) * 8
         assert peak <= weights + columns + 2 * per_worker
 
-    def test_peak_memory_does_not_grow_with_the_unit(self, ref_n3, monkeypatch):
-        # A worker's buffers are sized by the tile, not by WORK_UNIT: before
-        # each tile was reduced as it was written, a worker held every
-        # agent's (cells, unit) values, 6.6 MB more here at 4096 paths a unit.
+    def test_peak_memory_does_not_grow_with_paths(self, ref_n3, monkeypatch):
+        # Each tile's moments are merged as they arrive, and only a few tiles
+        # run ahead of the merge, so the peak at 8x the paths is the same:
+        # 512 tiles' moments listed first would be about 1.6 MB more here.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         e = solve_n(ref_n3)
         best_response_scan(ref_n3, e, (0,), (0.0,), (0.0,), paths=8, seed=1, grid=8)  # loads ndtri
         peaks = {}
-        for unit in (1024, 4096):
-            monkeypatch.setattr(simulation, "WORK_UNIT", unit)
+        for paths in (4096, 32768):
             tracemalloc.start()
             try:
                 best_response_scan(ref_n3, e, range(3), self.GRID_DPI, self.GRID_AB,
-                                   paths=8192, seed=1, grid=1000)
-                _, peaks[unit] = tracemalloc.get_traced_memory()
+                                   paths=paths, seed=1, grid=1000)
+                _, peaks[paths] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         # the two workers' draws may overlap differently: allow a quarter tile
-        assert peaks[4096] <= peaks[1024] + verification._TILE_BYTES // 4
+        assert peaks[32768] <= peaks[4096] + simulation.TILE_BYTES // 4
 
     def test_constant_differences_have_no_cancellation_noise(self, ref_n3):
         # The log investor (agent 2) at dpi = 0 plays the equilibrium's
         # investment, and its tilted consumption changes the objective by
-        # the same amount on every path, up to the rounding of objectives
-        # near 0.7: about 1e-16 a path, 1e-18 in the standard error.  Taken
-        # from raw sums of squares, that standard error was cancellation
-        # noise up to 4e-12.  The tilts of 0.2 move the mean by 4e-3 or more.
+        # the same amount on every path.  Taken from raw sums of squares,
+        # that standard error was cancellation noise up to 4e-12; taken as
+        # the difference of two objectives near 0.7, each rounded, it was
+        # about 1e-18, 3.7e-15 of the 2.9e-4 mean of a tilt of 0.05.  The
+        # tilts of 0.2 move the mean by 4e-3 or more, those of 0.05 by 2e-4.
         e = solve_n(ref_n3)
-        (rep,) = best_response_scan(ref_n3, e, (2,), (0.0,), self.GRID_AB,
-                                    paths=4096, seed=777, grid=1000)
-        for cell in rep.cells:
-            if (cell.a, cell.b) == (0.0, 0.0):
-                assert cell.mean_diff == 0.0 and cell.stderr == 0.0
-            else:
-                assert abs(cell.mean_diff) >= 4e-3
-                assert cell.stderr <= 1e-15 * abs(cell.mean_diff)
+        for ab, smallest in ((self.GRID_AB, 4e-3), ((-0.05, 0.0, 0.05), 2e-4)):
+            (rep,) = best_response_scan(ref_n3, e, (2,), (0.0,), ab,
+                                        paths=4096, seed=777, grid=1000)
+            for cell in rep.cells:
+                if (cell.a, cell.b) == (0.0, 0.0):
+                    assert cell.mean_diff == 0.0 and cell.stderr == 0.0
+                else:
+                    assert abs(cell.mean_diff) >= smallest
+                    assert cell.stderr <= 1e-15 * abs(cell.mean_diff)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
