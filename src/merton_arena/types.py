@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import struct
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import Sequence
@@ -30,11 +31,22 @@ from .errors import (
 
 _WEIGHT_TOL = 1e-12
 _AGENT_FIELDS = ("x0", "delta", "theta", "eps", "mu", "nu", "sigma")
+_VECTOR = struct.Struct("7d")  # an agent's fields as C doubles, in _AGENT_FIELDS order
+_DOUBLE = struct.Struct("d")
+_MARKET = struct.Struct("32x3d")  # (mu, nu, sigma): skips x0, delta, theta and eps
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class AgentType:
-    """One agent's parameter vector."""
+    """One agent's parameter vector.
+
+    The seven fields are stored packed, as C doubles in field order, so a
+    population's columns are built by one join over its agents (`columns`).
+    Each field accepts a real number in the float range and reads back as a
+    float; any other value raises a ValidationError naming its field.
+    """
+
+    __slots__ = ("_v",)
 
     x0: float
     delta: float
@@ -43,6 +55,23 @@ class AgentType:
     mu: float
     nu: float
     sigma: float
+
+    def __init__(self, x0, delta, theta, eps, mu, nu, sigma):
+        try:
+            v = _VECTOR.pack(x0, delta, theta, eps, mu, nu, sigma)
+        except struct.error:
+            for name, value in zip(_AGENT_FIELDS, (x0, delta, theta, eps, mu, nu, sigma)):
+                _double(name, value)
+            raise
+        object.__setattr__(self, "_v", v)
+
+    def __reduce__(self):
+        return type(self), _VECTOR.unpack(self._v)
+
+    def __hash__(self):
+        # Each read makes a new float and a NaN hashes by identity, so NaN maps to
+        # one object here: an agent holding NaN still finds itself in a set or dict.
+        return hash(tuple(v if v == v else math.nan for v in _VECTOR.unpack(self._v)))
 
     @property
     def Sigma(self) -> float:
@@ -63,7 +92,25 @@ class AgentType:
             raise DegenerateVolatility(index)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_AGENT_FIELDS, _VECTOR.unpack(self._v)))
+
+
+def _field_reader(offset: int) -> property:
+    return property(lambda self: _DOUBLE.unpack_from(self._v, offset)[0])
+
+
+# Attached after @dataclass, which would take class-body properties for field defaults.
+for _j, _name in enumerate(_AGENT_FIELDS):
+    setattr(AgentType, _name, _field_reader(_DOUBLE.size * _j))
+
+
+def _double(name: str, value) -> None:
+    """Raise a ValidationError naming field ``name`` when ``value`` does not pack as a C double."""
+    try:
+        _DOUBLE.pack(value)
+    except struct.error:
+        raise ValidationError(f"parameter '{name}' must be a real number in the float range, "
+                              f"got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -121,9 +168,11 @@ class TypeDistribution:
 
 def columns(agents: Sequence[AgentType]) -> SimpleNamespace:
     """One float64 array per agent field, in agent order, plus Sigma = sigma^2 + nu^2."""
-    out = SimpleNamespace(**{
-        name: np.fromiter(map(attrgetter(name), agents), dtype=float, count=len(agents))
-        for name in _AGENT_FIELDS})
+    block = np.ndarray((len(agents), len(_AGENT_FIELDS)), float,
+                       b"".join(map(attrgetter("_v"), agents)))
+    # take copies each column into an array of its own, as np.fromiter did; rows of one
+    # transposed copy would share a buffer, so a column kept alive would keep all seven.
+    out = SimpleNamespace(**{name: block.take(j, axis=1) for j, name in enumerate(_AGENT_FIELDS)})
     out.Sigma = out.sigma**2 + out.nu**2
     return out
 
@@ -194,11 +243,11 @@ def detect_single_stock(p: Population | TypeDistribution) -> SingleStockMarket |
     agents = p.agents if isinstance(p, Population) else p.types
     if not agents:
         return None
-    first = agents[0]
-    for a in agents:
-        if a.nu != 0.0 or a.mu != first.mu or a.sigma != first.sigma:
+    mu, _, sigma = _MARKET.unpack(agents[0]._v)
+    for mu_k, nu_k, sigma_k in map(_MARKET.unpack, map(attrgetter("_v"), agents)):
+        if nu_k != 0.0 or mu_k != mu or sigma_k != sigma:
             return None
-    return SingleStockMarket(first.mu, first.sigma)
+    return SingleStockMarket(mu, sigma)
 
 
 def _shared_market(a: SimpleNamespace) -> SingleStockMarket | None:

@@ -1,6 +1,10 @@
 """Validation, single-stock detection, and the JSON config schema."""
+import copy
+import dataclasses
 import json
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from merton_arena import (
     validate_distribution,
     validate_population,
 )
-from merton_arena.types import _shared_market
+from merton_arena.types import _shared_market, columns
 
 
 def agent(**kw) -> AgentType:
@@ -323,3 +327,101 @@ class TestVectorizedValidators:
         assert cols.delta.tolist() == [3.0, 2.0]
         d = TypeDistribution(1.0, ((0.25, agent()), (0.75, agent(mu=1.0))))
         assert validate_distribution(d).w.tolist() == [0.25, 0.75]
+
+
+class TestAgentTypeContract:
+    """The packed `AgentType` keeps the frozen dataclass's public behaviour."""
+
+    def test_dataclass_functions(self):
+        a = agent(nu=-0.0)
+        assert [f.name for f in dataclasses.fields(a)] == list(FIELDS)
+        assert AgentType.__match_args__ == FIELDS
+        assert dataclasses.asdict(a) == a.to_dict() == dict(
+            x0=1.0, delta=3.0, theta=0.8, eps=1.0, mu=5.0, nu=-0.0, sigma=1.0)
+        assert dataclasses.astuple(a) == (1.0, 3.0, 0.8, 1.0, 5.0, -0.0, 1.0)
+        b = dataclasses.replace(a, delta=2.0)
+        assert (b.delta, b.theta, math.copysign(1.0, b.nu)) == (2.0, 0.8, -1.0)
+        match a:
+            case AgentType(x0, delta):
+                assert (x0, delta) == (1.0, 3.0)
+
+    def test_eq_and_hash_treat_signed_zeros_as_equal(self):
+        a, b = agent(nu=-0.0), agent(nu=0.0)
+        assert a == b and hash(a) == hash(b)
+        assert agent() != agent(mu=np.nextafter(5.0, 6.0))
+        assert agent() != (1.0, 3.0, 0.8, 1.0, 5.0, 0.0, 1.0)
+
+    def test_agent_holding_nan_finds_itself(self):
+        a = agent(nu=math.nan)
+        assert {a: 1}[a] == 1 and a in {a}
+
+    @pytest.mark.parametrize("roundtrip", [lambda a: pickle.loads(pickle.dumps(a)),
+                                           copy.copy, copy.deepcopy])
+    def test_copies_keep_every_bit(self, roundtrip):
+        a = agent(nu=-0.0, sigma=5e-324, mu=math.inf)
+        b = roundtrip(a)
+        assert type(b) is AgentType and b == a
+        assert np.array(dataclasses.astuple(b)).tobytes() == np.array(dataclasses.astuple(a)).tobytes()
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_assignment_raises_frozen_instance_error(self, name):
+        a = agent()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
+        assert a == agent()
+
+    def test_repr(self):
+        assert repr(agent(nu=-0.0)) == ("AgentType(x0=1.0, delta=3.0, theta=0.8, eps=1.0, "
+                                        "mu=5.0, nu=-0.0, sigma=1.0)")
+
+    def test_real_numbers_read_back_as_floats(self):
+        a = AgentType(True, np.float32(0.1), np.int64(0), Fraction(1, 3), 5, np.float64(0.5), 1)
+        values = dataclasses.astuple(a)
+        assert all(type(v) is float for v in values)
+        assert values == (1.0, float(np.float32(0.1)), 0.0, 1 / 3, 5.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("value", ["1.0", None, 1j, [1.0], 10**400],
+                             ids=["str", "None", "complex", "list", "int-beyond-float"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_non_number_names_its_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^parameter '{field}' must be a real number"):
+            agent(**{field: value})
+
+    def test_first_non_number_is_named(self):
+        with pytest.raises(ValidationError, match="^parameter 'theta' "):
+            agent(theta="a", sigma=None)
+
+
+# Every double class the packing must carry unchanged: NaN, signed infinities
+# and zeros, subnormals, extremes, plus ints and ordinary floats.
+_ANY_DOUBLE = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+               | st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                                  5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+               | st.integers(-2**60, 2**60))
+
+
+class TestColumns:
+    """`columns` is bitwise the per-field `np.fromiter` of the values the agents were built from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[_ANY_DOUBLE] * len(FIELDS)), max_size=40))
+    def test_bitwise_per_field_reference(self, rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # Sigma of huge or infinite values
+            out = columns(tuple(AgentType(*row) for row in rows))
+        for j, name in enumerate(FIELDS):
+            got = getattr(out, name)
+            ref = np.fromiter((row[j] for row in rows), dtype=float, count=len(rows))
+            assert got.dtype == np.float64 and got.shape == (len(rows),)
+            assert got.tobytes() == ref.tobytes()
+            assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert out.Sigma.tobytes() == (out.sigma**2 + out.nu**2).tobytes()
+
+    def test_columns_are_fresh(self):
+        agents = (agent(), agent(delta=2.0))
+        first, second = columns(agents), columns(agents)
+        arrays = list(vars(first).values()) + list(vars(second).values())
+        assert not any(np.shares_memory(x, y)
+                       for i, x in enumerate(arrays) for y in arrays[i + 1:])
