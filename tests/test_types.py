@@ -361,7 +361,8 @@ class TestAgentTypeContract:
         a = agent(nu=-0.0, sigma=5e-324, mu=math.inf)
         b = roundtrip(a)
         assert type(b) is AgentType and b == a
-        assert np.array(dataclasses.astuple(b)).tobytes() == np.array(dataclasses.astuple(a)).tobytes()
+        assert (np.array(dataclasses.astuple(b)).tobytes()
+                == np.array(dataclasses.astuple(a)).tobytes())
 
     @pytest.mark.parametrize("name", FIELDS)
     def test_assignment_raises_frozen_instance_error(self, name):
