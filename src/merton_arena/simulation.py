@@ -20,9 +20,11 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
@@ -39,7 +41,7 @@ DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
 # Bytes of one (rows, grid + 1) row tile, the work unit of every Monte
 # Carlo route: 64 rows at grid 1000.  No worker holds a (paths, grid + 1)
-# array; only `simulate`'s batch is that large.  On the reference trio's
+# array; only a batch's materialised `log_wealth` is that large.  On the reference trio's
 # best-response scan at 20k paths x grid 1000 (125 cells, 2 worker
 # threads, BLAS on one thread, a 2-core x86 VM) the scan took a median
 # 1.395 s at 512 KiB, 1.409 s at 256 KiB and 1.434 s at 1 MiB (7 runs
@@ -190,21 +192,34 @@ def equilibrium_strategy(p: Population, e: EquilibriumProfile) -> StrategyProfil
 
 @dataclass(frozen=True)
 class SimulationBatch:
-    """Seeded log-wealth paths on a grid (increments are not stored).
+    """Seeded log-wealth paths on a grid, kept as ``simulate``'s path model and the seed.
 
-    ``simulate`` writes ``log_wealth`` one row tile at a time and makes it
-    read-only: ``estimate_objective`` keeps every agent's per-path
-    objective, finite or not, in ``_scores`` (key, (n, P)).
+    ``estimate_objective`` regenerates the paths tile by tile and keeps
+    every agent's per-path objective, finite or not, in ``_scores`` (key, (n, P)).
     """
 
     times: np.ndarray           # (M+1,)
     paths: int
     seed: int
-    log_wealth: np.ndarray      # (P, n, M+1)
+    _model: SimpleNamespace = field(repr=False, compare=False)
     _scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # Always None; benchmarks/tracing.py still sizes these attributes.
     dW = None
     dB = None
+
+    @cached_property
+    def log_wealth(self) -> np.ndarray:
+        """The (P, n, M+1) paths, filled tile by tile on first read, then kept read-only."""
+        f = self._model
+        out = np.empty((self.paths, f.pi.shape[0], len(self.times)))
+
+        def fill(start, count):
+            _fill_block(f, self.seed, start, out[start:start + count])
+
+        for _ in _map_tiles(fill, self.paths, len(self.times)):
+            pass
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -259,6 +274,26 @@ def _map_tiles(fn: Callable[[int, int], object], paths: int, nodes: int) -> Iter
             yield ahead.popleft().result()
 
 
+def _map_paths(fn: Callable[[int, np.ndarray], object], f: SimpleNamespace, seed: int,
+               paths: int) -> Iterator:
+    """Yield fn(start, block) for each `_map_tiles` tile, block its paths from `_fill_block`.
+
+    Each worker fills its tiles into one (tile rows, n, grid + 1) block of its own.
+    """
+    nodes = len(f.times)
+    rows = min(paths, _row_chunks(paths, nodes, TILE_BYTES).step + 1)  # a tail may add a row
+    local = threading.local()
+
+    def tile(start, count):
+        if not hasattr(local, "block"):
+            local.block = np.empty((rows, f.pi.shape[0], nodes))
+        block = local.block[:count]
+        _fill_block(f, seed, start, block)
+        return fn(start, block)
+
+    return _map_tiles(tile, paths, nodes)
+
+
 def _time_grid(horizon: float, grid: int, paths: int) -> np.ndarray:
     """The grid + 1 nodes of a Monte Carlo run on [0, horizon].
 
@@ -285,7 +320,7 @@ def _path_model(p: Population, s: StrategyProfile, grid: int,
         raise ValueError(f"strategy has {s.n} agents, population has {p.n}")
     dt = np.diff(times)
     c_nodes = s.consumption_on(times)
-    return SimpleNamespace(a=ar, times=times, c_nodes=c_nodes, pi=s.pi,
+    return SimpleNamespace(a=ar, times=times, c_nodes=c_nodes, pi=s.pi.copy(),  # a snapshot
                            det_seg=_segments(s.pi, ar.mu, ar.Sigma, c_nodes, dt),
                            sqrt_dt=np.sqrt(dt), log_x0=np.log(ar.x0))
 
@@ -330,42 +365,32 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
              paths: int = DEFAULT_PATHS, seed: int = 0) -> SimulationBatch:
     """Simulate the n coupled wealth processes under strategy profile s.
 
-    Deterministic given the seed: the same inputs reproduce the batch
-    bitwise.  Row tiles of paths are written in place into the batch on
-    ``worker_count()`` threads; the result depends on neither the thread
-    count nor the tile size.  Memory is the batch, paths x n x (grid + 1)
-    doubles, plus two tile-sized arrays per worker.  The batch's
-    ``log_wealth`` is read-only.
+    Validates every input now and returns the batch as a recipe: a
+    snapshot of the path model, a few (n, grid + 1) columns that later
+    changes to s do not reach, and the seed.  Reading ``log_wealth`` fills
+    paths x n x (grid + 1) doubles once, read-only, on ``worker_count()``
+    threads.  The paths depend on neither the thread count nor the tile size.
     """
     f = _path_model(p, s, grid, paths)
-    log_wealth = np.empty((paths, p.n, grid + 1))
-
-    def fill(start, count):
-        _fill_block(f, seed, start, log_wealth[start:start + count])
-
-    for _ in _map_tiles(fill, paths, grid + 1):
-        pass
-    log_wealth.flags.writeable = False
-    return SimulationBatch(times=f.times, paths=paths, seed=seed, log_wealth=log_wealth)
+    worker_count()  # an invalid MERTON_ARENA_THREADS raises now, not at the first tile
+    seed & _MASK64  # so does a seed that keys no stream, as in block_normals
+    return SimulationBatch(times=f.times, paths=paths, seed=seed, _model=f)
 
 
 def _simulate_nodes(p: Population, s: StrategyProfile, grid: int, paths: int, seed: int,
                     nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(times[nodes], log_wealth): ``simulate``'s batch at the nodes, paths last.
 
-    log_wealth is (n, len(nodes), paths).  Each tile is filled into a
-    (tile rows, n, grid + 1) block of its own, not a batch, so a worker
-    holds n + 2 tiles.
+    log_wealth is (n, len(nodes), paths).  Tiles are filled by `_map_paths`
+    into one reused block per worker, so a worker holds n + 2 tiles.
     """
     f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((p.n, len(nodes), paths))
 
-    def fill(start, count):
-        block = np.empty((count, p.n, grid + 1))
-        _fill_block(f, seed, start, block)
-        log_wealth[:, :, start:start + count] = np.moveaxis(block[:, :, nodes], 0, -1)
+    def keep(start, block):
+        log_wealth[:, :, start:start + len(block)] = np.moveaxis(block[:, :, nodes], 0, -1)
 
-    for _ in _map_tiles(fill, paths, grid + 1):
+    for _ in _map_paths(keep, f, seed, paths):
         pass
     return f.times[nodes], log_wealth
 
@@ -451,8 +476,9 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     different agent count from p, or when the batch's grid is not p's.
 
     One pass on ``worker_count()`` threads, with floating-point warnings
-    off, scores every agent; the batch keeps the per-path values, keyed by
-    the log consumption rates at the nodes and theta, delta and eps, so a
+    off, regenerates the paths tile by tile, never ``log_wealth``, and
+    scores every agent; the batch keeps the per-path values, keyed by the
+    log consumption rates at the nodes and theta, delta and eps, so a
     later call with equal ones only reads agent i's row.  Estimates depend
     on neither the order nor the threads.  The standard error is taken on
     the values scaled by a power of two, so that their squares stay in
@@ -462,8 +488,8 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     """
     if not 0 <= i < p.n:
         raise ValueError(f"agent index {i} out of range for {p.n} agents")
-    if batch.log_wealth.shape[1] != p.n:
-        raise ValueError(f"batch has {batch.log_wealth.shape[1]} agents, population has {p.n}")
+    if batch._model.pi.shape[0] != p.n:
+        raise ValueError(f"batch has {batch._model.pi.shape[0]} agents, population has {p.n}")
     f = _path_model(p, s, len(batch.times) - 1, batch.paths)
     if not np.array_equal(batch.times, f.times):
         raise ValueError(f"batch grid is not the {len(f.times) - 1}-step grid on [0, {p.horizon}]")
@@ -476,12 +502,11 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     if kept is None or kept[0] != key:
         values = np.empty((p.n, batch.paths))
 
-        def score(start, count):
-            values[:, start:start + count] = _score_block(
-                batch.log_wealth[start:start + count], log_c, weights, f.a)
+        def score(start, block):
+            values[:, start:start + len(block)] = _score_block(block, log_c, weights, f.a)
 
         with np.errstate(all="ignore"):
-            for _ in _map_tiles(score, batch.paths, len(f.times)):
+            for _ in _map_paths(score, batch._model, batch.seed, batch.paths):
                 pass
         kept = (key, values)
         object.__setattr__(batch, "_scores", kept)

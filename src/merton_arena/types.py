@@ -275,6 +275,8 @@ def _number(value, what: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValidationError(f"{what} is outside the float range") from None
 
 
 def _object(value, what: str) -> dict:

@@ -762,6 +762,22 @@ class TestInvalidInput:
         assert capsys.readouterr().err == (
             "merton-arena: invalid input: parameter 'nu' must be nonnegative (agent 1)\n")
 
+    @pytest.mark.parametrize("command, config, names", [
+        ("solve-n", dict(POP_CONFIG, agents=[REF_AGENT, dict(REF_AGENT, x0="HUGE")]),
+         "agent entry 1 field 'x0' is outside the float range"),
+        ("solve-n", dict(POP_CONFIG, horizon="HUGE"), "horizon is outside the float range"),
+        ("curves", dict(CURVES_CONFIG, atoms=[dict(CURVES_CONFIG["atoms"][0], weight="HUGE")]),
+         "atom 0 weight is outside the float range"),
+    ])
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys, command, config, names):
+        # float() of a 401-digit JSON integer raises OverflowError, not ValueError
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config).replace('"HUGE"', "1" + "0" * 400))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"merton-arena: invalid input: {names}\n"
+        assert not out.exists()
+
 
 class TestPublicSeam:
     """cli reaches nplayer and mfg through their public names only."""

@@ -172,6 +172,36 @@ class TestValidation:
             simulate(p, s, grid=8, paths=4, seed=0)
 
 
+class TestEagerErrors:
+    """simulate draws no path, yet raises at call time for every invalid input."""
+
+    @pytest.mark.parametrize("case, error", [
+        (dict(grid=1), InvalidGrid),
+        (dict(paths=0), ValueError),
+        (dict(c=[1.0, -0.5]), NonPositiveConsumption),
+        (dict(pi=[0.0], c=[1.0]), ValueError),  # one strategy entry for two agents
+        (dict(threads="two"), ValidationError),
+        (dict(seed=1.5), TypeError),
+        (dict(seed=None), TypeError),
+    ])
+    def test_raises_before_drawing(self, monkeypatch, case, error):
+        def no_tiles(*args):
+            raise AssertionError("simulate ran a tile")
+
+        monkeypatch.setattr(simulation, "_map_tiles", no_tiles)
+        monkeypatch.setattr(simulation, "block_normals", no_tiles)
+        monkeypatch.setenv("MERTON_ARENA_THREADS", case.get("threads", "2"))
+        s = constant_strategy(case.get("pi", [0.0, 0.0]), case.get("c", [1.0, 1.0]))
+        with pytest.raises(error):
+            simulate(two_agents(), s, grid=case.get("grid", 8), paths=case.get("paths", 4),
+                     seed=case.get("seed", 0))
+
+    def test_numpy_unsigned_seed(self):
+        p, s = two_agents(nu=0.3), constant_strategy([0.5, 0.7], [1.0, 1.2])
+        assert np.array_equal(simulate(p, s, grid=8, paths=8, seed=np.uint64(5)).log_wealth,
+                              simulate(p, s, grid=8, paths=8, seed=5).log_wealth)
+
+
 class TestUtility:
     def test_power_values(self):
         assert utility(1.0, 2.0) == pytest.approx(2.0, abs=1e-15)
@@ -430,14 +460,14 @@ class TestInPlaceBlocks:
 
     @staticmethod
     def scratch_bytes(p, s, grid, paths):
-        """tracemalloc peak of simulate minus the batch it returns."""
+        """tracemalloc peak of materialising simulate's log_wealth minus the paths."""
         tracemalloc.start()
         try:
-            batch = simulate(p, s, grid=grid, paths=paths, seed=17)
+            log_wealth = simulate(p, s, grid=grid, paths=paths, seed=17).log_wealth
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak - batch.log_wealth.nbytes
+        return peak - log_wealth.nbytes
 
     @pytest.mark.parametrize("perturbed", [True, False])
     def test_peak_memory_is_per_block_row(self, monkeypatch, perturbed):
@@ -508,6 +538,36 @@ class TestKeptScores:
         batch = self.batch(p, s)
         with pytest.raises(ValueError, match="read-only"):
             batch.log_wealth[0, 0, 1] = 0.0
+
+    def test_estimates_leave_log_wealth_unformed(self):
+        p, s = TestInPlaceBlocks.case()
+        batch = self.batch(p, s)
+        estimates = [estimate_objective(batch, s, i, p) for i in range(p.n)]
+        assert "log_wealth" not in vars(batch)
+        # paths read first, once and kept, change no estimate
+        read_first = self.batch(p, s)
+        assert read_first.log_wealth is read_first.log_wealth
+        assert [estimate_objective(read_first, s, i, p) for i in range(p.n)] == estimates
+
+    def test_batch_is_a_snapshot_of_the_strategy(self):
+        # consumption curves read rates that change after simulate; s_ref has
+        # the rates simulate saw and is never changed
+        p, _ = TestInPlaceBlocks.case()
+        rates = [1.0, 1.2, 0.9]
+        cons = tuple((lambda t, _k=k: np.full_like(np.asarray(t, dtype=float), rates[_k]))
+                     for k in range(p.n))
+        s = StrategyProfile(pi=np.array([0.5, 0.7, 0.2]), consumption=cons)
+        s_ref = constant_strategy([0.5, 0.7, 0.2], list(rates))
+        ref = self.batch(p, s_ref)
+        expected = [estimate_objective(ref, s_ref, i, p) for i in range(p.n)]
+        batch = self.batch(p, s)
+        s.pi[:] = [1.5, -0.3, 0.0]
+        rates[:] = [2.0, 0.1, 3.0]
+        # s's consumption now scores as other rates: only pi may enter here
+        s_pi = StrategyProfile(pi=s.pi, consumption=s_ref.consumption)
+        assert [estimate_objective(batch, s_pi, i, p) for i in range(p.n)] == expected
+        assert [estimate_objective(batch, s_ref, i, p) for i in range(p.n)] == expected
+        assert np.array_equal(batch.log_wealth, ref.log_wealth)
 
     def test_one_pass_scores_every_agent(self, monkeypatch):
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
@@ -620,16 +680,18 @@ class TestKeptScores:
                         estimate_objective(batch, s, i, p)
             assert [str(w.message) for w in caught] == []
 
-    def test_memory_is_the_kept_scores_and_chunks(self, monkeypatch):
-        # Beyond the kept n x paths values, each of the two workers holds three
-        # (tile + 1, grid + 1) buffers, and the path model's (n, grid + 1)
-        # columns, the key and the workers' (n, tile) outputs stay under two
-        # more per worker; one (paths, grid + 1) array would be 16.4 MB.
+    def test_memory_is_the_kept_scores_and_a_block_per_worker(self, monkeypatch):
+        # Beyond the kept n x paths values, each of the two workers holds one
+        # (tile + 1, n, grid + 1) block, n tiles, and at most three tiles
+        # more: two draws while it fills the block, three score buffers while
+        # it scores it.  The path model's (n, grid + 1) columns, the key and
+        # the (n, tile) outputs stay under one more tile per worker.  The
+        # (paths, n, grid + 1) paths would be 49.2 MB.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         grid, paths = 1000, 2048
         p, s = TestInPlaceBlocks.case()
         batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED)
-        chunk_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8
+        tile_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8
         tracemalloc.start()
         try:
             for i in range(p.n):
@@ -638,7 +700,9 @@ class TestKeptScores:
         finally:
             tracemalloc.stop()
         assert batch._scores[1].nbytes == p.n * paths * 8
-        assert peak - batch._scores[1].nbytes <= 2 * 5 * chunk_bytes < paths * (grid + 1) * 8
+        assert "log_wealth" not in vars(batch)
+        bound = 2 * (p.n + 4) * tile_bytes
+        assert peak - batch._scores[1].nbytes <= bound < paths * p.n * (grid + 1) * 8
 
 
 class TestMapTiles:
