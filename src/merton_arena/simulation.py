@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 import threading
 from collections import deque
@@ -82,6 +83,11 @@ def agent_stream(i: int) -> int:
     return i + 1
 
 
+def _seed_key(seed) -> int:
+    """The seed as Philox keys it: any integer modulo 2^64; TypeError for a float, str or None."""
+    return operator.index(seed) & _MASK64
+
+
 def block_normals(seed: int, stream: int, path_start: int, count: int,
                   draws: int) -> np.ndarray:
     """Standard normals for paths [path_start, path_start + count).
@@ -100,7 +106,7 @@ def block_normals(seed: int, stream: int, path_start: int, count: int,
     from scipy.special import ndtri
 
     words = 4 * ((draws + 3) // 4)
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    key = np.array([_seed_key(seed), stream & _MASK64], dtype=np.uint64)
     bit_gen = Philox(key=key, counter=path_start * (words // 4))
     u = Generator(bit_gen).random((count, words))
     if words != draws:
@@ -213,10 +219,10 @@ class SimulationBatch:
         f = self._model
         out = np.empty((self.paths, f.pi.shape[0], len(self.times)))
 
-        def fill(start, count):
+        def fill(start, count, _):
             _fill_block(f, self.seed, start, out[start:start + count])
 
-        for _ in _map_tiles(fill, self.paths, len(self.times)):
+        for _ in _map_tiles(fill, self.paths, len(self.times), lambda rows: None):
             pass
         out.flags.writeable = False
         return out
@@ -244,30 +250,33 @@ def _row_chunks(count: int, nodes: int, nbytes: int) -> range:
     return range(0, max(count - 1, 1), max(4, nbytes // (8 * nodes) // 4 * 4))
 
 
-def _map_tiles(fn: Callable[[int, int], object], paths: int, nodes: int) -> Iterator:
-    """Yield fn(start, count) for each row tile of a (paths, nodes) block, in tile order.
+def _map_tiles(fn: Callable, paths: int, nodes: int, workspace: Callable) -> Iterator:
+    """Yield fn(start, count, space) for each row tile of a (paths, nodes) block, in tile order.
 
     The tiles are the `_row_chunks` of ``TILE_BYTES``, the one partition
     of every Monte Carlo route.  They run on ``worker_count()`` threads,
-    each in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in it.  At most two tiles per worker are queued
-    or done ahead of the caller, so memory does not grow with ``paths``;
-    numpy releases the interpreter lock inside the array passes that
-    dominate a tile.
+    each in a copy of the caller's context, so its ``np.errstate`` holds.
+    Each worker's ``space`` is the ``workspace(rows)`` it builds on its
+    first tile, rows the largest tile's.  At most two tiles per worker are
+    queued or done ahead of the caller, so memory does not grow with
+    ``paths``; numpy releases the interpreter lock inside a tile's passes.
     """
     starts = _row_chunks(paths, nodes, TILE_BYTES)
-    tiles = ((start, stop - start) for start, stop in zip(starts, chain(starts[1:], [paths])))
+    rows = min(paths, starts.step + 1)  # a one-row tail joins the tile before it
     workers = min(worker_count(), len(starts))
-    if workers == 1:
-        for start, count in tiles:
-            yield fn(start, count)
-        return
+    own = threading.local()
+
+    def task(start, count):
+        if not hasattr(own, "space"):
+            own.space = workspace(rows)
+        return fn(start, count, own.space)
+
     caller = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead = deque()
-        for start, count in tiles:
+        for start, stop in zip(starts, chain(starts[1:], [paths])):
             # one Context cannot be entered by two threads at once: a copy per tile
-            ahead.append(pool.submit(caller.copy().run, fn, start, count))
+            ahead.append(pool.submit(caller.copy().run, task, start, stop - start))
             if len(ahead) == 2 * workers:
                 yield ahead.popleft().result()
         while ahead:
@@ -278,20 +287,16 @@ def _map_paths(fn: Callable[[int, np.ndarray], object], f: SimpleNamespace, seed
                paths: int) -> Iterator:
     """Yield fn(start, block) for each `_map_tiles` tile, block its paths from `_fill_block`.
 
-    Each worker fills its tiles into one (tile rows, n, grid + 1) block of its own.
+    Each worker's workspace is one (rows, n, grid + 1) block, which it fills tile by tile.
     """
     nodes = len(f.times)
-    rows = min(paths, _row_chunks(paths, nodes, TILE_BYTES).step + 1)  # a tail may add a row
-    local = threading.local()
 
-    def tile(start, count):
-        if not hasattr(local, "block"):
-            local.block = np.empty((rows, f.pi.shape[0], nodes))
-        block = local.block[:count]
+    def tile(start, count, block):
+        block = block[:count]
         _fill_block(f, seed, start, block)
         return fn(start, block)
 
-    return _map_tiles(tile, paths, nodes)
+    return _map_tiles(tile, paths, nodes, lambda rows: np.empty((rows, f.pi.shape[0], nodes)))
 
 
 def _time_grid(horizon: float, grid: int, paths: int) -> np.ndarray:
@@ -373,7 +378,7 @@ def simulate(p: Population, s: StrategyProfile, grid: int = DEFAULT_GRID,
     """
     f = _path_model(p, s, grid, paths)
     worker_count()  # an invalid MERTON_ARENA_THREADS raises now, not at the first tile
-    seed & _MASK64  # so does a seed that keys no stream, as in block_normals
+    _seed_key(seed)  # so does a seed that keys no stream
     return SimulationBatch(times=f.times, paths=paths, seed=seed, _model=f)
 
 
@@ -459,6 +464,17 @@ def _pow2_scale(magnitude: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(magnitude)[1], 0))
 
 
+def _agent_index(i, n: int) -> int:
+    """i as an agent index, by operator.index: ValueError unless it is an integer in [0, n)."""
+    try:
+        index = operator.index(i)
+    except TypeError:
+        index = -1
+    if 0 <= index < n:
+        return index
+    raise ValueError(f"agent index {i!r} out of range: need an integer in [0, {n})")
+
+
 def _out_of_range(i: int) -> DomainError:
     """The error for agent i's Monte Carlo objective outside the float range."""
     return DomainError(f"the objective of agent {i} leaves the float range")
@@ -486,8 +502,7 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     i's objective leaves the float range (its mean or standard error is
     not finite); the other agents still score.
     """
-    if not 0 <= i < p.n:
-        raise ValueError(f"agent index {i} out of range for {p.n} agents")
+    i = _agent_index(i, p.n)
     if batch._model.pi.shape[0] != p.n:
         raise ValueError(f"batch has {batch._model.pi.shape[0]} agents, population has {p.n}")
     f = _path_model(p, s, len(batch.times) - 1, batch.paths)

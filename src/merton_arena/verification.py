@@ -16,7 +16,6 @@ mean-field limit.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 from functools import reduce
 from types import SimpleNamespace
@@ -34,6 +33,7 @@ from .simulation import (
     COMMON_STREAM,
     DEFAULT_GRID,
     UtilityEstimate,
+    _agent_index,
     _map_tiles,
     _out_of_range,
     _path_model,
@@ -619,25 +619,22 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     objective and the paired differences (`_scan_tile`) is reduced at
     once to its count, mean and sum of squared deviations (`_moments`),
     and the tiles' moments are merged by Chan's update (`_merge`) in tile
-    order as they arrive.  A worker holds one tile per stream plus four
-    more and each scanned agent's (cells, tile rows) values, whatever
-    ``paths`` is.  Reports come back in the order of ``agents``, do not
-    depend on which other agents are scanned alongside, and are bitwise
-    the same for every thread count; the GEMM bits depend on a tile's row
-    count, so a different tile size moves them.  No exception is raised
-    for a profitable deviation: check ``violations()``.
+    order as they arrive.  `_map_tiles` builds each worker's buffers once:
+    a tile per stream, three work tiles and each agent's (cells, rows)
+    values, whatever ``paths`` is.  Reports come back in the order of
+    ``agents``, do not depend on which other agents are scanned alongside,
+    and are bitwise the same for every thread count; the GEMM bits depend
+    on a tile's row count, so a different tile size moves them.  No
+    exception is raised for a profitable deviation: check ``violations()``.
     The population, ``grid``, ``paths`` and the profile's agent count are
-    checked as ``simulate`` checks them, and an empty ``dpi_grid`` or
-    ``ab_grid`` raises ValueError.  Each agent's values are computed
+    checked as ``simulate`` checks them; ValueError for an agent that is no
+    integer index of p or an empty grid.  Each agent's values are computed
     scaled by a power of two (see `_agent_scan`), so a finite mean has a
     finite standard error; an agent with any mean or standard error that
     is not finite raises DomainError once the tiles are done, with no warning.
     """
     f = _path_model(p, equilibrium_strategy(p, e), grid, paths)
-    agents = tuple(int(i) for i in agents)
-    for i in agents:
-        if not 0 <= i < p.n:
-            raise ValueError(f"agent index {i} out of range for {p.n} agents")
+    agents = tuple(_agent_index(i, p.n) for i in agents)
     for name, values in (("dpi_grid", dpi_grid), ("ab_grid", ab_grid)):
         if len(values) == 0:
             raise ValueError(f"{name} is empty: the scan needs at least one cell")
@@ -650,34 +647,31 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     streams = sorted({stream for scan in scans
                       for stream, _ in scan.own_noise + scan.others_noise})
 
-    own = threading.local()
+    def workspace(rows):
+        """A worker's buffers: a cumulated tile per stream, work tiles, each agent's values."""
+        return ({s: np.zeros((rows, grid + 1)) for s in streams},  # column 0 stays 0
+                np.empty((3, rows, grid + 1)),  # noise, base, path
+                [np.empty(len(scan.slope) * rows) for scan in scans])
 
-    def tile_task(start, count):
+    def tile_task(start, count, space):
         """Each scanned agent's (count, mean, M2) on the tile of paths [start, start + count)."""
-        # this worker's buffers, grown once if the tail tile is a row longer
-        if getattr(own, "rows", 0) < count:
-            own.cum = own.work = own.out = None  # freed before the larger set is made
-            own.cum = {s: np.zeros((count, grid + 1)) for s in streams}  # column 0 stays 0
-            own.work = [np.empty((count, grid + 1)) for _ in range(3)]  # noise, base, path
-            own.out = [np.empty(len(scan.slope) * count) for scan in scans]
-            own.rows = count
-        for s, buffer in own.cum.items():
+        cum, work, outs = space
+        tile = {s: buffer[:count] for s, buffer in cum.items()}
+        for s, buffer in tile.items():
             dz = block_normals(seed, s, start, count, grid)
             dz *= f.sqrt_dt
-            np.cumsum(dz, axis=1, out=buffer[:count, 1:])
+            np.cumsum(dz, axis=1, out=buffer[:, 1:])
             del dz  # before the next draw, so a worker holds streams + 4 tiles
-        tile = {s: buffer[:count] for s, buffer in own.cum.items()}
-        work = [buffer[:count] for buffer in own.work]
         moments = []
-        for scan, out in zip(scans, own.out):
+        for scan, out in zip(scans, outs):
             values = out[:len(scan.slope) * count].reshape(-1, count)
-            _scan_tile(scan, tile, *work, values)
+            _scan_tile(scan, tile, *work[:, :count], values)
             moments.append(_moments(values))
         return moments
 
     with np.errstate(all="ignore"):  # the merges too: no warning for an agent out of range
         totals = reduce(lambda acc, part: list(map(_merge, acc, part)),
-                        _map_tiles(tile_task, paths, grid + 1))
+                        _map_tiles(tile_task, paths, grid + 1, workspace))
 
     def mean_stderr(mean, m2, scale):
         """Mean and standard error of values carrying ``scale``; Python floats never warn."""

@@ -821,7 +821,8 @@ class TestOnePartition:
 
     # simulation's tiling internals, and the unit-era names they replaced
     TILING = {"TILE_BYTES", "_row_chunks", "worker_count", "_TILE_BYTES", "_CHUNK_BYTES",
-              "WORK_UNIT", "_units", "_map_units", "ThreadPoolExecutor", "contextvars"}
+              "WORK_UNIT", "_units", "_map_units", "ThreadPoolExecutor", "contextvars",
+              "threading", "local"}
 
     @staticmethod
     def names(module) -> set[str]:
@@ -845,7 +846,8 @@ class TestOnePartition:
         assert names & self.TILING == set()
         # the set names what simulation really defines and uses
         assert self.TILING & self.names(simulation) == {
-            "TILE_BYTES", "_row_chunks", "worker_count", "ThreadPoolExecutor", "contextvars"}
+            "TILE_BYTES", "_row_chunks", "worker_count", "ThreadPoolExecutor", "contextvars",
+            "threading", "local"}
 
 
 class TestImports:

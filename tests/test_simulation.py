@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -183,6 +184,7 @@ class TestEagerErrors:
         (dict(threads="two"), ValidationError),
         (dict(seed=1.5), TypeError),
         (dict(seed=None), TypeError),
+        (dict(seed="3"), TypeError),
     ])
     def test_raises_before_drawing(self, monkeypatch, case, error):
         def no_tiles(*args):
@@ -197,9 +199,11 @@ class TestEagerErrors:
                      seed=case.get("seed", 0))
 
     def test_numpy_unsigned_seed(self):
+        # signed numpy integers too: every integer seed keys Philox modulo 2^64
         p, s = two_agents(nu=0.3), constant_strategy([0.5, 0.7], [1.0, 1.2])
-        assert np.array_equal(simulate(p, s, grid=8, paths=8, seed=np.uint64(5)).log_wealth,
-                              simulate(p, s, grid=8, paths=8, seed=5).log_wealth)
+        for seed in (np.uint64(5), np.int64(5), np.int32(5)):
+            assert np.array_equal(simulate(p, s, grid=8, paths=8, seed=seed).log_wealth,
+                                  simulate(p, s, grid=8, paths=8, seed=5).log_wealth)
 
 
 class TestUtility:
@@ -303,6 +307,21 @@ class TestEstimateObjective:
         s = constant_strategy([0.0, 0.0], [1.0, 1.0])
         batch = simulate(p, s, grid=10, paths=4, seed=2)
         with pytest.raises(ValueError, match="out of range"):
+            estimate_objective(batch, s, i, p)
+
+    def test_agent_index_bool_is_its_integer(self):
+        # not a boolean mask over every agent's values
+        p = two_agents(nu=0.3)
+        s = constant_strategy([0.5, 0.7], [1.0, 1.2])
+        batch = simulate(p, s, grid=10, paths=4, seed=2)
+        assert estimate_objective(batch, s, True, p) == estimate_objective(batch, s, 1, p)
+
+    @pytest.mark.parametrize("i", [1.0, np.float64(1.0), "1", None])
+    def test_agent_index_not_an_integer(self, i):
+        p = two_agents()
+        s = constant_strategy([0.0, 0.0], [1.0, 1.0])
+        batch = simulate(p, s, grid=10, paths=4, seed=2)
+        with pytest.raises(ValueError, match="out of range: need an integer"):
             estimate_objective(batch, s, i, p)
 
     def test_agent_count_mismatch(self, ref_n3):
@@ -576,9 +595,9 @@ class TestKeptScores:
         calls = []
         real = simulation._map_tiles
 
-        def counting(fn, paths, nodes):
+        def counting(fn, paths, nodes, workspace):
             calls.append(paths)
-            return real(fn, paths, nodes)
+            return real(fn, paths, nodes, workspace)
 
         monkeypatch.setattr(simulation, "_map_tiles", counting)
         for i in range(p.n):
@@ -708,23 +727,52 @@ class TestKeptScores:
 class TestMapTiles:
     def test_tiles_run_under_the_callers_error_state(self, monkeypatch):
         # pool threads start in a fresh context, where numpy only warns
-        monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         nodes = TILE_BYTES // (8 * 4)  # four-row tiles
 
-        def tile(start, count):
+        def tile(start, count, space):
             return np.exp(1000.0) if start == 4 else 0.0
 
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
-                list(simulation._map_tiles(tile, 12, nodes))
+        for threads in ("1", "2"):  # one worker is a pool thread too
+            monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
+                    list(simulation._map_tiles(tile, 12, nodes, lambda rows: None))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_results_come_in_tile_order(self, monkeypatch, threads):
         # 4-row tiles, the last one 5 rows: a one-row tail joins the tile before it
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
-        tiles = list(simulation._map_tiles(lambda start, count: (start, count), 41,
-                                           TILE_BYTES // (8 * 4)))
+        tiles = list(simulation._map_tiles(lambda start, count, space: (start, count), 41,
+                                           TILE_BYTES // (8 * 4), lambda rows: None))
         assert tiles == [(start, 4) for start in range(0, 36, 4)] + [(36, 5)]
+
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])  # 4: more workers than cores
+    @pytest.mark.parametrize("paths, nodes, rows", [
+        (41, TILE_BYTES // (8 * 4), 5),  # 4-row tiles, the last one 5 rows
+        (1153, 1001, 65),  # 64-row tiles at grid 1000, the last one 65 rows
+    ])
+    def test_each_worker_builds_one_workspace_of_the_largest_tile(self, monkeypatch, threads,
+                                                                   paths, nodes, rows):
+        monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
+        built = []
+
+        def workspace(size):
+            built.append(size)
+            return threading.get_ident()
+
+        def tile(start, count, space):
+            return count, space == threading.get_ident()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch inside every task
+        try:
+            tiles = list(simulation._map_tiles(tile, paths, nodes, workspace))
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(count for count, _ in tiles) == rows
+        assert all(own for _, own in tiles)  # each task gets its own worker's workspace
+        assert 1 <= len(built) <= int(threads)
+        assert built == [rows] * len(built)
 
 
 class TestWorkerCount:

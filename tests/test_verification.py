@@ -481,6 +481,18 @@ class TestBestResponseScan:
             best_response_scan(ref_n2, solve_n(ref_n2), (2,), (0.0,), (0.0,),
                                paths=10, seed=0, grid=10)
 
+    def test_agent_not_an_integer(self, ref_n2):
+        # int(1.7) would scan agent 1 and report it
+        with pytest.raises(ValueError, match="agent index 1.7 out of range: need an integer"):
+            best_response_scan(ref_n2, solve_n(ref_n2), (1.7,), (0.0,), (0.0,),
+                               paths=10, seed=0, grid=10)
+
+    @pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3), np.int32(3)])
+    def test_numpy_integer_seed(self, ref_n2, seed):
+        e = solve_n(ref_n2)
+        assert (best_response_scan(ref_n2, e, (0, 1), (0.0, 0.1), (0.0,), 40, seed, grid=10)
+                == best_response_scan(ref_n2, e, (0, 1), (0.0, 0.1), (0.0,), 40, 3, grid=10))
+
     @pytest.mark.parametrize("grid, paths, error", [
         (0, 10, InvalidGrid), (1, 10, InvalidGrid), (10.0, 10, InvalidGrid), (10, 0, ValueError),
         (10, 2.5, ValueError)])
