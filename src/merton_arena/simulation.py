@@ -14,6 +14,10 @@ with the same seed therefore share identical Brownian increments whatever
 the strategies -- the common-random-numbers contract the verification
 module's paired tests rely on.  Increments are never stored; any
 path's draws can be regenerated with ``block_normals``.
+
+One engine, `_objective_moments`, turns a path model into per-agent
+objective moments: ``estimate_objective`` and the verification module's
+best-response scan both run it.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
@@ -200,15 +204,16 @@ def equilibrium_strategy(p: Population, e: EquilibriumProfile) -> StrategyProfil
 class SimulationBatch:
     """Seeded log-wealth paths on a grid, kept as ``simulate``'s path model and the seed.
 
-    ``estimate_objective`` regenerates the paths tile by tile and keeps
-    every agent's per-path objective, finite or not, in ``_scores`` (key, (n, P)).
+    ``estimate_objective`` runs the objective engine on the batch's paths
+    and keeps every agent's (mean, stderr), finite or not, in
+    ``_estimates`` (key, n pairs): n results, whatever ``paths`` is.
     """
 
     times: np.ndarray           # (M+1,)
     paths: int
     seed: int
     _model: SimpleNamespace = field(repr=False, compare=False)
-    _scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _estimates: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # Always None; benchmarks/tracing.py still sizes these attributes.
     dW = None
     dB = None
@@ -281,22 +286,6 @@ def _map_tiles(fn: Callable, paths: int, nodes: int, workspace: Callable) -> Ite
                 yield ahead.popleft().result()
         while ahead:
             yield ahead.popleft().result()
-
-
-def _map_paths(fn: Callable[[int, np.ndarray], object], f: SimpleNamespace, seed: int,
-               paths: int) -> Iterator:
-    """Yield fn(start, block) for each `_map_tiles` tile, block its paths from `_fill_block`.
-
-    Each worker's workspace is one (rows, n, grid + 1) block, which it fills tile by tile.
-    """
-    nodes = len(f.times)
-
-    def tile(start, count, block):
-        block = block[:count]
-        _fill_block(f, seed, start, block)
-        return fn(start, block)
-
-    return _map_tiles(tile, paths, nodes, lambda rows: np.empty((rows, f.pi.shape[0], nodes)))
 
 
 def _time_grid(horizon: float, grid: int, paths: int) -> np.ndarray:
@@ -386,16 +375,20 @@ def _simulate_nodes(p: Population, s: StrategyProfile, grid: int, paths: int, se
                     nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(times[nodes], log_wealth): ``simulate``'s batch at the nodes, paths last.
 
-    log_wealth is (n, len(nodes), paths).  Tiles are filled by `_map_paths`
-    into one reused block per worker, so a worker holds n + 2 tiles.
+    log_wealth is (n, len(nodes), paths).  Each worker's `_map_tiles`
+    workspace is one (rows, n, grid + 1) block, which `_fill_block` fills
+    tile by tile, so a worker holds n + 2 tiles.
     """
     f = _path_model(p, s, grid, paths)
     log_wealth = np.empty((p.n, len(nodes), paths))
 
-    def keep(start, block):
-        log_wealth[:, :, start:start + len(block)] = np.moveaxis(block[:, :, nodes], 0, -1)
+    def keep(start, count, block):
+        block = block[:count]
+        _fill_block(f, seed, start, block)
+        log_wealth[:, :, start:start + count] = np.moveaxis(block[:, :, nodes], 0, -1)
 
-    for _ in _map_paths(keep, f, seed, paths):
+    for _ in _map_tiles(keep, paths, len(f.times),
+                        lambda rows: np.empty((rows, p.n, len(f.times)))):
         pass
     return f.times[nodes], log_wealth
 
@@ -418,40 +411,6 @@ def utility(x, delta: float):
     if not np.all(np.isfinite(out)):
         raise DomainError(f"utility at delta = {delta!r} leaves the float range")
     return float(out) if np.ndim(x) == 0 else out
-
-
-def _score_block(log_wealth: np.ndarray, log_c: np.ndarray, weights: np.ndarray,
-                 a: SimpleNamespace) -> np.ndarray:
-    """Per-path objectives (n, count) of every agent from one tile of paths.
-
-    Agent i's running integrand is U applied to c_i X_i times the
-    population geometric mean of c_k X_k raised to -theta_i; the terminal
-    term applies U to X_i(T) times the geometric mean wealth raised to
-    -theta_i.  The tile's row sum of log c_k X_k is formed once in agent
-    order, the order of numpy's reduction over the agent axis, and every
-    agent is reduced from it, while the elementwise passes stay in cache.
-    Each path's quadrature is that of one GEMV over any run of whole
-    `_row_chunks` tiles.
-    """
-    count, n, nodes = log_wealth.shape
-    s, cx, arg = (np.empty((count, nodes)) for _ in range(3))
-    out = np.empty((n, count))
-    np.add(log_wealth[:, 0], log_c[0], out=s)
-    for j in range(1, n):
-        s += np.add(log_wealth[:, j], log_c[j], out=cx)
-    s /= n
-    mean_xt = log_wealth[:, :, -1].mean(axis=1)
-    for i in range(n):
-        np.multiply(s, a.theta[i], out=arg)
-        np.subtract(np.add(log_wealth[:, i], log_c[i], out=cx), arg, out=arg)
-        arg_term = log_wealth[:, i, -1] - a.theta[i] * mean_xt
-        if a.delta[i] == 1.0:
-            out[i] = arg @ weights + a.eps[i] * arg_term
-        else:
-            k = 1.0 - 1.0 / a.delta[i]
-            arg *= k
-            out[i] = np.exp(arg, out=arg) @ weights / k + a.eps[i] * np.exp(k * arg_term) / k
-    return out
 
 
 def _pow2_scale(magnitude: float) -> float:
@@ -480,6 +439,261 @@ def _out_of_range(i: int) -> DomainError:
     return DomainError(f"the objective of agent {i} leaves the float range")
 
 
+@dataclass(frozen=True)
+class _AgentScan:
+    """The deterministic half of one agent's objective cells; path tiles supply the rest.
+
+    On a tile, a cell's path is slope[c] * noise + base.  noise is the
+    agent's own cumulated noise X_i = sigma_i B + nu_i W_i, the weighted
+    sum of the streams in ``own_noise``; base is ``base_weight`` times the
+    tile's population sum S = sum_k pi_k X_k, formed once for all agents.
+    S holds the agent's own term, which the slope takes back out, so the
+    terms per agent do not grow with n.  For delta != 1 the cell's
+    objective is weights[c] @ exp(path) + terminal[c] * exp(path[-1]): the
+    slopes and the base weight carry 1 - 1/delta, so a group of cells that
+    share a dpi costs one exp, one GEMM and a rank-1 term.  For delta = 1
+    the objective path @ w + eps * path[-1] + terminal[c] is affine in the
+    slope, so two GEMVs per tile give every cell.
+    """
+
+    own_noise: tuple[tuple[int, float], ...]     # (stream, weight) terms of X_i
+    base_weight: float                           # -theta / n, times 1 - 1/delta at delta != 1
+    eps: float
+    scale: float                                 # power of two the cell values carry
+    w: np.ndarray                                # trapezoid weights
+    slope: np.ndarray                            # (cells,) weight of noise in the path
+    weights: np.ndarray | None                   # (cells, grid + 1); None at delta = 1
+    terminal: np.ndarray                         # (cells,)
+    groups: tuple[slice, ...]                    # cells of equal dpi; (0, 0, 0) is cell 0
+    columns: tuple[int, ...]                     # stacked cell of each requested cell
+
+
+def _node_values(log_x0, segments: np.ndarray) -> np.ndarray:
+    """log x0 plus the running sum of the segments, at each grid node."""
+    return log_x0 + np.cumsum(np.pad(segments, ((0, 0), (1, 0))), axis=1)
+
+
+def _objective(f: SimpleNamespace, a: SimpleNamespace, log_c: np.ndarray) -> SimpleNamespace:
+    """What every agent's objective reads of the population, formed once.
+
+    a's theta, delta and eps; the (n, grid + 1) log consumption rates
+    ``log_c`` the objective reads; ``det``, the deterministic part of the
+    wealth model f's log wealth at the nodes; the sums over agents of
+    log_c + det and of det at T; and the trapezoid weights.
+    """
+    det = _node_values(f.log_x0[:, None], f.det_seg)
+    return SimpleNamespace(theta=a.theta, delta=a.delta, eps=a.eps, log_c=log_c, det=det,
+                           run_sum=(log_c + det).sum(axis=0), term_sum=det[:, -1].sum(),
+                           w=trapezoid_weights(f.times))
+
+
+def _agent_scan(i: int, f: SimpleNamespace, objective: SimpleNamespace,
+                cells: Sequence[tuple[float, float, float]]) -> _AgentScan:
+    """Stack agent i's cells, with the reference (0, 0, 0) first, into groups of equal dpi.
+
+    Wealth follows the path model f, except that in cell (dpi, a, b)
+    agent i invests f.pi[i] + dpi and consumes f.c_nodes[i] e^(a + b t);
+    the objective (see `_objective`) reads agent i's log consumption
+    tilted by a + b t.  The others' deterministic sums are the population
+    sums minus agent i's own term.  At delta != 1 the weights and terminal
+    factors are multiplied by a power of two that brings the largest
+    cell's sum of their magnitudes below 1, so the values and their
+    squares stay in range; the product is exact.  A weight or terminal
+    factor that overflows is left infinite: the agent's summed values are
+    then not finite, which its callers report.
+    """
+    ar, pi, times = f.a, f.pi, f.times
+    n = len(pi)
+    theta = float(objective.theta[i])
+    delta, eps = float(objective.delta[i]), float(objective.eps[i])
+    own = 1.0 - theta / n
+    log_c, det = objective.log_c, objective.det
+    row_others = objective.run_sum - (log_c[i] + det[i])
+    row_others_term = objective.term_sum - det[i, -1]
+
+    # Unique cells grouped by dpi; the reference (0, 0, 0) opens group 0.
+    by_dpi: dict[float, list] = {}
+    for cell in dict.fromkeys([(0.0, 0.0, 0.0)] + list(cells)):
+        by_dpi.setdefault(cell[0], []).append(cell)
+    order = [cell for group in by_dpi.values() for cell in group]
+    column = {cell: j for j, cell in enumerate(order)}
+
+    dp, a, b = (np.array(order)[:, k:k + 1] for k in range(3))
+    tilt = a + b * times
+    det_cell = _node_values(f.log_x0[i], _segments(
+        pi[i] + dp[:, 0], ar.mu[i], ar.Sigma[i], f.c_nodes[i] * np.exp(tilt), np.diff(times)))
+    row_run = own * ((log_c[i] + tilt) + det_cell) - (theta / n) * row_others
+    row_term = own * det_cell[:, -1] - (theta / n) * row_others_term
+    slope = own * (pi[i] + dp[:, 0]) + (theta / n) * pi[i]
+    base_weight = -(theta / n)
+
+    w = objective.w
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        if delta == 1.0:
+            weights = None
+            terminal = row_run @ w + eps * row_term
+        else:
+            k_pow = 1.0 - 1.0 / delta
+            slope *= k_pow
+            base_weight *= k_pow
+            weights = w * np.exp(k_pow * row_run) / k_pow
+            terminal = eps * np.exp(k_pow * row_term) / k_pow
+            scale = _pow2_scale(float((np.abs(weights).sum(axis=1) + np.abs(terminal)).max()))
+            weights *= scale
+            terminal *= scale
+
+    own_noise = ((COMMON_STREAM, ar.sigma[i]),)
+    if ar.nu[i] != 0.0:
+        own_noise += ((agent_stream(i), ar.nu[i]),)
+    return _AgentScan(own_noise=own_noise, base_weight=base_weight, eps=eps,
+                      scale=scale, w=w, slope=slope, weights=weights, terminal=terminal,
+                      groups=tuple(slice(column[g[0]], column[g[-1]] + 1) for g in by_dpi.values()),
+                      columns=tuple(column[cell] for cell in cells))
+
+
+def _weighted_sum(cum: dict, terms: tuple[tuple[int, float], ...],
+                  out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = sum of weight * cum[stream] over terms, in order."""
+    (stream, weight), *rest = terms
+    np.multiply(cum[stream], weight, out=out)
+    for stream, weight in rest:
+        np.multiply(cum[stream], weight, out=scratch)
+        out += scratch
+
+
+def _scan_tile(scan: _AgentScan, cum: dict, total: np.ndarray, noise: np.ndarray,
+               base: np.ndarray, path: np.ndarray, out: np.ndarray) -> None:
+    """Write the reference objective and each cell's paired difference into out (cells, rows).
+
+    Row 0 is the (0, 0, 0) cell's objective on each path of the tile, row
+    c the c-th stacked cell's objective minus it.  ``cum`` maps each
+    stream to its cumulated noise on the tile, ``total`` is the tile's
+    population sum S, and ``noise``, ``base`` and ``path`` are
+    (rows, grid + 1) work buffers.  At delta = 1 the differences are
+    formed from the slope and terminal differences alone, so a cell with
+    the reference's slope differs by one constant on every path.
+    """
+    _weighted_sum(cum, scan.own_noise, noise, path)
+    np.multiply(total, scan.base_weight, out=base)
+    if scan.weights is None:
+        noise_w = noise @ scan.w + scan.eps * noise[:, -1]
+        out[0] = scan.slope[0] * noise_w + (base @ scan.w + scan.eps * base[:, -1])
+        out[0] += scan.terminal[0]
+        np.multiply.outer(scan.slope[1:] - scan.slope[0], noise_w, out=out[1:])
+        out[1:] += (scan.terminal[1:] - scan.terminal[0])[:, None]
+        return
+    for group in scan.groups:
+        np.multiply(noise, scan.slope[group.start], out=path)
+        path += base
+        np.exp(path, out=path)
+        np.matmul(scan.weights[group], path.T, out=out[group])
+        out[group] += scan.terminal[group, None] * path[:, -1]
+    out[1:] -= out[0]
+
+
+def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, M2) of each row of ``values``, M2 its sum of squared deviations.
+
+    Two passes: the mean, then the squares of the deviations from it, so a
+    row whose values are all equal has M2 = 0.  ``values`` is overwritten.
+    """
+    count = values.shape[1]
+    mean = values.sum(axis=1) / count
+    values -= mean[:, None]
+    values *= values
+    return count, mean, values.sum(axis=1)
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The (count, mean, M2) of two samples joined, from those of each.
+
+    The pairwise update of Chan, Golub & LeVeque (Amer. Statist. 37, 1983):
+    no raw sum of squares is formed, so nothing cancels.
+    """
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n = na + nb
+    d = mean_b - mean_a
+    return n, mean_a + d * (nb / n), m2_a + m2_b + d * d * (na * nb / n)
+
+
+def _objective_moments(f: SimpleNamespace, a: SimpleNamespace, log_c: np.ndarray,
+                       agents: Sequence[int], cells: Sequence[tuple[float, float, float]],
+                       seed: int, paths: int) -> list[list[tuple[float, float]]]:
+    """(mean, stderr) of each agent's objective and of its cells' paired differences.
+
+    The one Monte Carlo engine of the package's objective.  For each agent
+    of ``agents``, in order: the objective at cell (0, 0, 0), then each
+    cell (dpi, a, b) of ``cells`` minus it on the same paths.  Wealth
+    follows the path model f (see `_agent_scan`); the objective reads a's
+    theta, delta and eps and the log consumption rates ``log_c``.
+
+    Each `_map_tiles` tile of paths draws every stream a term needs once,
+    forms the population sum S once, and evaluates every agent's cells
+    while the tile is in cache (`_scan_tile`).  Each agent's (cells, rows)
+    values are reduced at once to (count, mean, M2) (`_moments`), and the
+    tiles are merged by Chan's update (`_merge`) in tile order as they
+    arrive.  A worker holds a cumulated tile per stream, three work tiles,
+    and, once the draws are freed, the tile's S: streams + 4 tiles,
+    whatever ``paths`` is.  Results are bitwise the same for every thread
+    count; the GEMM bits depend on a tile's row count, so a different tile
+    size moves them.  Values scaled by a power of two (see `_agent_scan`)
+    keep a finite mean's standard error finite; values out of the float
+    range give a mean or standard error that is not finite, with no warning.
+    """
+    objective = _objective(f, a, log_c)
+    scans = [_agent_scan(i, f, objective, cells) for i in agents]
+    w_nu = f.pi * f.a.nu
+    population = ((COMMON_STREAM, float(np.sum(f.pi * f.a.sigma))),)
+    population += tuple((agent_stream(k), v) for k, v in enumerate(w_nu) if v != 0.0)
+    streams = sorted({stream for scan in scans for stream, _ in scan.own_noise}
+                     | {stream for stream, _ in population})
+    grid = len(f.sqrt_dt)
+    cells_max = max((len(scan.slope) for scan in scans), default=0)
+
+    def workspace(rows):
+        """A worker's buffers: a cumulated tile per stream, three work tiles, one agent's values."""
+        return ({s: np.zeros((rows, grid + 1)) for s in streams},  # column 0 stays 0
+                np.empty((3, rows, grid + 1)),  # noise, base, path
+                np.empty(cells_max * rows))
+
+    def tile_task(start, count, space):
+        """Each agent's (count, mean, M2) on the tile of paths [start, start + count)."""
+        cum, work, values = space
+        tile = {s: buffer[:count] for s, buffer in cum.items()}
+        for s, buffer in tile.items():
+            dz = block_normals(seed, s, start, count, grid)
+            dz *= f.sqrt_dt
+            np.cumsum(dz, axis=1, out=buffer[:, 1:])
+            del dz  # before the next draw, so a worker holds streams + 4 tiles
+        total = np.empty((count, grid + 1))  # in the place of the freed draws
+        noise, base, path = work[:, :count]
+        _weighted_sum(tile, population, total, path)
+        moments = []
+        for scan in scans:
+            out = values[:len(scan.slope) * count].reshape(-1, count)
+            _scan_tile(scan, tile, total, noise, base, path, out)
+            moments.append(_moments(out))
+        return moments
+
+    with np.errstate(all="ignore"):  # the merges too: no warning for an agent out of range
+        totals = reduce(lambda acc, part: list(map(_merge, acc, part)),
+                        _map_tiles(tile_task, paths, grid + 1, workspace))
+
+    def mean_stderr(mean, m2, scale):
+        """Mean and standard error of values carrying ``scale``; Python floats never warn."""
+        var = float(m2) / (paths - 1) if paths > 1 else 0.0
+        return float(mean) / scale, math.sqrt(var / paths) / scale
+
+    results = []
+    for scan, (_, means, m2s) in zip(scans, totals):
+        result = [mean_stderr(means[0], m2s[0], scan.scale)]
+        means[0] = m2s[0] = 0.0  # the (0, 0, 0) cell's differences are exactly zero
+        results.append(result + [mean_stderr(means[j], m2s[j], scan.scale)
+                                 for j in scan.columns])
+    return results
+
+
 def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
                        p: Population) -> UtilityEstimate:
     """Monte Carlo mean and standard error of agent i's objective.
@@ -491,16 +705,19 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     i is not an agent of p, when the batch or the strategy has a
     different agent count from p, or when the batch's grid is not p's.
 
-    One pass on ``worker_count()`` threads, with floating-point warnings
-    off, regenerates the paths tile by tile, never ``log_wealth``, and
-    scores every agent; the batch keeps the per-path values, keyed by the
-    log consumption rates at the nodes and theta, delta and eps, so a
-    later call with equal ones only reads agent i's row.  Estimates depend
-    on neither the order nor the threads.  The standard error is taken on
-    the values scaled by a power of two, so that their squares stay in
-    range and a finite mean has a finite one.  Raises DomainError when agent
-    i's objective leaves the float range (its mean or standard error is
-    not finite); the other agents still score.
+    Wealth follows the batch's own strategy; the objective reads p's
+    theta, delta and eps and s's consumption rates.  One run of the
+    objective engine (`_objective_moments`) on ``worker_count()`` threads
+    regenerates the batch's paths tile by tile, never ``log_wealth``, and
+    estimates every agent at the (0, 0, 0) cell of the best-response scan;
+    the batch keeps the n (mean, stderr) results, keyed by the log
+    consumption rates at the nodes and theta, delta and eps, so a later
+    call with equal ones only reads agent i's.  Estimates depend on
+    neither the order nor the thread count, but a different tile size
+    moves their last bits.  A finite mean has a finite standard error.
+    Raises DomainError when agent i's objective leaves the float range
+    (its mean or standard error is not finite); the other agents still
+    score.
     """
     i = _agent_index(i, p.n)
     if batch._model.pi.shape[0] != p.n:
@@ -511,29 +728,14 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     if np.any(f.c_nodes <= 0.0):
         raise DomainError("objective needs strictly positive consumption rates")
     log_c = np.log(f.c_nodes)
-    weights = trapezoid_weights(f.times)
     key = b"".join(x.tobytes() for x in (log_c, f.a.theta, f.a.delta, f.a.eps))
-    kept = batch._scores  # read once: another thread may replace it
+    kept = batch._estimates  # read once: another thread may replace it
     if kept is None or kept[0] != key:
-        values = np.empty((p.n, batch.paths))
-
-        def score(start, block):
-            values[:, start:start + len(block)] = _score_block(block, log_c, weights, f.a)
-
-        with np.errstate(all="ignore"):
-            for _ in _map_paths(score, batch._model, batch.seed, batch.paths):
-                pass
-        kept = (key, values)
-        object.__setattr__(batch, "_scores", kept)
-    values = kept[1][i]
-    with np.errstate(all="ignore"):
-        mean = float(values.mean())
-    if not math.isfinite(mean):
-        raise _out_of_range(i)
-    # a finite mean means finite values; their squares are taken scaled
-    scale = _pow2_scale(float(np.abs(values).max()))
-    stderr = (float((values * scale).std(ddof=1) / math.sqrt(batch.paths)) / scale
-              if batch.paths > 1 else 0.0)
-    if not math.isfinite(stderr):
+        results = _objective_moments(batch._model, f.a, log_c, range(p.n), (), batch.seed,
+                                     batch.paths)
+        kept = (key, [result[0] for result in results])
+        object.__setattr__(batch, "_estimates", kept)
+    mean, stderr = kept[1][i]
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise _out_of_range(i)
     return UtilityEstimate(mean=mean, stderr=stderr, paths=batch.paths)

@@ -16,34 +16,29 @@ mean-field limit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
-from functools import reduce
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound, TooFewAgents
-# solve_mf and solve_n are unused here but stay attributes: benchmarks/tracing.py
-# wraps verification.solve_mf and verification.solve_n.
+# solve_mf, solve_n and block_normals are unused here but stay attributes:
+# benchmarks/tracing.py wraps verification.solve_mf, .solve_n and .block_normals.
 from .mfg import _solve_mf, solve_mf  # noqa: F401
 from .nplayer import IDENTITY_TOL, EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
 from .policy import ConsumptionPolicy
 from .simulation import (
-    COMMON_STREAM,
     DEFAULT_GRID,
     UtilityEstimate,
     _agent_index,
-    _map_tiles,
+    _objective_moments,
     _out_of_range,
     _path_model,
-    _pow2_scale,
-    _segments,
-    agent_stream,
-    block_normals,
     equilibrium_strategy,
-    trapezoid_weights,
 )
+from .simulation import block_normals  # noqa: F401
 from .types import Population, TypeDistribution, validate_distribution, validate_population
 
 DEFAULT_ODE_STEPS = 10_000
@@ -439,170 +434,6 @@ class BestResponseReport:
         }
 
 
-@dataclass(frozen=True)
-class _AgentScan:
-    """The deterministic half of one agent's scan; path tiles supply the rest.
-
-    On a tile, a cell's path is slope[c] * noise + base, where noise and
-    base are the weighted sums of the cumulated streams in ``own_noise``
-    and ``others_noise``.  For delta != 1 the cell's objective is
-    weights[c] @ exp(path) + terminal[c] * exp(path[-1]): the slopes and
-    the base's weights carry 1 - 1/delta, so a group of cells that share a
-    dpi costs one exp, one GEMM and a rank-1 term.  For delta = 1 the
-    objective path @ w + eps * path[-1] + terminal[c] is affine in the
-    slope, so two GEMVs per tile give every cell.
-    """
-
-    agent: int
-    own_noise: tuple[tuple[int, float], ...]     # (stream, weight) terms
-    others_noise: tuple[tuple[int, float], ...]  # the others' terms, times -theta / n
-    eps: float
-    scale: float                                 # power of two the cell values carry
-    w: np.ndarray                                # trapezoid weights
-    slope: np.ndarray                            # (cells,) weight of noise in the path
-    weights: np.ndarray | None                   # (cells, grid + 1); None at delta = 1
-    terminal: np.ndarray                         # (cells,)
-    groups: tuple[slice, ...]                    # cells of equal dpi; (0, 0, 0) is cell 0
-    columns: tuple[int, ...]                     # stacked cell of each reported cell
-
-
-def _node_values(log_x0, segments: np.ndarray) -> np.ndarray:
-    """log x0 plus the running sum of the segments, at each grid node."""
-    return log_x0 + np.cumsum(np.pad(segments, ((0, 0), (1, 0))), axis=1)
-
-
-def _agent_scan(i: int, f, w: np.ndarray, det: np.ndarray,
-                cells: list[tuple[float, float, float]]) -> _AgentScan:
-    """Stack agent i's deviation cells into groups of equal dpi.
-
-    ``f`` is the equilibrium's path model and ``det[k]`` the deterministic
-    part of agent k's equilibrium log wealth at the grid nodes.  Cell (dpi, a, b)
-    plays pi_i + dpi and consumes c_i(t) e^(a + b t) against everyone else's equilibrium.
-    At delta != 1 the weights and terminal factors are multiplied by a
-    power of two that brings the largest cell's sum of their magnitudes
-    below 1, so the values and their squares stay in range; the product is
-    exact.  A weight or terminal factor that overflows is left infinite:
-    the agent's summed values are then not finite, which the scan reports.
-    """
-    ar, pi, times, c_eq = f.a, f.pi, f.times, f.c_nodes
-    n = len(pi)
-    theta, delta, eps = float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i])
-    own = 1.0 - theta / n
-    log_c_eq = np.log(c_eq)
-    others = [k for k in range(n) if k != i]
-    row_others = (log_c_eq[others] + det[others]).sum(axis=0)
-    row_others_term = det[others, -1].sum()
-
-    # Unique cells grouped by dpi; the reference (0, 0, 0) opens group 0.
-    by_dpi: dict[float, list] = {}
-    for cell in dict.fromkeys([(0.0, 0.0, 0.0)] + cells):
-        by_dpi.setdefault(cell[0], []).append(cell)
-    order = [cell for group in by_dpi.values() for cell in group]
-    column = {cell: j for j, cell in enumerate(order)}
-
-    dp, a, b = (np.array(order)[:, k:k + 1] for k in range(3))
-    tilt = a + b * times
-    det_cell = _node_values(f.log_x0[i], _segments(
-        pi[i] + dp[:, 0], ar.mu[i], ar.Sigma[i], c_eq[i] * np.exp(tilt), np.diff(times)))
-    row_run = own * ((log_c_eq[i] + tilt) + det_cell) - (theta / n) * row_others
-    row_term = own * det_cell[:, -1] - (theta / n) * row_others_term
-    slope = own * (pi[i] + dp[:, 0])
-    base_scale = -(theta / n)
-
-    scale = 1.0
-    with np.errstate(over="ignore"):
-        if delta == 1.0:
-            weights = None
-            terminal = row_run @ w + eps * row_term
-        else:
-            k_pow = 1.0 - 1.0 / delta
-            slope *= k_pow
-            base_scale *= k_pow
-            weights = w * np.exp(k_pow * row_run) / k_pow
-            terminal = eps * np.exp(k_pow * row_term) / k_pow
-            scale = _pow2_scale(float((np.abs(weights).sum(axis=1) + np.abs(terminal)).max()))
-            weights *= scale
-            terminal *= scale
-
-    w_nu = pi * ar.nu
-    own_noise = ((COMMON_STREAM, ar.sigma[i]),)
-    if ar.nu[i] != 0.0:
-        own_noise += ((agent_stream(i), ar.nu[i]),)
-    others_noise = ((COMMON_STREAM, float(np.sum(pi[others] * ar.sigma[others]))),)
-    others_noise += tuple((agent_stream(k), w_nu[k]) for k in others if w_nu[k] != 0.0)
-    return _AgentScan(agent=i, own_noise=own_noise,
-                      others_noise=tuple((k, base_scale * v) for k, v in others_noise),
-                      eps=eps, scale=scale, w=w, slope=slope, weights=weights,
-                      terminal=terminal,
-                      groups=tuple(slice(column[g[0]], column[g[-1]] + 1) for g in by_dpi.values()),
-                      columns=tuple(column[cell] for cell in cells))
-
-
-def _weighted_sum(cum: dict, terms: tuple[tuple[int, float], ...],
-                  out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = sum of weight * cum[stream] over terms, in order."""
-    (stream, weight), *rest = terms
-    np.multiply(cum[stream], weight, out=out)
-    for stream, weight in rest:
-        np.multiply(cum[stream], weight, out=scratch)
-        out += scratch
-
-
-def _scan_tile(scan: _AgentScan, cum: dict, noise: np.ndarray, base: np.ndarray,
-               path: np.ndarray, out: np.ndarray) -> None:
-    """Write the equilibrium objective and each cell's paired difference into out (cells, rows).
-
-    Row 0 is the (0, 0, 0) cell's objective on each path of the tile, row
-    c the c-th stacked cell's objective minus it.  ``cum`` maps each
-    stream to its cumulated noise on the tile, and ``noise``, ``base`` and
-    ``path`` are (rows, grid + 1) work buffers.  At delta = 1 the
-    differences are formed from the slope and terminal differences alone,
-    so a cell with the equilibrium's slope differs by one constant on
-    every path.
-    """
-    _weighted_sum(cum, scan.own_noise, noise, path)
-    _weighted_sum(cum, scan.others_noise, base, path)
-    if scan.weights is None:
-        noise_w = noise @ scan.w + scan.eps * noise[:, -1]
-        out[0] = scan.slope[0] * noise_w + (base @ scan.w + scan.eps * base[:, -1])
-        out[0] += scan.terminal[0]
-        np.multiply.outer(scan.slope[1:] - scan.slope[0], noise_w, out=out[1:])
-        out[1:] += (scan.terminal[1:] - scan.terminal[0])[:, None]
-        return
-    for group in scan.groups:
-        np.multiply(noise, scan.slope[group.start], out=path)
-        path += base
-        np.exp(path, out=path)
-        np.matmul(scan.weights[group], path.T, out=out[group])
-        out[group] += scan.terminal[group, None] * path[:, -1]
-    out[1:] -= out[0]
-
-
-def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, mean, M2) of each row of ``values``, M2 its sum of squared deviations.
-
-    Two passes: the mean, then the squares of the deviations from it, so a
-    row whose values are all equal has M2 = 0.  ``values`` is overwritten.
-    """
-    count = values.shape[1]
-    mean = values.sum(axis=1) / count
-    values -= mean[:, None]
-    values *= values
-    return count, mean, values.sum(axis=1)
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    """The (count, mean, M2) of two samples joined, from those of each.
-
-    The pairwise update of Chan, Golub & LeVeque (Amer. Statist. 37, 1983):
-    no raw sum of squares is formed, so nothing cancels.
-    """
-    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
-    n = na + nb
-    d = mean_b - mean_a
-    return n, mean_a + d * (nb / n), m2_a + m2_b + d * d * (na * nb / n)
-
-
 def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[int],
                        dpi_grid: Sequence[float], ab_grid: Sequence[float], paths: int,
                        seed: int, grid: int = DEFAULT_GRID) -> tuple[BestResponseReport, ...]:
@@ -610,87 +441,42 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
 
     Every other agent plays the closed-form equilibrium; the scanned agent
     plays (pi* + dpi, c*(t) e^(a + b t)) for each cell of
-    dpi_grid x ab_grid^2.  Each row tile of paths (`simulation._map_tiles`)
-    draws the common stream and every idiosyncratic stream some scanned
-    agent needs once, and every agent's cells are evaluated on the tile
-    while it is in cache; the perturbed and the equilibrium objective
-    share the increments path by path, so the (0, 0, 0) cell differs by
-    exactly zero.  Each agent's (cells, rows) tile of the equilibrium
-    objective and the paired differences (`_scan_tile`) is reduced at
-    once to its count, mean and sum of squared deviations (`_moments`),
-    and the tiles' moments are merged by Chan's update (`_merge`) in tile
-    order as they arrive.  `_map_tiles` builds each worker's buffers once:
-    a tile per stream, three work tiles and each agent's (cells, rows)
-    values, whatever ``paths`` is.  Reports come back in the order of
-    ``agents``, do not depend on which other agents are scanned alongside,
-    and are bitwise the same for every thread count; the GEMM bits depend
-    on a tile's row count, so a different tile size moves them.  No
-    exception is raised for a profitable deviation: check ``violations()``.
-    The population, ``grid``, ``paths`` and the profile's agent count are
-    checked as ``simulate`` checks them; ValueError for an agent that is no
-    integer index of p or an empty grid.  Each agent's values are computed
-    scaled by a power of two (see `_agent_scan`), so a finite mean has a
-    finite standard error; an agent with any mean or standard error that
-    is not finite raises DomainError once the tiles are done, with no warning.
+    dpi_grid x ab_grid^2.  The objective engine
+    (`simulation._objective_moments`) evaluates every scanned agent's
+    cells on each row tile of paths, with the equilibrium as both the
+    wealth model and the objective's consumption; the perturbed and the
+    equilibrium objective share the increments path by path, so the
+    (0, 0, 0) cell differs by exactly zero.  Its work per agent does not
+    grow with n.  Reports come back in the order of ``agents``, do not
+    depend on which other agents are scanned alongside, and are bitwise
+    the same for every thread count; a different tile size moves their
+    last bits.  Each report's seed is ``operator.index(seed)``.  No
+    exception is raised for a profitable deviation: check
+    ``violations()``.  The population, ``grid``, ``paths`` and the
+    profile's agent count are checked as ``simulate`` checks them;
+    ValueError for an agent that is no integer index of p or an empty
+    grid.  A finite mean has a finite standard error; an agent with any
+    mean or standard error that is not finite raises DomainError once the
+    tiles are done, with no warning.
     """
     f = _path_model(p, equilibrium_strategy(p, e), grid, paths)
     agents = tuple(_agent_index(i, p.n) for i in agents)
+    seed = operator.index(seed)
     for name, values in (("dpi_grid", dpi_grid), ("ab_grid", ab_grid)):
         if len(values) == 0:
             raise ValueError(f"{name} is empty: the scan needs at least one cell")
-    w = trapezoid_weights(f.times)
-    det = _node_values(f.log_x0[:, None], f.det_seg)
-
     cells = [(float(dp), float(a), float(b))
              for dp in dpi_grid for a in ab_grid for b in ab_grid]
-    scans = [_agent_scan(i, f, w, det, cells) for i in agents]
-    streams = sorted({stream for scan in scans
-                      for stream, _ in scan.own_noise + scan.others_noise})
-
-    def workspace(rows):
-        """A worker's buffers: a cumulated tile per stream, work tiles, each agent's values."""
-        return ({s: np.zeros((rows, grid + 1)) for s in streams},  # column 0 stays 0
-                np.empty((3, rows, grid + 1)),  # noise, base, path
-                [np.empty(len(scan.slope) * rows) for scan in scans])
-
-    def tile_task(start, count, space):
-        """Each scanned agent's (count, mean, M2) on the tile of paths [start, start + count)."""
-        cum, work, outs = space
-        tile = {s: buffer[:count] for s, buffer in cum.items()}
-        for s, buffer in tile.items():
-            dz = block_normals(seed, s, start, count, grid)
-            dz *= f.sqrt_dt
-            np.cumsum(dz, axis=1, out=buffer[:, 1:])
-            del dz  # before the next draw, so a worker holds streams + 4 tiles
-        moments = []
-        for scan, out in zip(scans, outs):
-            values = out[:len(scan.slope) * count].reshape(-1, count)
-            _scan_tile(scan, tile, *work[:, :count], values)
-            moments.append(_moments(values))
-        return moments
-
-    with np.errstate(all="ignore"):  # the merges too: no warning for an agent out of range
-        totals = reduce(lambda acc, part: list(map(_merge, acc, part)),
-                        _map_tiles(tile_task, paths, grid + 1, workspace))
-
-    def mean_stderr(mean, m2, scale):
-        """Mean and standard error of values carrying ``scale``; Python floats never warn."""
-        var = float(m2) / (paths - 1) if paths > 1 else 0.0
-        return float(mean) / scale, math.sqrt(var / paths) / scale
-
+    results = _objective_moments(f, f.a, np.log(f.c_nodes), agents, cells, seed, paths)
     reports = []
-    for scan, (_, means, m2s) in zip(scans, totals):
-        eq_mean, eq_se = mean_stderr(means[0], m2s[0], scan.scale)
-        means[0] = m2s[0] = 0.0  # the (0, 0, 0) cell's differences are exactly zero
-        estimates = [mean_stderr(means[j], m2s[j], scan.scale) for j in scan.columns]
-        if not np.all(np.isfinite([(eq_mean, eq_se), *estimates])):
-            raise _out_of_range(scan.agent)
-        out_cells = [BestResponseCell(dpi=cell[0], a=cell[1], b=cell[2], mean_diff=mean, stderr=se)
-                     for cell, (mean, se) in zip(cells, estimates)]
+    for i, ((eq_mean, eq_se), *diffs) in zip(agents, results):
+        if not np.all(np.isfinite([(eq_mean, eq_se), *diffs])):
+            raise _out_of_range(i)
         reports.append(BestResponseReport(
-            agent=scan.agent, paths=paths, seed=seed,
+            agent=i, paths=paths, seed=seed,
             equilibrium=UtilityEstimate(mean=eq_mean, stderr=eq_se, paths=paths),
-            cells=tuple(out_cells)))
+            cells=tuple(BestResponseCell(dpi=dp, a=a, b=b, mean_diff=mean, stderr=se)
+                        for (dp, a, b), (mean, se) in zip(cells, diffs))))
     return tuple(reports)
 
 

@@ -13,6 +13,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from merton_arena import AgentType, Population, TypeDistribution
+from merton_arena.simulation import trapezoid_weights
 
 
 @pytest.fixture
@@ -93,3 +94,48 @@ def profile_sha256(e) -> str:
     for name in ("pi", "rho", "beta", "lam"):
         h.update(np.ascontiguousarray(getattr(e, name), dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def reference_objective_paths(log_wealth, log_c, weights, i, theta, delta, eps):
+    """Agent i's objective on each stored path: the reference for the objective engine.
+
+    This is estimate_objective's block reduction before it dropped the
+    log_cx temporary and, later, the stored paths.
+    """
+    log_cx = log_c[None, :, :] + log_wealth
+    mean_cx = log_cx.mean(axis=1)
+    arg_run = log_cx[:, i, :] - theta * mean_cx
+    mean_xt = log_wealth[:, :, -1].mean(axis=1)
+    arg_term = log_wealth[:, i, -1] - theta * mean_xt
+    if delta == 1.0:
+        running = arg_run @ weights
+        terminal = eps * arg_term
+    else:
+        k = 1.0 - 1.0 / delta
+        running = np.exp(k * arg_run) @ weights / k
+        terminal = eps * np.exp(k * arg_term) / k
+    return running + terminal
+
+
+def stored_path_objective(batch, s, p, i) -> np.ndarray:
+    """Agent i's objective on each of batch's stored paths, with s's consumption and p's preferences."""
+    ar = p.arrays()
+    return reference_objective_paths(batch.log_wealth, np.log(s.consumption_on(batch.times)),
+                                     trapezoid_weights(batch.times), i, float(ar.theta[i]),
+                                     float(ar.delta[i]), float(ar.eps[i]))
+
+
+def assert_estimate_matches(est, values) -> None:
+    """est holds the mean and standard error of the per-path values, up to rounding.
+
+    The bound of the merged moments against two passes: |dmean| <= 1e-12
+    sqrt(mean(x^2)) and |dvar| <= 1e-12 mean(x^2).  The values are first
+    scaled by a power of two, which is exact, so that their squares stay
+    in range.
+    """
+    scale = math.ldexp(1.0, -max(math.frexp(float(np.abs(values).max()))[1], 0))
+    x = values * scale
+    square = float(np.mean(x * x))
+    assert est.paths == len(x)
+    assert abs(est.mean * scale - float(np.mean(x))) <= 1e-12 * math.sqrt(square)
+    assert abs((est.stderr * scale) ** 2 * len(x) - float(np.var(x, ddof=1))) <= 1e-12 * square

@@ -19,7 +19,6 @@ from merton_arena import (
     InvalidGrid,
     NonPositiveConsumption,
     Population,
-    UtilityEstimate,
     ValidationError,
     constant_strategy,
     equilibrium_strategy,
@@ -28,13 +27,17 @@ from merton_arena import (
     solve_n,
     utility,
 )
-from conftest import random_population
+from conftest import (
+    assert_estimate_matches,
+    random_population,
+    reference_objective_paths,
+    stored_path_objective,
+)
 from merton_arena import simulation
 from merton_arena.simulation import (
     COMMON_STREAM,
     TILE_BYTES,
     StrategyProfile,
-    _score_block,
     _simulate_nodes,
     agent_stream,
     block_normals,
@@ -390,25 +393,8 @@ def reference_batch(p, s, grid, paths, seed, block_size):
     return log_wealth
 
 
-def reference_objective_paths(log_wealth, log_c, weights, i, theta, delta, eps):
-    """estimate_objective's block reduction before it dropped the log_cx temporary."""
-    log_cx = log_c[None, :, :] + log_wealth
-    mean_cx = log_cx.mean(axis=1)
-    arg_run = log_cx[:, i, :] - theta * mean_cx
-    mean_xt = log_wealth[:, :, -1].mean(axis=1)
-    arg_term = log_wealth[:, i, -1] - theta * mean_xt
-    if delta == 1.0:
-        running = arg_run @ weights
-        terminal = eps * arg_term
-    else:
-        k = 1.0 - 1.0 / delta
-        running = np.exp(k * arg_run) @ weights / k
-        terminal = eps * np.exp(k * arg_term) / k
-    return running + terminal
-
-
 class TestInPlaceBlocks:
-    """simulate and estimate_objective equal the whole-block reference bitwise."""
+    """simulate equals the whole-block reference bitwise, estimate_objective up to rounding."""
 
     GRID, PATHS, SEED = 48, 1000, 17
     BLOCK = 4096  # rows of a reference block
@@ -466,16 +452,10 @@ class TestInPlaceBlocks:
         assert ar.delta[0] == 1.0 and np.all(ar.delta[1:] != 1.0)
         blocks = [batch.log_wealth[start:start + self.BLOCK]
                   for start in range(0, paths, self.BLOCK)]
-        scores = np.concatenate([_score_block(b, log_c, weights, ar) for b in blocks], axis=1)
         for i in range(p.n):
             args = (log_c, weights, i, float(ar.theta[i]), float(ar.delta[i]), float(ar.eps[i]))
             values = np.concatenate([reference_objective_paths(b, *args) for b in blocks])
-            # per path, not only through the mean, which can absorb a last-bit change
-            assert np.array_equal(scores[i], values)
-            est = estimate_objective(batch, s, i, p)
-            assert np.array_equal(batch._scores[1][i], values)
-            assert est.mean == float(values.mean())
-            assert est.stderr == float(values.std(ddof=1) / math.sqrt(paths))
+            assert_estimate_matches(estimate_objective(batch, s, i, p), values)
 
     @staticmethod
     def scratch_bytes(p, s, grid, paths):
@@ -545,7 +525,7 @@ class TestInPlaceBlocks:
 
 
 class TestKeptScores:
-    """estimate_objective scores every agent in one pass and keeps the values on the batch."""
+    """estimate_objective scores every agent in one pass and keeps the n estimates on the batch."""
 
     GRID, PATHS, SEED = 48, 3000, 17
 
@@ -669,59 +649,73 @@ class TestKeptScores:
             warnings.simplefilter("always")
             est = estimate_objective(batch, s, 1, p)
         assert caught == []
-        values = batch._scores[1][1]
+        values = stored_path_objective(batch, s, p, 1)
         assert np.abs(values).max() > 1e177
         assert -1e175 < est.mean < -1e174
         assert 0.0 < est.stderr < math.inf
-        # the same as the unscaled formula on values scaled down by 2^-600
-        scaled = values * 2.0**-600
-        assert est.stderr == pytest.approx(
-            scaled.std(ddof=1) / math.sqrt(2000) * 2.0**600, rel=1e-14)
+        # the values' mean and standard error, taken on values scaled down by a power of two
+        assert_estimate_matches(est, values)
 
     @pytest.mark.parametrize("order", [(0, 1, 0, 1), (1, 0, 1, 0)])
     def test_warnings_are_not_leaked(self, order):
         # agent 1's objective leaves the float range; agent 0 still scores
-        # bitwise as the reference, and neither call warns
+        # as the reference, and neither call warns
         p, s, batch = self.overflowing_pair()
-        ar = p.arrays()
-        values = reference_objective_paths(
-            batch.log_wealth, np.log(s.consumption_on(batch.times)),
-            trapezoid_weights(batch.times), 0, ar.theta[0], ar.delta[0], ar.eps[0])
-        clean = UtilityEstimate(mean=float(values.mean()),
-                                stderr=float(values.std(ddof=1) / math.sqrt(200)), paths=200)
+        values = stored_path_objective(batch, s, p, 0)
         for i in order:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 if i == 0:
-                    assert estimate_objective(batch, s, i, p) == clean
+                    assert_estimate_matches(estimate_objective(batch, s, i, p), values)
                 else:
                     with pytest.raises(DomainError, match="objective of agent 1 leaves"):
                         estimate_objective(batch, s, i, p)
             assert [str(w.message) for w in caught] == []
 
-    def test_memory_is_the_kept_scores_and_a_block_per_worker(self, monkeypatch):
-        # Beyond the kept n x paths values, each of the two workers holds one
-        # (tile + 1, n, grid + 1) block, n tiles, and at most three tiles
-        # more: two draws while it fills the block, three score buffers while
-        # it scores it.  The path model's (n, grid + 1) columns, the key and
-        # the (n, tile) outputs stay under one more tile per worker.  The
-        # (paths, n, grid + 1) paths would be 49.2 MB.
+    def test_memory_does_not_grow_with_paths(self, monkeypatch):
+        # The batch keeps n (mean, stderr) pairs.  Each of the two workers
+        # holds a cumulated tile per stream, three work tiles and the tile's
+        # population sum or one stream's draws: streams + 4 tiles, plus its
+        # (tile rows,) values and numpy's ufunc buffer.  The call also holds
+        # a few (n, grid + 1) columns and each agent's (grid + 1) weights.
+        # The (paths, n, grid + 1) paths would be 49.2 MB at 2048 paths.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
-        grid, paths = 1000, 2048
+        grid = 1000
         p, s = TestInPlaceBlocks.case()
-        batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED)
-        tile_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8
-        tracemalloc.start()
-        try:
-            for i in range(p.n):
-                estimate_objective(batch, s, i, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert batch._scores[1].nbytes == p.n * paths * 8
-        assert "log_wealth" not in vars(batch)
-        bound = 2 * (p.n + 4) * tile_bytes
-        assert peak - batch._scores[1].nbytes <= bound < paths * p.n * (grid + 1) * 8
+        streams = 1 + p.n  # every agent has nu != 0
+        rows = TILE_BYTES // (8 * (grid + 1)) + 1  # a one-row tail may join a tile
+        per_worker = (streams + 4) * rows * (grid + 1) * 8 + rows * 8 + np.getbufsize() * 8
+        weights = (p.n + 8) * (grid + 1) * 8
+        columns = 8 * p.n * (grid + 1) * 8
+        bound = weights + columns + 2 * per_worker
+        for paths in (2048, 8192):
+            batch = simulate(p, s, grid=grid, paths=paths, seed=self.SEED)
+            tracemalloc.start()
+            try:
+                for i in range(p.n):
+                    estimate_objective(batch, s, i, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert "log_wealth" not in vars(batch)
+            assert peak <= bound < 2048 * p.n * (grid + 1) * 8
+
+
+class TestObjectiveEngine:
+    def test_terms_per_agent_do_not_grow_with_n(self):
+        # An agent's tile terms are its own noise streams and the weight of
+        # the population sum, formed once per tile: none of its fields has
+        # a size that depends on n.  Agent 0 is the same agent at both n.
+        sizes = []
+        for n in (3, 64):
+            p = random_population(np.random.default_rng(5), n=n, gentle=True)
+            f = simulation._path_model(p, equilibrium_strategy(p, solve_n(p)), 20, 8)
+            objective = simulation._objective(f, f.a, np.log(f.c_nodes))
+            scan = simulation._agent_scan(0, f, objective, [(0.1, 0.0, 0.0), (0.0, 0.1, 0.0)])
+            sizes.append({field.name: np.shape(getattr(scan, field.name))
+                          for field in dataclasses.fields(scan)})
+        assert sizes[0]["own_noise"] == (2, 2)  # the common and the idiosyncratic stream
+        assert sizes[0] == sizes[1]
 
 
 class TestMapTiles:

@@ -1,5 +1,6 @@
 """ODE oracle, fixed-point residuals, best-response scan, convergence."""
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_simpson
 
-from conftest import random_agent, random_population, single_atom
+from conftest import (
+    assert_estimate_matches,
+    random_agent,
+    random_population,
+    single_atom,
+    stored_path_objective,
+)
 from merton_arena import (
     AgentType,
     BernoulliInputs,
@@ -190,19 +197,20 @@ class TestBestResponse:
         assert rep.equilibrium.paths == 1000
 
     def test_equilibrium_estimate_matches_simulation_route(self, ref_n3):
-        # the scan evaluates J from closed-form node formulas; the batch
-        # route cumulates per-segment updates -- two code paths, one value
+        # the scan evaluates J from closed-form node formulas; the stored
+        # paths cumulate per-segment updates -- two code paths, one value
         e = solve_n(ref_n3)
         s = equilibrium_strategy(ref_n3, e)
         rep = best_response_test(ref_n3, e, 0, (0.0,), (0.0,), paths=3000,
                                  seed=41, grid=300)
         batch = simulate(ref_n3, s, grid=300, paths=3000, seed=41)
-        est = estimate_objective(batch, s, 0, ref_n3)
-        assert rep.equilibrium.mean == pytest.approx(est.mean, abs=1e-9)
-        assert rep.equilibrium.stderr == pytest.approx(est.stderr, rel=1e-6)
+        values = stored_path_objective(batch, s, ref_n3, 0)
+        assert rep.equilibrium.mean == pytest.approx(values.mean(), abs=1e-9)
+        assert rep.equilibrium.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(3000),
+                                                       rel=1e-6)
 
     def test_cells_match_simulation_route(self, ref_n3):
-        # a cell's paired mean is the stored-path estimate of its deviation
+        # a cell's paired mean is the stored-path objective of its deviation
         # minus that of the equilibrium, on the same paths, seed and grid
         e = solve_n(ref_n3)
         s = equilibrium_strategy(ref_n3, e)
@@ -210,12 +218,25 @@ class TestBestResponse:
         reports = best_response_scan(ref_n3, e, range(ref_n3.n), (-0.1, 0.1), (0.05,), **run)
         for rep in reports:
             i = rep.agent
-            eq = estimate_objective(simulate(ref_n3, s, **run), s, i, ref_n3).mean
+            eq = stored_path_objective(simulate(ref_n3, s, **run), s, ref_n3, i).mean()
             assert len(rep.cells) == 2
             for cell in rep.cells:
                 dev = s.perturb(i, cell.dpi, cell.a, cell.b)
-                mean = estimate_objective(simulate(ref_n3, dev, **run), dev, i, ref_n3).mean
+                mean = stored_path_objective(simulate(ref_n3, dev, **run), dev, ref_n3, i).mean()
                 assert abs(cell.mean_diff - (mean - eq)) <= 1e-12
+
+    def test_objective_reads_its_own_consumption_on_the_batch_paths(self, ref_n3):
+        # Wealth follows the batch's strategy; the objective reads s's
+        # consumption.  Here s tilts the log investor's (agent 2's)
+        # consumption, which enters every agent's objective through the
+        # geometric mean, while the batch's paths stay the equilibrium's.
+        e = solve_n(ref_n3)
+        batch = simulate(ref_n3, equilibrium_strategy(ref_n3, e), grid=300, paths=3000, seed=41)
+        tilted = equilibrium_strategy(ref_n3, e).perturb(2, a=0.1, b=-0.2)
+        assert ref_n3.agents[2].delta == 1.0
+        for i in range(ref_n3.n):
+            assert_estimate_matches(estimate_objective(batch, tilted, i, ref_n3),
+                                    stored_path_objective(batch, tilted, ref_n3, i))
 
 
 class TestBestResponseScan:
@@ -265,13 +286,13 @@ class TestBestResponseScan:
                                               monkeypatch):
         p = request.getfixturevalue(fixture)
         calls = []
-        draw = verification.block_normals
+        draw = simulation.block_normals
 
         def counted(seed, stream, start, count, draws):
             calls.append((stream, start))
             return draw(seed, stream, start, count, draws)
 
-        monkeypatch.setattr(verification, "block_normals", counted)
+        monkeypatch.setattr(simulation, "block_normals", counted)
         monkeypatch.setattr(simulation, "TILE_BYTES", 100 * 8 * 51)  # 100-row tiles at grid 50
         best_response_scan(p, solve_n(p), range(p.n), self.GRID_DPI, self.GRID_AB,
                            paths=300, seed=5, grid=50)
@@ -280,13 +301,13 @@ class TestBestResponseScan:
 
     def test_tiles_partition_each_stream(self, ref_n3, monkeypatch):
         calls = []
-        draw = verification.block_normals
+        draw = simulation.block_normals
 
         def counted(seed, stream, start, count, draws):
             calls.append((stream, start, count, draws))
             return draw(seed, stream, start, count, draws)
 
-        monkeypatch.setattr(verification, "block_normals", counted)
+        monkeypatch.setattr(simulation, "block_normals", counted)
         paths, grid, streams = self.TILED["paths"], self.TILED["grid"], 1 + ref_n3.n
         best_response_scan(ref_n3, solve_n(ref_n3), range(3), (0.0, 0.1), (0.0,), seed=5,
                            **self.TILED)
@@ -412,8 +433,8 @@ class TestBestResponseScan:
         x = data.draw(hnp.arrays(np.float64, st.integers(2, 300), elements=values))
         cuts = sorted(data.draw(st.sets(st.integers(1, len(x) - 1), max_size=12)))
         pieces = np.split(x, cuts)
-        count, mean, m2 = reduce(verification._merge,
-                                 (verification._moments(piece[None].copy()) for piece in pieces))
+        count, mean, m2 = reduce(simulation._merge,
+                                 (simulation._moments(piece[None].copy()) for piece in pieces))
         # relative to the sample's mean square, which bounds both roundings
         scale = float(np.mean(x * x))
         assert count == len(x)
@@ -490,8 +511,11 @@ class TestBestResponseScan:
     @pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3), np.int32(3)])
     def test_numpy_integer_seed(self, ref_n2, seed):
         e = solve_n(ref_n2)
-        assert (best_response_scan(ref_n2, e, (0, 1), (0.0, 0.1), (0.0,), 40, seed, grid=10)
-                == best_response_scan(ref_n2, e, (0, 1), (0.0, 0.1), (0.0,), 40, 3, grid=10))
+        reports = best_response_scan(ref_n2, e, (0, 1), (0.0, 0.1), (0.0,), 40, seed, grid=10)
+        assert reports == best_response_scan(ref_n2, e, (0, 1), (0.0, 0.1), (0.0,), 40, 3,
+                                             grid=10)
+        # each report keeps the seed as a Python int, so it can be written as JSON
+        assert [json.loads(json.dumps(r.as_dict()))["seed"] for r in reports] == [3, 3]
 
     @pytest.mark.parametrize("grid, paths, error", [
         (0, 10, InvalidGrid), (1, 10, InvalidGrid), (10.0, 10, InvalidGrid), (10, 0, ValueError),
@@ -530,7 +554,7 @@ class TestBestResponseScan:
         def no_draws(*args):
             raise AssertionError("a normal was drawn")
 
-        monkeypatch.setattr(verification, "block_normals", no_draws)
+        monkeypatch.setattr(simulation, "block_normals", no_draws)
         e = solve_n(ref_n2)
         with pytest.raises(ValueError, match=f"{name} is empty"):
             best_response_scan(ref_n2, e, (0,), dpi_grid, ab_grid, paths=10, seed=0, grid=10)
