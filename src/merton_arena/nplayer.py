@@ -83,10 +83,10 @@ def _gamma(a: SimpleNamespace, n: int) -> np.ndarray:
 def gamma_n(p: Population) -> np.ndarray:
     """Exponents gamma_i = 1 / (1 - (1 - theta_i/n)(1 - 1/delta_i)).
 
-    Always positive for valid inputs; equals delta_i when theta_i = 0 and
-    equals 1 when delta_i = 1.
+    Always positive, since p is validated as ``solve_n`` validates it;
+    equals delta_i when theta_i = 0 and equals 1 when delta_i = 1.
     """
-    return _gamma(p.arrays(), p.n)
+    return _gamma(validate_population(p), p.n)
 
 
 def _invest_denom(a: SimpleNamespace, n: float) -> np.ndarray:
@@ -208,8 +208,8 @@ def _identity_residual(a: SimpleNamespace, pi: np.ndarray, agg: Aggregates) -> f
 
 
 def identity_residual(p: Population, pi: np.ndarray, agg: Aggregates) -> float:
-    """|mean(sigma_k pi_k) - phi/(1+psi)|, zero in exact arithmetic."""
-    return _identity_residual(p.arrays(), pi, agg)
+    """|mean(sigma_k pi_k) - phi/(1+psi)|, zero in exact arithmetic; p is validated first."""
+    return _identity_residual(validate_population(p), pi, agg)
 
 
 def _solve(a: SimpleNamespace, n: int, theta_crit: float | None = None) -> EquilibriumProfile:

@@ -30,7 +30,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
@@ -45,7 +44,7 @@ from .types import Population, validate_population
 DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
 # Bytes of one (rows, grid + 1) row tile, the work unit of every Monte
-# Carlo route: 64 rows at grid 1000.  No worker holds a (paths, grid + 1)
+# Carlo route: 65 rows at grid 1000.  No worker holds a (paths, grid + 1)
 # array; only a batch's materialised `log_wealth` is that large.  On the reference trio's
 # best-response scan at 20k paths x grid 1000 (125 cells, 2 worker
 # threads, BLAS on one thread, a 2-core x86 VM) the scan took a median
@@ -242,32 +241,20 @@ class UtilityEstimate:
     paths: int
 
 
-def _row_chunks(count: int, nodes: int, nbytes: int) -> range:
-    """Starts of the consecutive row chunks of a (count, nodes) block.
-
-    A chunk runs to the next start, the last one to ``count``, and holds
-    about ``nbytes`` of doubles.  OpenBLAS's dgemv takes output rows in
-    fours and numpy hands a single row to ddot, so chunks are multiples of
-    four rows and a one-row tail joins the chunk before it: each row's
-    matrix-vector product is then that of one product over the block.
-    The chunks depend on nothing but the three sizes.
-    """
-    return range(0, max(count - 1, 1), max(4, nbytes // (8 * nodes) // 4 * 4))
-
-
 def _map_tiles(fn: Callable, paths: int, nodes: int, workspace: Callable) -> Iterator:
     """Yield fn(start, count, space) for each row tile of a (paths, nodes) block, in tile order.
 
-    The tiles are the `_row_chunks` of ``TILE_BYTES``, the one partition
-    of every Monte Carlo route.  They run on ``worker_count()`` threads,
+    A tile is the rows that fit in ``TILE_BYTES``, at least one and at most
+    ``paths``, and the last one holds the rows left over: the one partition
+    of every Monte Carlo route.  Tiles run on ``worker_count()`` threads,
     each in a copy of the caller's context, so its ``np.errstate`` holds.
     Each worker's ``space`` is the ``workspace(rows)`` it builds on its
-    first tile, rows the largest tile's.  At most two tiles per worker are
+    first tile, rows a full tile's.  At most two tiles per worker are
     queued or done ahead of the caller, so memory does not grow with
     ``paths``; numpy releases the interpreter lock inside a tile's passes.
     """
-    starts = _row_chunks(paths, nodes, TILE_BYTES)
-    rows = min(paths, starts.step + 1)  # a one-row tail joins the tile before it
+    rows = min(paths, max(1, TILE_BYTES // (8 * nodes)))
+    starts = range(0, paths, rows)
     workers = min(worker_count(), len(starts))
     own = threading.local()
 
@@ -279,9 +266,9 @@ def _map_tiles(fn: Callable, paths: int, nodes: int, workspace: Callable) -> Ite
     caller = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead = deque()
-        for start, stop in zip(starts, chain(starts[1:], [paths])):
+        for start in starts:
             # one Context cannot be entered by two threads at once: a copy per tile
-            ahead.append(pool.submit(caller.copy().run, task, start, stop - start))
+            ahead.append(pool.submit(caller.copy().run, task, start, min(rows, paths - start)))
             if len(ahead) == 2 * workers:
                 yield ahead.popleft().result()
         while ahead:
@@ -595,14 +582,18 @@ def _scan_tile(scan: _AgentScan, cum: dict, total: np.ndarray, noise: np.ndarray
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, mean, M2) of each row of ``values``, M2 its sum of squared deviations.
 
-    Two passes: the mean, then the squares of the deviations from it, so a
-    row whose values are all equal has M2 = 0.  ``values`` is overwritten.
+    Two passes over the values less the row's first: their mean, then the
+    squares of the deviations from it.  A row whose values are all equal
+    is then all zeros, so its mean is exact and its M2 is 0, whatever the
+    row count.  ``values`` is overwritten.
     """
     count = values.shape[1]
+    first = values[:, 0].copy()
+    values -= first[:, None]
     mean = values.sum(axis=1) / count
     values -= mean[:, None]
     values *= values
-    return count, mean, values.sum(axis=1)
+    return count, first + mean, values.sum(axis=1)
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -636,10 +627,12 @@ def _objective_moments(f: SimpleNamespace, a: SimpleNamespace, log_c: np.ndarray
     arrive.  A worker holds a cumulated tile per stream, three work tiles,
     and, once the draws are freed, the tile's S: streams + 4 tiles,
     whatever ``paths`` is.  Results are bitwise the same for every thread
-    count; the GEMM bits depend on a tile's row count, so a different tile
-    size moves them.  Values scaled by a power of two (see `_agent_scan`)
-    keep a finite mean's standard error finite; values out of the float
-    range give a mean or standard error that is not finite, with no warning.
+    count.  A tile's GEMMs and sums round by its row count, so a different
+    tile size moves their last bits; values that are all equal still give
+    that value and a standard error of exactly 0.  Values scaled by a
+    power of two (see `_agent_scan`) keep a finite mean's standard error
+    finite; values out of the float range give a mean or standard error
+    that is not finite, with no warning.
     """
     objective = _objective(f, a, log_c)
     scans = [_agent_scan(i, f, objective, cells) for i in agents]

@@ -278,12 +278,16 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     agents a chunk of steps at a time and advances every agent with one
     affine map per step.  The residuals are then computed for a few agents
     at a time on agent-major (group, steps + 1) arrays, which bounds the
-    temporaries and keeps each agent's time series contiguous.
+    temporaries and keeps each agent's time series contiguous.  p is
+    validated as ``solve_n`` validates it; ValueError when ``steps`` < 2 or
+    e has a different agent count from p.
     """
     ar = validate_population(p)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     n = p.n
+    if len(e.pi) != n:
+        raise ValueError(f"profile has {len(e.pi)} agents, population has {n}")
     T = p.horizon
     gammas = _gamma(ar, n)
     rho = np.asarray(e.rho, dtype=float)

@@ -819,7 +819,7 @@ class TestNoAssertInPackage:
 class TestOnePartition:
     """Only ``simulation`` knows how paths are cut into tiles and threads."""
 
-    # simulation's tiling internals, and the unit-era names they replaced
+    # simulation's tiling internals, and the names they replaced
     TILING = {"TILE_BYTES", "_row_chunks", "worker_count", "_map_tiles", "_TILE_BYTES",
               "_CHUNK_BYTES", "WORK_UNIT", "_units", "_map_units", "ThreadPoolExecutor",
               "contextvars", "threading", "local"}
@@ -844,8 +844,8 @@ class TestOnePartition:
         assert self.names(verification) & self.TILING == set()
         # the set names what simulation really defines and uses
         assert self.TILING & self.names(simulation) == {
-            "TILE_BYTES", "_row_chunks", "worker_count", "_map_tiles", "ThreadPoolExecutor",
-            "contextvars", "threading", "local"}
+            "TILE_BYTES", "worker_count", "_map_tiles", "ThreadPoolExecutor", "contextvars",
+            "threading", "local"}
 
 
 class TestImports:

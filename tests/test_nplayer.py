@@ -26,6 +26,7 @@ from merton_arena import (
     Population,
     ThetaOutOfRange,
     TooFewAgents,
+    ValidationError,
     gamma_n,
     single_stock_beta_n,
     single_stock_invest_n,
@@ -33,7 +34,7 @@ from merton_arena import (
     theta_crit_n,
 )
 from merton_arena import nplayer
-from merton_arena.nplayer import identity_residual
+from merton_arena.nplayer import Aggregates, identity_residual
 
 REF_PI = 75.0 / 13.0
 REF_RHO = 25.0 / 13.0
@@ -194,6 +195,29 @@ class TestSingleStockValidation:
     def test_one_agent(self, helper):
         with pytest.raises(TooFewAgents):
             helper(Population(1.0, (AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 0.0, 1.0),)))
+
+
+class TestEntryPointValidation:
+    """gamma_n and identity_residual reject what solve_n rejects, with its error."""
+
+    @pytest.mark.parametrize("call", [
+        gamma_n,
+        lambda p: identity_residual(p, np.zeros(p.n), Aggregates(phi=0.0, psi=0.0)),
+    ], ids=["gamma_n", "identity_residual"])
+    @pytest.mark.parametrize("agents", [
+        (AgentType(1.0, -1.0, 0.5, 1.0, 1.0, 0.0, 1.0),  # delta = -1
+         AgentType(1.0, 2.0, 0.5, 1.0, 1.0, 0.0, 1.0)),
+        (AgentType(1.0, 3.0, 1.5, 1.0, 5.0, 0.0, 1.0),) * 2,  # theta above 1
+        (AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 0.0, 1.0),),  # one agent
+    ], ids=["delta", "theta", "one_agent"])
+    def test_raises_as_solve_n_does(self, call, agents):
+        p = Population(1.0, agents)
+        with pytest.raises(ValidationError) as expected:
+            solve_n(p)
+        with pytest.raises(ValidationError) as got:
+            call(p)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSolve:

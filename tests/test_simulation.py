@@ -401,7 +401,7 @@ class TestInPlaceBlocks:
 
     @classmethod
     def tile_rows(cls, monkeypatch, rows, grid=None):
-        """Make every route's tiles ``rows`` rows long (a multiple of four)."""
+        """Make every route's tiles ``rows`` rows long."""
         monkeypatch.setattr(simulation, "TILE_BYTES", rows * 8 * ((grid or cls.GRID) + 1))
 
     @staticmethod
@@ -420,8 +420,8 @@ class TestInPlaceBlocks:
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         self.tile_rows(monkeypatch, block_size)
         p, s = self.case(perturbed=perturbed)
-        # tile edges (one tile with a joined one-row tail), and a full
-        # reference block plus a partial one
+        # tile edges (a one-row last tile), and a full reference block plus
+        # a partial one
         for paths in (1, block_size - 1, block_size + 1, self.BLOCK + 904):
             log_wealth = reference_batch(p, s, self.GRID, paths, self.SEED, block_size)
             batch = simulate(p, s, grid=self.GRID, paths=paths, seed=self.SEED)
@@ -434,14 +434,14 @@ class TestInPlaceBlocks:
         self.check_estimate(self.GRID, self.BLOCK + 904)  # a full block and a partial one
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("paths", [
-        1027,  # six tiles and a 67-row tail
-        1105,  # six tiles and a 145-row one, whose one-row tail joined the tile before it
-    ])
-    def test_estimate_equals_reference_at_chunk_edges(self, monkeypatch, threads, paths):
-        # at grid 400 the raw 512 KiB tile is 163 rows, rounded down to 160
+    @pytest.mark.parametrize("grid, paths", [
+        (400, 1027),  # six 163-row tiles and one of 49 rows
+        (400, 1105),  # six 163-row tiles and one of 127 rows
+        (1000, 131),  # two 65-row tiles and one of 1 row
+    ], ids=["1027", "1105", "131"])
+    def test_estimate_equals_reference_at_chunk_edges(self, monkeypatch, threads, grid, paths):
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
-        self.check_estimate(400, paths)
+        self.check_estimate(grid, paths)
 
     def check_estimate(self, grid, paths):
         p, s = self.case()
@@ -484,14 +484,14 @@ class TestInPlaceBlocks:
         # increments and one agent's, whatever the number of paths.
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         grid = 200
-        tile_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * grid * 8  # a tail may add a row
+        tile_bytes = TILE_BYTES // (8 * (grid + 1)) * grid * 8
         p, s = self.case(n=16)
         for paths in (1024, 4096):
             assert self.scratch_bytes(p, s, grid, paths) <= 2 * 4 * tile_bytes
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_simulate_nodes_are_batch_columns(self, monkeypatch, threads):
-        # tiles of 300 paths: the last one partial, or one a row longer
+        # tiles of 300 paths: the last one 100 rows, or 1 row
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         self.tile_rows(monkeypatch, 300)
         p, s = self.case()
@@ -511,7 +511,7 @@ class TestInPlaceBlocks:
         monkeypatch.setenv("MERTON_ARENA_THREADS", "2")
         p, s = self.case()
         grid, paths, nodes = 1000, 4096, [0, 10, 500, 1000]
-        tile_bytes = (TILE_BYTES // (8 * (grid + 1)) + 1) * (grid + 1) * 8  # a tail may add a row
+        tile_bytes = TILE_BYTES // (8 * (grid + 1)) * (grid + 1) * 8
         columns = 8 * p.n * (grid + 1) * 8
         _simulate_nodes(p, s, 8, 8, 1, [0, 8])  # loads ndtri
         tracemalloc.start()
@@ -683,7 +683,7 @@ class TestKeptScores:
         grid = 1000
         p, s = TestInPlaceBlocks.case()
         streams = 1 + p.n  # every agent has nu != 0
-        rows = TILE_BYTES // (8 * (grid + 1)) + 1  # a one-row tail may join a tile
+        rows = TILE_BYTES // (8 * (grid + 1))
         per_worker = (streams + 4) * rows * (grid + 1) * 8 + rows * 8 + np.getbufsize() * 8
         weights = (p.n + 8) * (grid + 1) * 8
         columns = 8 * p.n * (grid + 1) * 8
@@ -734,16 +734,16 @@ class TestMapTiles:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_results_come_in_tile_order(self, monkeypatch, threads):
-        # 4-row tiles, the last one 5 rows: a one-row tail joins the tile before it
+        # 4-row tiles, the last one 1 row
         monkeypatch.setenv("MERTON_ARENA_THREADS", threads)
         tiles = list(simulation._map_tiles(lambda start, count, space: (start, count), 41,
                                            TILE_BYTES // (8 * 4), lambda rows: None))
-        assert tiles == [(start, 4) for start in range(0, 36, 4)] + [(36, 5)]
+        assert tiles == [(start, 4) for start in range(0, 40, 4)] + [(40, 1)]
 
     @pytest.mark.parametrize("threads", ["1", "2", "4"])  # 4: more workers than cores
     @pytest.mark.parametrize("paths, nodes, rows", [
-        (41, TILE_BYTES // (8 * 4), 5),  # 4-row tiles, the last one 5 rows
-        (1153, 1001, 65),  # 64-row tiles at grid 1000, the last one 65 rows
+        (41, TILE_BYTES // (8 * 4), 4),  # 4-row tiles, the last one 1 row
+        (1153, 1001, 65),  # 65-row tiles at grid 1000, the last one 48 rows
     ])
     def test_each_worker_builds_one_workspace_of_the_largest_tile(self, monkeypatch, threads,
                                                                    paths, nodes, rows):
