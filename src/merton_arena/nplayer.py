@@ -31,6 +31,7 @@ from .errors import DegenerateAggregate, IdentityViolation, NotSingleStock
 from .types import (
     Population,
     SingleStockMarket,
+    _check_agents,
     _shared_market,
     detect_single_stock,
     validate_population,
@@ -208,8 +209,10 @@ def _identity_residual(a: SimpleNamespace, pi: np.ndarray, agg: Aggregates) -> f
 
 
 def identity_residual(p: Population, pi: np.ndarray, agg: Aggregates) -> float:
-    """|mean(sigma_k pi_k) - phi/(1+psi)|, zero in exact arithmetic; p is validated first."""
-    return _identity_residual(validate_population(p), pi, agg)
+    """|mean(sigma_k pi_k) - phi/(1+psi)|, zero in exact arithmetic; checks p, then len(pi)."""
+    a = validate_population(p)
+    _check_agents("pi", len(pi), p)
+    return _identity_residual(a, pi, agg)
 
 
 def _solve(a: SimpleNamespace, n: int, theta_crit: float | None = None) -> EquilibriumProfile:

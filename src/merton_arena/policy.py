@@ -3,9 +3,9 @@
 The curve c(t) = [-expm1(-beta (T-t))/beta + exp(-beta (T-t))/lambda]^{-1}
 is monotone on [0, T]: increasing when beta < lambda, decreasing when
 beta > lambda, constant at equality, and always ends at c(T) = lambda.
-Evaluation uses expm1/log1p with an explicit switch to the beta = 0 branch
-for |beta (T-t)| < 1e-12; the naive form suffers catastrophic cancellation
-near beta = 0.
+Both it and its integral are evaluated by one broadcast kernel shape using
+expm1/log1p with an explicit switch to the beta = 0 branch for |beta (T-t)|
+< 1e-12; the naive form suffers catastrophic cancellation near beta = 0.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import NonPositiveParameter, OutOfDomain
 _BRANCH_TOL = 1e-12
 _REGIME_TOL = 1e-12
 # Exponents below this keep exp (and the sums it feeds) finite, with a rounding margin.
-_EXP_LIMIT = math.log(np.finfo(float).max) - 1e-9
+_EXP_LIMIT = float(np.log(np.finfo(float).max)) - 1e-9
 
 
 class Regime(enum.Enum):
@@ -50,77 +50,74 @@ class ConsumptionPolicy:
         return cumulative_consumption(self, t)
 
 
-def _check_domain(policy: ConsumptionPolicy, t: np.ndarray) -> None:
-    if np.any(t < 0.0) or np.any(t > policy.horizon):
-        raise OutOfDomain(f"t must lie in [0, {policy.horizon}]")
+def _branches(beta, lam, tau, general, flipped, exponent, at_zero):
+    """The one shape of `_rate` and `_cumulative`; broadcasts over beta, lambda and tau.
 
-
-def _rate(beta, lam, tau):
-    """c at time to go tau = T - t; broadcasts over beta, lambda and tau.
-
-    Where |beta tau| < 1e-12 the discarded general form is evaluated at
-    beta = 1, so a column with beta = 0 never divides 0 by 0.  Where the
-    general form's denominator, below e^(-beta tau) (1/|beta| + 1/lambda),
-    could leave the float range (-beta tau above about 709.8), the same
-    expression multiplied through by e^(beta tau) is evaluated instead:
-    e^(beta tau) / (expm1(beta tau)/beta + 1/lambda), as the exponential
-    of its logarithm so that a subnormal e^(beta tau) loses no digits.
+    Gives at_zero(lambda, tau), the beta = 0 limit, where |beta tau| < 1e-12
+    (the discarded forms see beta = 1 and x = 0 there, so beta = 0 never
+    divides 0 by 0); else general(x, beta, lambda) at x = beta tau, or
+    flipped(...) where the general form's exponent(...) passes _EXP_LIMIT.
     """
     small = np.abs(beta * tau) < _BRANCH_TOL
     b = np.where(small, 1.0, beta)
-    x = b * tau
-
-    def general(x, b, lam):
-        return 1.0 / (-np.expm1(-x) / b + np.exp(-x) / lam)
-
-    flip = np.maximum(np.log(1.0 / np.abs(b) + 1.0 / lam), 0.0) - x > _EXP_LIMIT
+    x = np.where(small, 0.0, b * tau)
+    flip = ~small & (exponent(x, b, lam) > _EXP_LIMIT)
     if flip.any():
         x, b, lam_x = np.broadcast_arrays(x, b, lam)
         out = np.empty(x.shape)
         keep = ~flip
         out[keep] = general(x[keep], b[keep], lam_x[keep])
-        x, b, lam_x = x[flip], b[flip], lam_x[flip]
-        out[flip] = np.exp(x - np.log(np.expm1(x) / b + 1.0 / lam_x))
+        out[flip] = flipped(x[flip], b[flip], lam_x[flip])
     else:
         out = general(x, b, lam)
-    return np.where(small, 1.0 / (tau + 1.0 / lam), out)
+    return np.where(small, at_zero(lam, tau), out)
+
+
+def _rate(beta, lam, tau):
+    """c at time to go tau = T - t (see `_branches`).
+
+    Where the denominator, below e^(-x) (1/|beta| + 1/lambda), could leave the
+    float range (-x above about 709.8), c = e^x / (expm1(x)/beta + 1/lambda),
+    as the exponential of its logarithm so that a subnormal e^x loses no digits.
+    """
+    return _branches(beta, lam, tau,
+                     lambda x, b, lam: 1.0 / (-np.expm1(-x) / b + np.exp(-x) / lam),
+                     lambda x, b, lam: np.exp(x - np.log(np.expm1(x) / b + 1.0 / lam)),
+                     lambda x, b, lam: np.maximum(np.log(1.0 / np.abs(b) + 1.0 / lam), 0.0) - x,
+                     lambda lam, tau: 1.0 / (tau + 1.0 / lam))
+
+
+def _cumulative(beta, lam, tau):
+    """int_t^T c(s) ds = log1p((lambda/beta) expm1(x)) at time to go tau = T - t.
+
+    Where its argument could leave the float range (x + log(max(1,
+    lambda/beta)) above about 709.8), it is x + log(lambda/beta) +
+    log1p((beta/lambda - 1) e^(-x)).
+    """
+    return _branches(beta, lam, tau,
+                     lambda x, b, lam: np.log1p(lam / b * np.expm1(x)),
+                     lambda x, b, lam: x + np.log(lam / b) + np.log1p((b / lam - 1) * np.exp(-x)),
+                     lambda x, b, lam: x + np.log(np.maximum(lam / b, 1.0)),
+                     lambda lam, tau: np.log1p(lam * tau))
+
+
+def _along(kernel, policy: ConsumptionPolicy, t):
+    """kernel(beta, lambda, T - t), a float for scalar t; OutOfDomain unless all t in [0, T]."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((t_arr >= 0.0) & (t_arr <= policy.horizon)):
+        raise OutOfDomain(f"t must lie in [0, {policy.horizon}]")
+    out = kernel(policy.beta, policy.lam, policy.horizon - t_arr)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def consumption_rate(policy: ConsumptionPolicy, t):
-    """Consumption rate c(t); strictly positive, with c(T) = lambda.
-
-    Accepts scalars or arrays of times in [0, T].
-    """
-    t_arr = np.asarray(t, dtype=float)
-    _check_domain(policy, t_arr)
-    out = _rate(policy.beta, policy.lam, policy.horizon - t_arr)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    """Consumption rate c(t) at scalar or array t in [0, T]; positive, with c(T) = lambda."""
+    return _along(_rate, policy, t)
 
 
 def cumulative_consumption(policy: ConsumptionPolicy, t):
-    """Remaining integral of the rate, int_t^T c(s) ds; zero at t = T.
-
-    That is log1p((lambda/beta) expm1(x)) at x = beta (T - t).  Where its
-    argument could leave the float range (beta > 0 and x + log(max(1,
-    lambda/beta)) above about 709.8), the same value is evaluated in log
-    space instead: x + log(lambda/beta) + log1p((beta/lambda - 1) e^(-x)).
-    """
-    t_arr = np.asarray(t, dtype=float)
-    _check_domain(policy, t_arr)
-    tau = policy.horizon - t_arr
-    beta, lam = policy.beta, policy.lam
-    small = np.abs(beta * tau) < _BRANCH_TOL
-    if beta == 0.0:
-        out = np.log1p(lam * tau)
-    else:
-        x = beta * tau
-        flip = x + math.log(max(lam / beta, 1.0)) > _EXP_LIMIT
-        out = np.where(small, np.log1p(lam * tau),
-                       np.log1p(lam / beta * np.expm1(np.where(flip, 0.0, x))))
-        if flip.any():  # then beta > 0, so x >= 0
-            x = x[flip]
-            out[flip] = x + math.log(lam / beta) + np.log1p((beta / lam - 1.0) * np.exp(-x))
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    """Remaining integral of the rate, int_t^T c(s) ds; zero at t = T."""
+    return _along(_cumulative, policy, t)
 
 
 def _regimes(beta, lam) -> np.ndarray:
@@ -135,10 +132,13 @@ def classify_regime(beta: float, lam: float) -> Regime:
     """Monotonicity of c(t): the sign of lambda - beta decides it.
 
     A relative tolerance of 1e-12 makes the constant regime testable;
-    exact equality is measure-zero.
+    exact equality is measure-zero.  ValueError unless lambda > 0 and beta
+    is finite.
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     return Regime(_regimes(beta, lam).item())
 
 

@@ -36,10 +36,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, InvalidGrid, NonPositiveConsumption, ValidationError
+from .errors import (DomainError, InvalidGrid, NonPositiveConsumption, NonPositiveParameter,
+                     ValidationError)
 from .nplayer import EquilibriumProfile
 from .policy import ConsumptionPolicy
-from .types import Population, validate_population
+from .types import Population, _check_agents, validate_population
 
 DEFAULT_GRID = 1000
 DEFAULT_PATHS = 100_000
@@ -297,8 +298,7 @@ def _path_model(p: Population, s: StrategyProfile, grid: int,
     """
     ar = validate_population(p)
     times = _time_grid(p.horizon, grid, paths)
-    if s.n != p.n:
-        raise ValueError(f"strategy has {s.n} agents, population has {p.n}")
+    _check_agents("strategy", s.n, p)
     dt = np.diff(times)
     c_nodes = s.consumption_on(times)
     return SimpleNamespace(a=ar, times=times, c_nodes=c_nodes, pi=s.pi.copy(),  # a snapshot
@@ -383,9 +383,11 @@ def _simulate_nodes(p: Population, s: StrategyProfile, grid: int, paths: int, se
 def utility(x, delta: float):
     """CRRA utility x^(1 - 1/delta) / (1 - 1/delta), or log x at delta = 1.
 
-    DomainError, with no warning, unless every x is positive and every
-    value is finite.
+    NonPositiveParameter("delta") unless delta > 0; DomainError, with no
+    warning, unless every x is positive and every value is finite.
     """
+    if not delta > 0:
+        raise NonPositiveParameter("delta")
     x_arr = np.asarray(x, dtype=float)
     if not np.all(x_arr > 0.0):
         raise DomainError("utility requires strictly positive arguments")
@@ -713,8 +715,7 @@ def estimate_objective(batch: SimulationBatch, s: StrategyProfile, i: int,
     score.
     """
     i = _agent_index(i, p.n)
-    if batch._model.pi.shape[0] != p.n:
-        raise ValueError(f"batch has {batch._model.pi.shape[0]} agents, population has {p.n}")
+    _check_agents("batch", batch._model.pi.shape[0], p)
     f = _path_model(p, s, len(batch.times) - 1, batch.paths)
     if not np.array_equal(batch.times, f.times):
         raise ValueError(f"batch grid is not the {len(f.times) - 1}-step grid on [0, {p.horizon}]")

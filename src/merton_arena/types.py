@@ -211,6 +211,12 @@ def validate_population(p: Population) -> SimpleNamespace:
     return a
 
 
+def _check_agents(name: str, count: int, p: Population) -> None:
+    """ValueError unless the named per-agent input has one entry per agent of p."""
+    if count != p.n:
+        raise ValueError(f"{name} has {count} agents, population has {p.n}")
+
+
 def validate_distribution(d: TypeDistribution) -> SimpleNamespace:
     """Check atom validity, positive weights and unit total weight.
 

@@ -28,7 +28,7 @@ from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviati
 # benchmarks/tracing.py wraps verification.solve_mf, .solve_n and .block_normals.
 from .mfg import _solve_mf, solve_mf  # noqa: F401
 from .nplayer import IDENTITY_TOL, EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
-from .policy import ConsumptionPolicy
+from .policy import _rate
 from .simulation import (
     DEFAULT_GRID,
     UtilityEstimate,
@@ -39,7 +39,8 @@ from .simulation import (
     equilibrium_strategy,
 )
 from .simulation import block_normals  # noqa: F401
-from .types import Population, TypeDistribution, validate_distribution, validate_population
+from .types import (Population, TypeDistribution, _check_agents, validate_distribution,
+                    validate_population)
 
 DEFAULT_ODE_STEPS = 10_000
 REPORT_POINTS = 1000  # grid points where the best response and the ODE defect are checked
@@ -272,22 +273,21 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     the exponential form, and the volatility identity over a subsampled
     grid, absolute and relative (see `FixedPointReport`).
 
-    The curves are evaluated once per agent on the half-step grid; each
-    agent's leave-one-out averages are the full sums minus its own term.
-    The RK4 oracle takes the coefficients of `BernoulliInputs` for all
-    agents a chunk of steps at a time and advances every agent with one
-    affine map per step.  The residuals are then computed for a few agents
+    All agents' curves are evaluated together on the half-step grid, a
+    block of rows per kernel call; each agent's leave-one-out averages are
+    the full sums minus its own term.  The RK4 oracle takes the
+    coefficients of `BernoulliInputs` for all agents a chunk of steps at a
+    time and advances every agent with one affine map per step.  The residuals are then computed for a few agents
     at a time on agent-major (group, steps + 1) arrays, which bounds the
     temporaries and keeps each agent's time series contiguous.  p is
-    validated as ``solve_n`` validates it; ValueError when ``steps`` < 2 or
-    e has a different agent count from p.
+    validated as ``solve_n`` validates it; ValueError when ``steps`` < 2, e
+    has a different agent count from p or a lambda is not positive.
     """
     ar = validate_population(p)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    _check_agents("profile", len(e.pi), p)
     n = p.n
-    if len(e.pi) != n:
-        raise ValueError(f"profile has {len(e.pi)} agents, population has {n}")
     T = p.horizon
     gammas = _gamma(ar, n)
     rho = np.asarray(e.rho, dtype=float)
@@ -300,9 +300,11 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     # One column per agent, one row per point of the half-step grid.
     half_times = np.linspace(0.0, T, 2 * steps + 1)
     times = half_times[::2].copy()  # bitwise np.linspace(0, T, steps + 1)
+    if not np.all(e.lam > 0):
+        raise ValueError(f"lambda must be positive, got {e.lam[~(e.lam > 0)][0]}")
     c_half = np.empty((2 * steps + 1, n))
-    for k, (beta, lam) in enumerate(zip(e.beta, e.lam)):
-        c_half[:, k] = ConsumptionPolicy(float(beta), float(lam), T).rate(half_times)
+    for lo in range(0, 2 * steps + 1, _RK4_CHUNK):  # bounds the kernel's temporaries
+        c_half[lo:lo + _RK4_CHUNK] = _rate(e.beta, e.lam, T - half_times[lo:lo + _RK4_CHUNK, None])
 
     def coefficients(c, log_c, c_sum, log_sum, k):
         """BernoulliInputs.a and .b of agents k, whose curves are c, given the sums over all agents.
@@ -463,6 +465,7 @@ def best_response_scan(p: Population, e: EquilibriumProfile, agents: Sequence[in
     mean or standard error that is not finite raises DomainError once the
     tiles are done, with no warning.
     """
+    _check_agents("profile", len(e.pi), p)
     f = _path_model(p, equilibrium_strategy(p, e), grid, paths)
     agents = tuple(_agent_index(i, p.n) for i in agents)
     seed = operator.index(seed)

@@ -848,6 +848,27 @@ class TestOnePartition:
             "threading", "local"}
 
 
+class TestOneCurveKernel:
+    """c(t) and its integral are each one broadcast kernel behind one shared time check."""
+
+    def test_curves_branch_only_in_their_kernels(self):
+        from merton_arena import policy, verification
+        with open(policy.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name, kernel in (("consumption_rate", "_rate"),
+                             ("cumulative_consumption", "_cumulative")):
+            body = bodies[name]
+            assert not any(isinstance(node, (ast.If, ast.IfExp)) for node in ast.walk(body))
+            calls = [node for node in ast.walk(body) if isinstance(node, ast.Call)]
+            assert [ast.unparse(call) for call in calls] == [f"_along({kernel}, policy, t)"]
+        assert "_check_domain" not in TestOnePartition.names(policy)
+        assert "math.log" not in ast.unparse(tree)
+        # the oracle evaluates every agent's curve with the kernel, not per policy
+        assert "ConsumptionPolicy" not in TestOnePartition.names(verification)
+        assert "_rate" in TestOnePartition.names(verification)
+
+
 class TestImports:
     """A run imports scipy.special only once it draws normals, and never scipy.integrate."""
 

@@ -229,6 +229,12 @@ class TestSolve:
         assert e.theta_crit == pytest.approx(2.6 / 3.0, abs=1e-15)
         assert identity_residual(ref_n2, e.pi, e.aggregates) <= 1e-12
 
+    def test_identity_residual_checks_pi_length(self, ref_n2):
+        e = solve_n(ref_n2)
+        for pi in (e.pi[:1], np.append(e.pi, 0.0)):
+            with pytest.raises(ValueError, match=f"pi has {len(pi)} agents, population has 2"):
+                identity_residual(ref_n2, pi, e.aggregates)
+
     def test_theta_crit_absent_off_single_stock(self, ref_n3):
         assert solve_n(ref_n3).theta_crit is None
 

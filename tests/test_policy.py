@@ -10,6 +10,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merton_arena import (
     ConsumptionPolicy,
@@ -20,6 +22,7 @@ from merton_arena import (
     cumulative_consumption,
     delta_band,
 )
+from merton_arena.policy import _cumulative, _rate, _regimes
 
 C0_REF = 2.501294573933245
 INT_REF = 1.860969350357791
@@ -56,10 +59,10 @@ class TestConsumptionRate:
 
     def test_out_of_domain(self):
         pol = ConsumptionPolicy(1.0, 1.0, 1.0)
-        with pytest.raises(OutOfDomain):
-            pol.rate(-0.01)
-        with pytest.raises(OutOfDomain):
-            pol.rate(1.01)
+        for curve in (pol.rate, pol.cumulative):
+            for t in (-0.01, 1.01, math.nan, np.array([0.5, math.nan])):
+                with pytest.raises(OutOfDomain):
+                    curve(t)
 
     def test_module_function_alias(self):
         pol = ConsumptionPolicy(0.0, 2.0, 1.0)
@@ -89,6 +92,8 @@ class TestCumulativeConsumption:
         (2.0, 1e300, 100.0),     # expm1 is finite where lambda/beta times it is not
         (1e-3, 1e-5, 8e5),
         (5.0, 3.0, 142.0),       # beta T = 710: just past the exp range
+        (1e-14, 1e300, 1.0),     # |beta tau| < 1e-12 throughout, lambda/beta beyond the range
+        (1e-13, 1e300, 1.0),
     ])
     def test_beyond_exp_range(self, beta, lam, horizon):
         # log(1 + (lambda/beta)(e^(beta tau) - 1)) in 60-digit arithmetic; the
@@ -146,6 +151,27 @@ class TestCurveIdentities:
             assert np.all(np.sign(change[keep]) == sign)
 
 
+class TestBroadcastKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+               st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 5e-13])),
+               st.floats(-300.0, 300.0)),
+               min_size=1, max_size=6),
+           st.floats(0.01, 10.0), st.integers(1, 40))
+    def test_columns_equal_per_policy_calls(self, agents, horizon, count):
+        # (n,) beta and lambda columns against a (times, 1) tau, as the oracle calls _rate
+        beta = np.array([b for b, _ in agents])
+        lam = 10.0 ** np.array([e for _, e in agents])
+        t = np.linspace(0.0, horizon, count)
+        for kernel, curve in ((_rate, "rate"), (_cumulative, "cumulative")):
+            with np.errstate(all="ignore"):
+                got = kernel(beta, lam, (horizon - t)[:, None])
+                want = np.column_stack([getattr(ConsumptionPolicy(float(b), float(l), horizon),
+                                                curve)(t) for b, l in zip(beta, lam)])
+            assert got.shape == (count, len(agents))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestClassifyRegime:
     def test_decreasing(self):
         assert classify_regime(25.0 / 9.0, 1.0) is Regime.DECREASING
@@ -165,6 +191,12 @@ class TestClassifyRegime:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             classify_regime(0.0, 0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            classify_regime(beta, 1.0)
+        assert _regimes(math.nan, 1.0) == Regime.CONSTANT.value  # the grids' columns are not checked
 
 
 class TestDeltaBand:

@@ -18,6 +18,7 @@ from merton_arena import (
     DomainError,
     InvalidGrid,
     NonPositiveConsumption,
+    NonPositiveParameter,
     Population,
     ValidationError,
     constant_strategy,
@@ -239,6 +240,11 @@ class TestUtility:
     def test_nan_is_outside_the_domain(self):
         with pytest.raises(DomainError, match="strictly positive"):
             utility(math.nan, 2.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_delta_must_be_positive(self, delta):
+        with pytest.raises(NonPositiveParameter, match="'delta'"):
+            utility(2.0, delta)
 
 
 class TestEstimateObjective:

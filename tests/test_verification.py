@@ -146,6 +146,12 @@ class TestFixedPoint:
                                match=f"profile has {len(e.pi)} agents, population has {p.n}"):
                 fixed_point_check(p, e)
 
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+    def test_nonpositive_lambda_is_rejected(self, ref_n2, bad):
+        e = solve_n(ref_n2)
+        with pytest.raises(ValueError, match=f"lambda must be positive, got {bad}"):
+            fixed_point_check(ref_n2, dataclasses.replace(e, lam=np.array([1.0, bad])))
+
     def test_random_corpus_small(self):
         rng = np.random.default_rng(2024)
         for _ in range(10):
@@ -562,9 +568,11 @@ class TestBestResponseScan:
             best_response_test(flat, e, 0, (0.0,), (0.0,), 10, 0, grid=10)
 
     def test_profile_of_wrong_length(self, ref_n2, ref_n3):
-        with pytest.raises(ValueError, match="strategy has 2 agents, population has 3"):
-            best_response_scan(ref_n3, solve_n(ref_n2), (0,), (0.0,), (0.0,),
-                               paths=10, seed=0, grid=10)
+        # worded as fixed_point_check words it
+        for p, e in ((ref_n3, solve_n(ref_n2)), (ref_n2, solve_n(ref_n3))):
+            with pytest.raises(ValueError,
+                               match=f"profile has {len(e.pi)} agents, population has {p.n}"):
+                best_response_scan(p, e, (0,), (0.0,), (0.0,), paths=10, seed=0, grid=10)
 
     @pytest.mark.parametrize("dpi_grid, ab_grid, name", [
         ((), (0.0,), "dpi_grid"), ((0.0,), (), "ab_grid")])
