@@ -208,7 +208,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     deltas = args.deltas if args.deltas is not None else np.array([0.5, 1.0, 2.0, 3.0, 5.0])
     _, m = _representative_grid(d, raw, deltas)
     times = np.linspace(0.0, d.horizon, args.time_grid)
-    curves = policy._rate(m.beta, m.lam, (d.horizon - times)[:, None])  # (times, deltas)
+    # (times, deltas), in row blocks that bound the kernel's temporaries
+    curves = np.empty((len(times), len(deltas)))
+    for lo in range(0, len(times), verification._RK4_CHUNK):
+        rows = slice(lo, lo + verification._RK4_CHUNK)
+        curves[rows] = policy._rate(m.beta, m.lam, (d.horizon - times[rows])[:, None])
     comments = ["merton-arena curves", _config_echo(d)]
     if detect_single_stock(d) is not None:
         comments.append(f"theta_crit = {_fmt(mfg.theta_crit_mf(d))}")

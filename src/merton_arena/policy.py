@@ -53,14 +53,20 @@ class ConsumptionPolicy:
 def _branches(beta, lam, tau, general, flipped, exponent, at_zero):
     """The one shape of `_rate` and `_cumulative`; broadcasts over beta, lambda and tau.
 
-    Gives at_zero(lambda, tau), the beta = 0 limit, where |beta tau| < 1e-12
-    (the discarded forms see beta = 1 and x = 0 there, so beta = 0 never
-    divides 0 by 0); else general(x, beta, lambda) at x = beta tau, or
-    flipped(...) where the general form's exponent(...) passes _EXP_LIMIT.
+    Gives at_zero(lambda, tau), the beta = 0 limit, where |beta tau| < 1e-12;
+    else general(x, beta, lambda) at x = beta tau, or flipped(...) where
+    the general form's exponent(...) passes _EXP_LIMIT.  Only when some
+    entry is that small do the other forms see beta = 1 and x = 0 there, so
+    beta = 0 never divides 0 by 0; otherwise they see beta itself, and the
+    exponent's tau-free part is taken per column.  x is a fresh array that
+    general may overwrite, so its temporaries stay few.
     """
-    small = np.abs(beta * tau) < _BRANCH_TOL
-    b = np.where(small, 1.0, beta)
-    x = np.where(small, 0.0, b * tau)
+    x = np.empty(np.broadcast_shapes(np.shape(beta), np.shape(lam), np.shape(tau)))
+    np.multiply(beta, tau, out=x)
+    small = np.abs(x) < _BRANCH_TOL
+    masked = small.any()
+    b = np.where(small, 1.0, beta) if masked else beta
+    x[small] = 0.0
     flip = ~small & (exponent(x, b, lam) > _EXP_LIMIT)
     if flip.any():
         x, b, lam_x = np.broadcast_arrays(x, b, lam)
@@ -70,7 +76,9 @@ def _branches(beta, lam, tau, general, flipped, exponent, at_zero):
         out[flip] = flipped(x[flip], b[flip], lam_x[flip])
     else:
         out = general(x, b, lam)
-    return np.where(small, at_zero(lam, tau), out)
+    if masked:
+        out[small] = at_zero(*(np.broadcast_to(v, out.shape)[small] for v in (lam, tau)))
+    return out
 
 
 def _rate(beta, lam, tau):
@@ -80,8 +88,17 @@ def _rate(beta, lam, tau):
     float range (-x above about 709.8), c = e^x / (expm1(x)/beta + 1/lambda),
     as the exponential of its logarithm so that a subnormal e^x loses no digits.
     """
-    return _branches(beta, lam, tau,
-                     lambda x, b, lam: 1.0 / (-np.expm1(-x) / b + np.exp(-x) / lam),
+    def general(x, b, lam):  # 1 / (-expm1(-x)/b + exp(-x)/lambda), in place on x
+        np.negative(x, out=x)
+        d = np.expm1(x, out=np.empty_like(x))
+        np.negative(d, out=d)
+        d /= b
+        np.exp(x, out=x)
+        x /= lam
+        d += x
+        return np.divide(1.0, d, out=d)
+
+    return _branches(beta, lam, tau, general,
                      lambda x, b, lam: np.exp(x - np.log(np.expm1(x) / b + 1.0 / lam)),
                      lambda x, b, lam: np.maximum(np.log(1.0 / np.abs(b) + 1.0 / lam), 0.0) - x,
                      lambda lam, tau: 1.0 / (tau + 1.0 / lam))
@@ -94,8 +111,12 @@ def _cumulative(beta, lam, tau):
     lambda/beta)) above about 709.8), it is x + log(lambda/beta) +
     log1p((beta/lambda - 1) e^(-x)).
     """
-    return _branches(beta, lam, tau,
-                     lambda x, b, lam: np.log1p(lam / b * np.expm1(x)),
+    def general(x, b, lam):  # log1p(lambda/b expm1(x)), in place on x
+        np.expm1(x, out=x)
+        np.multiply(lam / b, x, out=x)
+        return np.log1p(x, out=x)
+
+    return _branches(beta, lam, tau, general,
                      lambda x, b, lam: x + np.log(lam / b) + np.log1p((b / lam - 1) * np.exp(-x)),
                      lambda x, b, lam: x + np.log(np.maximum(lam / b, 1.0)),
                      lambda lam, tau: np.log1p(lam * tau))

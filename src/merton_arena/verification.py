@@ -162,46 +162,57 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
     return half_times[::2], u ** (1.0 / gamma)
 
 
-def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Simpson integrals over the first interval of each sample triple.
+def _simpson_plan(times: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """`_reverse_cumulative` on one time grid, its interval coefficients computed once.
 
     Cartwright's eq. (8) for unequal intervals (J. Math. Sci. Math. Educ.
-    12(2)), the formula and operation order of scipy's
-    ``cumulative_simpson``; run on flipped arrays it gives the second
-    interval of each triple.
+    12(2)), in the formula and operation order of scipy's
+    ``cumulative_simpson``: each even interval takes the Simpson integral of
+    the triple it opens, each odd one and the last that of the triple it
+    closes (scipy's flipped pass, here aligned to forward order).  Only the
+    pieces kept are evaluated, on stride-2 slices of the values.
     """
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[..., :-2] + coeff2 * y[..., 1:-1] + coeff3 * y[..., 2:])
+    dx = np.diff(times)
+    n = len(dx)
+
+    def coefficients(x21, x32):
+        x31 = x21 + x32
+        x21_x31 = x21 / x31
+        x21_x32 = x21 / x32
+        x21x21_x31x32 = x21_x31 * x21_x32
+        return x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31, -x21x21_x31x32
+
+    # Interval i of triple (i, i+1, i+2) for even i, interval i + 1 of the
+    # same triple, and the last interval, closing the last triple.
+    opens = coefficients(dx[0:n - 1:2], dx[1:n:2])
+    closes = coefficients(dx[1:n:2], dx[0:n - 1:2])
+    last = coefficients(dx[-1], dx[-2])
+
+    def reverse(values: np.ndarray) -> np.ndarray:
+        first, mid, third = values[..., 0:n - 1:2], values[..., 1:n:2], values[..., 2:n + 1:2]
+        forward = np.zeros(values.shape)
+        pieces = forward[..., 1:]
+        for out, (w, c1, c2, c3), (f1, f2, f3) in (
+                (pieces[..., 0:n - 1:2], opens, (first, mid, third)),
+                (pieces[..., 1::2], closes, (third, mid, first)),
+                (pieces[..., -1], last, (values[..., -1], values[..., -2], values[..., -3]))):
+            np.multiply(w, c1 * f1 + c2 * f2 + c3 * f3, out=out)
+        np.cumsum(pieces, axis=-1, out=pieces)
+        forward += 0.0  # as scipy adds its initial value: -0.0 becomes +0.0
+        return forward[..., -1:] - forward
+
+    return reverse
 
 
 def _reverse_cumulative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """int_t^T of sampled integrands along the last axis, via cumulative Simpson.
 
-    ``times`` is strictly increasing with at least three points.  Each
-    interval takes the Simpson integral of a triple it opens, except the
-    odd ones and the last, which take that of the triple they close; the
+    ``times`` is strictly increasing with at least three points.  The
     forward sums are bitwise those of scipy's ``cumulative_simpson`` with
-    ``initial=0.0``.
+    ``initial=0.0``; `_simpson_plan` builds the coefficients once for many
+    value arrays on one grid.
     """
-    dx = np.diff(times)
-    h1 = _simpson_pieces(values, dx)
-    h2 = np.flip(_simpson_pieces(np.flip(values, axis=-1), dx[::-1]), axis=-1)
-    pieces = np.empty(values.shape[:-1] + (len(dx),))
-    pieces[..., :-1:2] = h1[..., ::2]
-    pieces[..., 1::2] = h2[..., ::2]
-    pieces[..., -1] = h2[..., -1]
-    forward = np.zeros(values.shape)
-    np.cumsum(pieces, axis=-1, out=forward[..., 1:])
-    forward += 0.0  # as scipy adds its initial value: -0.0 becomes +0.0
-    return forward[..., -1:] - forward
+    return _simpson_plan(times)(values)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +284,15 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     the exponential form, and the volatility identity over a subsampled
     grid, absolute and relative (see `FixedPointReport`).
 
-    All agents' curves are evaluated together on the half-step grid, a
-    block of rows per kernel call; each agent's leave-one-out averages are
-    the full sums minus its own term.  The RK4 oracle takes the
-    coefficients of `BernoulliInputs` for all agents a chunk of steps at a
-    time and advances every agent with one affine map per step.  The residuals are then computed for a few agents
-    at a time on agent-major (group, steps + 1) arrays, which bounds the
-    temporaries and keeps each agent's time series contiguous.  p is
+    The RK4 oracle asks for the coefficients of `BernoulliInputs` for all
+    agents a chunk of steps at a time; all agents' curves are evaluated for
+    that chunk alone, on its stretch of the half-step grid, and only their
+    node rows are kept.  Each agent's leave-one-out averages are the full
+    sums minus its own term, and one affine map per step advances every
+    agent.  The residuals are then computed for a few agents at a time on
+    agent-major (group, steps + 1) arrays, which bounds the temporaries and
+    keeps each agent's time series contiguous; the Simpson coefficients of
+    the node grid are built once for all of them.  p is
     validated as ``solve_n`` validates it; ValueError when ``steps`` < 2, e
     has a different agent count from p or a lambda is not positive.
     """
@@ -297,14 +310,10 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     b_power = -gammas * ar.theta * (1.0 - 1.0 / ar.delta)
     log_eps = np.array([math.log(eps) for eps in ar.eps.tolist()])
 
-    # One column per agent, one row per point of the half-step grid.
     half_times = np.linspace(0.0, T, 2 * steps + 1)
     times = half_times[::2].copy()  # bitwise np.linspace(0, T, steps + 1)
     if not np.all(e.lam > 0):
         raise ValueError(f"lambda must be positive, got {e.lam[~(e.lam > 0)][0]}")
-    c_half = np.empty((2 * steps + 1, n))
-    for lo in range(0, 2 * steps + 1, _RK4_CHUNK):  # bounds the kernel's temporaries
-        c_half[lo:lo + _RK4_CHUNK] = _rate(e.beta, e.lam, T - half_times[lo:lo + _RK4_CHUNK, None])
 
     def coefficients(c, log_c, c_sum, log_sum, k):
         """BernoulliInputs.a and .b of agents k, whose curves are c, given the sums over all agents.
@@ -316,20 +325,23 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         b = b_scale[k] * np.power(np.exp((log_sum - log_c) / n), b_power[k])
         return a, b
 
+    # Each chunk's curves are evaluated on its stretch of the half-step grid;
+    # its nodes are kept agent-major, with their sums over the agents.
+    c_rows = np.empty((n, steps + 1))
+    c_sum = np.empty(steps + 1)
+    log_c_sum = np.empty(steps + 1)
+
     def chunk_coefficients(lo, hi):
-        c = c_half[2 * lo:2 * hi + 1]
+        c = _rate(e.beta, e.lam, T - half_times[2 * lo:2 * hi + 1, None])
         log_c = np.log(c)
-        return coefficients(c, log_c, c.sum(axis=1, keepdims=True),
-                            log_c.sum(axis=1, keepdims=True), slice(None))
+        sums = c.sum(axis=1, keepdims=True), log_c.sum(axis=1, keepdims=True)
+        c_rows[:, lo:hi + 1] = c[::2].T
+        c_sum[lo:hi + 1], log_c_sum[lo:hi + 1] = (s[::2, 0] for s in sums)
+        return coefficients(c, log_c, *sums, slice(None))
 
     u = _rk4_backward(gammas, chunk_coefficients, steps, T)
-
-    c_nodes = c_half[::2]
-    c_sum = c_nodes.sum(axis=1)
-    log_c_sum = np.log(c_nodes).sum(axis=1)
-    chat_full = c_nodes.mean(axis=1)
-    c_rows = c_nodes.T.copy()  # agent-major; the half-step grid is no longer needed
-    del c_half, c_nodes
+    chat_full = c_sum / n  # bitwise the mean over the agents
+    reverse_cumulative = _simpson_plan(times)
     stride = max(1, steps // REPORT_POINTS)
     report_idx = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
@@ -352,13 +364,14 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         # Integrating-factor solution of the linearized equation:
         # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds),
         # A(t) = int_t^T a.  Verified against the ODE by substitution.
-        weight = np.exp(gamma * _reverse_cumulative(a_vals, times))
-        tail = _reverse_cumulative(gamma * b_vals / weight, times)
+        weight = np.exp(gamma * reverse_cumulative(a_vals))
+        tail = reverse_cumulative(gamma * b_vals / weight)
         f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
+        del weight, tail
 
         shrink = rho[kc] + ar.theta[kc] * (1.0 - 1.0 / ar.delta[kc]) * chat_full \
             + c / ar.delta[kc]
-        f_exp = np.exp(_reverse_cumulative(shrink, times))
+        f_exp = np.exp(reverse_cumulative(shrink))
 
         # All three value factors are positive, so the larger one is the scale.
         for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
@@ -369,8 +382,9 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
             gaps[f"f_rel_gap_{name}"][k] = diff.max(axis=1)
 
         # The best response and the ODE defect on the report grid only.
-        c, log_c, f_ode = c[:, report_idx], log_c[:, report_idx], f_ode[:, report_idx]
-        f_exp = f_exp[:, report_idx]
+        del x, y, diff, f_closed
+        c, log_c, f_ode, f_exp, shrink, a_vals, b_vals = (
+            v[:, report_idx] for v in (c, log_c, f_ode, f_exp, shrink, a_vals, b_vals))
         log_bar_minus = (log_c_sum[report_idx] - log_c) / n
         best_response = np.exp(
             -gamma * log_eps[kc]
@@ -380,8 +394,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         miss = np.abs(c - best_response)
         r1[k] = miss.max(axis=1)
         r1_rel[k] = (miss / c).max(axis=1)
-        terms = (-shrink[:, report_idx] * f_exp, a_vals[:, report_idx] * f_exp,
-                 b_vals[:, report_idx] * f_exp ** (1.0 - gamma))
+        terms = (-shrink * f_exp, a_vals * f_exp, b_vals * f_exp ** (1.0 - gamma))
         defect = np.abs(terms[0] + terms[1] + terms[2])
         r2[k] = defect.max(axis=1)
         r2_rel[k] = (defect / (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))).max(axis=1)

@@ -151,6 +151,34 @@ class TestCurveIdentities:
             assert np.all(np.sign(change[keep]) == sign)
 
 
+_EXP_LIMIT = float(np.log(np.finfo(float).max)) - 1e-9
+
+# Each kernel as (general, flipped, exponent, at_zero), the forms of policy._branches.
+MASKED_FORMS = {
+    "rate": (lambda x, b, lam: 1.0 / (-np.expm1(-x) / b + np.exp(-x) / lam),
+             lambda x, b, lam: np.exp(x - np.log(np.expm1(x) / b + 1.0 / lam)),
+             lambda x, b, lam: np.maximum(np.log(1.0 / np.abs(b) + 1.0 / lam), 0.0) - x,
+             lambda lam, tau: 1.0 / (tau + 1.0 / lam)),
+    "cumulative": (lambda x, b, lam: np.log1p(lam / b * np.expm1(x)),
+                   lambda x, b, lam: x + np.log(lam / b) + np.log1p((b / lam - 1) * np.exp(-x)),
+                   lambda x, b, lam: x + np.log(np.maximum(lam / b, 1.0)),
+                   lambda lam, tau: np.log1p(lam * tau)),
+}
+
+
+def masked_kernel(curve, beta, lam, tau):
+    """A kernel with the beta = 0 masks on every entry and no step in place: the bits to keep."""
+    general, flipped, exponent, at_zero = MASKED_FORMS[curve]
+    small = np.abs(beta * tau) < 1e-12
+    b = np.where(small, 1.0, beta)
+    x, b, lam_x = np.broadcast_arrays(np.where(small, 0.0, b * tau), b, lam)
+    flip = ~small & (exponent(x, b, lam_x) > _EXP_LIMIT)
+    out = np.empty(x.shape)
+    out[~flip] = general(x[~flip], b[~flip], lam_x[~flip])
+    out[flip] = flipped(x[flip], b[flip], lam_x[flip])
+    return np.where(small, at_zero(lam, tau), out)
+
+
 class TestBroadcastKernels:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -170,6 +198,49 @@ class TestBroadcastKernels:
                                                 curve)(t) for b, l in zip(beta, lam)])
             assert got.shape == (count, len(agents))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @staticmethod
+    def assert_block_equals_alone(beta, lam, horizon, t):
+        """A (times, n) block equals the masked form, the per-policy curves and each entry alone.
+
+        A block takes the beta = 0 masks only when one of its entries needs
+        them, and an entry alone only when it does, so the routes meet.
+        """
+        tau = (horizon - t)[:, None]
+        columns = list(zip(beta.tolist(), lam.tolist()))
+        policies = [ConsumptionPolicy(b, l, horizon) for b, l in columns]
+        for kernel, curve in ((_rate, "rate"), (_cumulative, "cumulative")):
+            with np.errstate(all="ignore"):
+                got = kernel(beta, lam, tau)
+                masked = masked_kernel(curve, beta, lam, tau)
+                per_policy = np.column_stack([getattr(pol, curve)(t) for pol in policies])
+                alone = np.array([[kernel(b, l, ta) for b, l in columns] for ta in tau[:, 0]])
+            assert got.shape == (len(t), len(beta))
+            for want in (masked, per_policy, alone):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3).filter(lambda b: abs(b) > 1e-6),
+                              st.floats(-300.0, 300.0)),
+                    min_size=1, max_size=6),
+           st.floats(0.01, 10.0), st.integers(1, 40))
+    def test_blocks_with_positive_time_to_go(self, agents, horizon, count):
+        # t < T throughout, as in every oracle chunk but the last: no entry is
+        # the beta = 0 limit, so the kernels skip its masks
+        beta = np.array([b for b, _ in agents])
+        lam = 10.0 ** np.array([e for _, e in agents])
+        t = np.linspace(0.0, horizon, count + 1)[:-1]
+        assert np.all(np.abs(beta * (horizon - t)[:, None]) >= 1e-12)
+        self.assert_block_equals_alone(beta, lam, horizon, t)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_blocks_with_flipped_entries(self, last):
+        # beta tau = -800 passes the rate's exponent limit and +800 the
+        # integral's; with t = T the block takes the masks as well
+        beta = np.array([-800.0, 800.0, -400.0, 3.0, 1e-3, -2.0])
+        lam = np.array([1e-5, 1.0, 1e300, 2.0, 1.0, 1e-300])
+        t = np.linspace(0.0, 2.0, 41 if last else 40)
+        self.assert_block_equals_alone(beta, lam, 2.0, t)
 
 
 class TestClassifyRegime:
