@@ -208,18 +208,15 @@ def cmd_curves(args: argparse.Namespace) -> int:
     deltas = args.deltas if args.deltas is not None else np.array([0.5, 1.0, 2.0, 3.0, 5.0])
     _, m = _representative_grid(d, raw, deltas)
     times = np.linspace(0.0, d.horizon, args.time_grid)
-    # (times, deltas), in row blocks that bound the kernel's temporaries
-    curves = np.empty((len(times), len(deltas)))
-    for lo in range(0, len(times), verification._RK4_CHUNK):
-        rows = slice(lo, lo + verification._RK4_CHUNK)
-        curves[rows] = policy._rate(m.beta, m.lam, (d.horizon - times[rows])[:, None])
+    curves = [policy.ConsumptionPolicy(b, lam, d.horizon).rate(times)
+              for b, lam in zip(m.beta, m.lam)]
     comments = ["merton-arena curves", _config_echo(d)]
     if detect_single_stock(d) is not None:
         comments.append(f"theta_crit = {_fmt(mfg.theta_crit_mf(d))}")
     comments += [f"delta = {_fmt(dv)} : beta = {_fmt(b)}, lambda = {_fmt(lam)}"
                  for dv, b, lam in zip(deltas, m.beta, m.lam)]
     header = ["t"] + [f"c(delta={_fmt(dv)})" for dv in deltas]
-    _write_csv(args.out, comments, header, [times, *curves.T])
+    _write_csv(args.out, comments, header, [times, *curves])
     return EXIT_OK
 
 

@@ -135,8 +135,9 @@ class StrategyProfile:
     ``pi`` holds one constant fraction of wealth invested per agent, the
     strategy class among which the paper's equilibrium is unique; any
     other shape raises ValidationError.  ``consumption`` holds one
-    callable per agent mapping times to rates; grids sample the callables
-    at their nodes.
+    callable per agent mapping times to rates, as many as ``pi`` has
+    entries (else ValidationError); grids sample the callables at their
+    nodes.
     """
 
     pi: np.ndarray
@@ -150,6 +151,9 @@ class StrategyProfile:
                 f"pi must hold one investment fraction per agent, got shape {self.pi.shape}")
         if not np.all(np.isfinite(self.pi)):
             raise ValidationError("investment fractions must be finite")
+        if len(self.consumption) != self.n:
+            raise ValidationError(f"consumption has {len(self.consumption)} curves for "
+                                  f"{self.n} investment fractions")
 
     @property
     def n(self) -> int:
@@ -634,8 +638,10 @@ def _objective_moments(f: SimpleNamespace, a: SimpleNamespace, log_c: np.ndarray
     that value and a standard error of exactly 0.  Values scaled by a
     power of two (see `_agent_scan`) keep a finite mean's standard error
     finite; values out of the float range give a mean or standard error
-    that is not finite, with no warning.
+    that is not finite, with no warning.  Empty ``agents`` draws nothing: [].
     """
+    if not agents:
+        return []
     objective = _objective(f, a, log_c)
     scans = [_agent_scan(i, f, objective, cells) for i in agents]
     w_nu = f.pi * f.a.nu

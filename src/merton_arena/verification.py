@@ -6,8 +6,8 @@ substitution), a quadrature evaluation of its closed-form solution, and an
 exponential-integral identity that ties the factor back to the equilibrium
 consumption itself.  The linearized ODE is affine in its unknown, so each
 RK4 step is an affine map, built for all agents at once and applied by
-one loop over steps; the residuals are then computed for a few agents at
-a time, and gated relative to the magnitudes they compare.  On top of
+one loop over steps; the residuals are then computed one agent at a
+time, and gated relative to the magnitudes they compare.  On top of
 that, a paired common-random-numbers Monte Carlo scan asserts that no
 perturbed strategy in a (dpi, a, b) grid beats the equilibrium, and a
 replication harness measures how fast the finite game approaches its
@@ -163,14 +163,18 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
 
 
 def _simpson_plan(times: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """`_reverse_cumulative` on one time grid, its interval coefficients computed once.
+    """int_t^T of sampled integrands along the last axis, via cumulative Simpson.
 
-    Cartwright's eq. (8) for unequal intervals (J. Math. Sci. Math. Educ.
-    12(2)), in the formula and operation order of scipy's
-    ``cumulative_simpson``: each even interval takes the Simpson integral of
-    the triple it opens, each odd one and the last that of the triple it
-    closes (scipy's flipped pass, here aligned to forward order).  Only the
-    pieces kept are evaluated, on stride-2 slices of the values.
+    Returns that function of the value arrays on one strictly increasing
+    time grid of at least three points, its interval coefficients computed
+    once.  The forward sums are bitwise those of scipy's
+    ``cumulative_simpson`` with ``initial=0.0``: Cartwright's eq. (8) for
+    unequal intervals (J. Math. Sci. Math. Educ. 12(2)), in scipy's
+    formula and operation order: each even interval takes the Simpson
+    integral of the triple it opens, each odd one and the last that of the
+    triple it closes (scipy's flipped pass, here aligned to forward
+    order).  Only the pieces kept are evaluated, on stride-2 slices of the
+    values.
     """
     dx = np.diff(times)
     n = len(dx)
@@ -202,17 +206,6 @@ def _simpson_plan(times: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return forward[..., -1:] - forward
 
     return reverse
-
-
-def _reverse_cumulative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """int_t^T of sampled integrands along the last axis, via cumulative Simpson.
-
-    ``times`` is strictly increasing with at least three points.  The
-    forward sums are bitwise those of scipy's ``cumulative_simpson`` with
-    ``initial=0.0``; `_simpson_plan` builds the coefficients once for many
-    value arrays on one grid.
-    """
-    return _simpson_plan(times)(values)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +263,6 @@ class FixedPointReport:
         return _fields_dict(self)
 
 
-_FP_GROUP = 2  # agents per residual pass; bounds its (group, steps + 1) temporaries
-
-
 def fixed_point_check(p: Population, e: EquilibriumProfile,
                       steps: int = DEFAULT_ODE_STEPS) -> FixedPointReport:
     """Confirm that the closed-form consumption solves the coupled system.
@@ -289,12 +279,11 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     that chunk alone, on its stretch of the half-step grid, and only their
     node rows are kept.  Each agent's leave-one-out averages are the full
     sums minus its own term, and one affine map per step advances every
-    agent.  The residuals are then computed for a few agents at a time on
-    agent-major (group, steps + 1) arrays, which bounds the temporaries and
-    keeps each agent's time series contiguous; the Simpson coefficients of
-    the node grid are built once for all of them.  p is
-    validated as ``solve_n`` validates it; ValueError when ``steps`` < 2, e
-    has a different agent count from p or a lambda is not positive.
+    agent.  The residuals are then computed one agent at a time on its
+    (steps + 1,) time series; the Simpson coefficients of the node grid
+    are built once for all of them.  p is validated as ``solve_n``
+    validates it; ValueError when ``steps`` < 2, e has a different agent
+    count from p or a lambda is not positive.
     """
     ar = validate_population(p)
     if steps < 2:
@@ -352,15 +341,12 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     r1_rel = np.zeros(n)
     r2 = np.zeros(n)
     r2_rel = np.zeros(n)
-    for lo in range(0, n, _FP_GROUP):
-        # Agents k as rows; the per-agent parameters as (group, 1) columns.
-        k = slice(lo, min(lo + _FP_GROUP, n))
-        kc = (k, None)
-        gamma = gammas[kc]
+    for k in range(n):
+        gamma = gammas[k]
         c = c_rows[k]
         log_c = np.log(c)
-        a_vals, b_vals = coefficients(c, log_c, c_sum, log_c_sum, kc)
-        f_ode = np.ascontiguousarray(u[:, k].T) ** (1.0 / gamma)  # rows contiguous in time
+        a_vals, b_vals = coefficients(c, log_c, c_sum, log_c_sum, k)
+        f_ode = u[:, k] ** (1.0 / gamma)
         # Integrating-factor solution of the linearized equation:
         # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds),
         # A(t) = int_t^T a.  Verified against the ODE by substitution.
@@ -369,35 +355,31 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
         del weight, tail
 
-        shrink = rho[kc] + ar.theta[kc] * (1.0 - 1.0 / ar.delta[kc]) * chat_full \
-            + c / ar.delta[kc]
+        shrink = rho[k] + coef[k] * chat_full + c / ar.delta[k]
         f_exp = np.exp(reverse_cumulative(shrink))
 
         # All three value factors are positive, so the larger one is the scale.
         for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
                            ("closed_exp", f_closed, f_exp)):
             diff = np.abs(x - y)
-            gaps[f"f_gap_{name}"][k] = diff.max(axis=1)
+            gaps[f"f_gap_{name}"][k] = diff.max()
             diff /= np.maximum(x, y)
-            gaps[f"f_rel_gap_{name}"][k] = diff.max(axis=1)
+            gaps[f"f_rel_gap_{name}"][k] = diff.max()
 
         # The best response and the ODE defect on the report grid only.
         del x, y, diff, f_closed
         c, log_c, f_ode, f_exp, shrink, a_vals, b_vals = (
-            v[:, report_idx] for v in (c, log_c, f_ode, f_exp, shrink, a_vals, b_vals))
+            v[report_idx] for v in (c, log_c, f_ode, f_exp, shrink, a_vals, b_vals))
         log_bar_minus = (log_c_sum[report_idx] - log_c) / n
-        best_response = np.exp(
-            -gamma * log_eps[kc]
-            - gamma * ar.theta[kc] * (1.0 - 1.0 / ar.delta[kc]) * log_bar_minus
-            - gamma * np.log(f_ode)
-        )
+        best_response = np.exp(-gamma * log_eps[k] + b_power[k] * log_bar_minus
+                               - gamma * np.log(f_ode))
         miss = np.abs(c - best_response)
-        r1[k] = miss.max(axis=1)
-        r1_rel[k] = (miss / c).max(axis=1)
+        r1[k] = miss.max()
+        r1_rel[k] = (miss / c).max()
         terms = (-shrink * f_exp, a_vals * f_exp, b_vals * f_exp ** (1.0 - gamma))
         defect = np.abs(terms[0] + terms[1] + terms[2])
-        r2[k] = defect.max(axis=1)
-        r2_rel[k] = (defect / (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))).max(axis=1)
+        r2[k] = defect.max()
+        r2_rel[k] = (defect / (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))).max()
 
     resid = _identity_residual(ar, e.pi, e.aggregates)
     return FixedPointReport(systeq1_max=float(r1.max()), systeq2_max=float(r2.max()),

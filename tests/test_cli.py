@@ -710,6 +710,11 @@ class TestInvalidInput:
         ("curves", dict(CURVES_CONFIG, atoms={"weight": 1.0}), [], "'atoms' must be a list"),
         ("curves", dict(CURVES_CONFIG, atoms=[[1.0]]), [], "atom 0 must be an object"),
         ("curves", dict(CURVES_CONFIG, atoms=[dict(REF_AGENT)]), [], "atom 0 weight is missing"),
+        # a strategy override with fewer or more curves than investments
+        ("simulate", dict(POP_CONFIG, strategy={"pi": [0.1, 0.1], "c": [1.0]}), [],
+         "length must match the agent count"),
+        ("simulate", dict(POP_CONFIG, strategy={"pi": [0.1], "c": [1.0, 1.0]}), [],
+         "length must match the agent count"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, config, flags, names):
         cfg = tmp_path / "config.json"
@@ -846,6 +851,27 @@ class TestOnePartition:
         assert self.TILING & self.names(simulation) == {
             "TILE_BYTES", "worker_count", "_map_tiles", "ThreadPoolExecutor", "contextvars",
             "threading", "local"}
+
+
+class TestNoOracleInternals:
+    """The CLI reads only the oracle's public names; the oracle splits its agents by no constant."""
+
+    def test_cli_reads_no_private_verification_attribute(self):
+        from merton_arena import cli
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        private = {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "verification" and node.attr.startswith("_")}
+        private |= {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.endswith("verification")
+                    for alias in node.names if alias.name.startswith("_")}
+        assert private == set()
+
+    def test_verification_names_no_agent_group(self):
+        from merton_arena import verification
+        assert "_FP_GROUP" not in TestOnePartition.names(verification)
 
 
 class TestOneCurveKernel:

@@ -170,6 +170,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"one investment fraction per agent.*\(2, 4\)"):
             StrategyProfile(pi=np.ones((2, 4)), consumption=s.consumption)
 
+    @pytest.mark.parametrize("pi, c", [([0.5, 0.5], [1.0]), ([0.5, 0.5], [1.0, 1.0, 1.0])])
+    def test_one_curve_per_investment(self, pi, c):
+        message = f"consumption has {len(c)} curves for {len(pi)} investment fractions"
+        with pytest.raises(ValidationError, match=message):
+            constant_strategy(pi, c)
+        with pytest.raises(ValidationError, match=message):
+            StrategyProfile(pi=np.array(pi), consumption=constant_strategy(c, c).consumption)
+
     def test_strategy_size_mismatch(self):
         p = two_agents()
         s = constant_strategy([0.0], [1.0])

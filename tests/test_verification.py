@@ -588,6 +588,27 @@ class TestBestResponseScan:
         with pytest.raises(ValueError, match=f"{name} is empty"):
             best_response_test(ref_n2, e, 0, dpi_grid, ab_grid, paths=10, seed=0, grid=10)
 
+    def test_no_agents_draw_nothing(self, ref_n2, monkeypatch):
+        calls = []
+        draw = simulation.block_normals
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(simulation, "block_normals", counted)
+        e = solve_n(ref_n2)
+        assert best_response_scan(ref_n2, e, (), (0.0, 0.1), (0.0,), paths=300, seed=0,
+                                  grid=50) == ()
+        assert calls == []
+        # the inputs are checked first, as when agents are scanned
+        for dpi_grid, ab_grid, grid, error in (((), (0.0,), 10, ValueError),
+                                               ((0.0,), (), 10, ValueError),
+                                               ((0.0,), (0.0,), 1, InvalidGrid)):
+            with pytest.raises(error):
+                best_response_scan(ref_n2, e, (), dpi_grid, ab_grid, paths=10, seed=0, grid=grid)
+        assert calls == []
+
 
 class TestConvergence:
     ATOM_NU = AgentType(1.0, 3.0, 0.8, 1.0, 5.0, 0.5, 1.0)
@@ -759,13 +780,13 @@ def reference_fixed_point(p, e, steps):
                                  bar_c_minus=bar_minus)
         _, f_ode = bernoulli_oracle(inputs, T, steps)
         a_vals, b_vals, gamma = inputs.a(times), inputs.b(times), inputs.gamma
-        big_a = verification._reverse_cumulative(a_vals, times)
+        big_a = verification._simpson_plan(times)(a_vals)
         weight = np.exp(gamma * big_a)
-        tail = verification._reverse_cumulative(gamma * b_vals / weight, times)
+        tail = verification._simpson_plan(times)(gamma * b_vals / weight)
         f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
         shrink = e.rho[i] + ar.theta[i] * (1.0 - 1.0 / ar.delta[i]) * chat_full \
             + c_nodes[i] / ar.delta[i]
-        f_exp = np.exp(verification._reverse_cumulative(shrink, times))
+        f_exp = np.exp(verification._simpson_plan(times)(shrink))
         for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
                            ("closed_exp", f_closed, f_exp)):
             out[f"f_gap_{name}"].append(np.max(np.abs(x - y)))
@@ -813,7 +834,7 @@ class TestReverseCumulative:
         y = data.draw(hnp.arrays(float, rows + (m,), elements=st.one_of(
             st.just(-0.0), st.floats(-1.0, 1.0))), label="values")
         y *= 10.0 ** data.draw(st.integers(0, 35), label="exponent")
-        got = verification._reverse_cumulative(y, x)
+        got = verification._simpson_plan(x)(y)
         assert got.shape == y.shape
         assert got.tobytes() == self.scipy_reverse(y, x).tobytes()
 
@@ -822,7 +843,7 @@ class TestReverseCumulative:
         x = np.linspace(0.0, 1.0, m)
         y = np.full((2, m), -0.0)
         y[1, ::2] = 1e35
-        got = verification._reverse_cumulative(y, x)
+        got = verification._simpson_plan(x)(y)
         assert not np.signbit(got[0]).any()
         assert got.tobytes() == self.scipy_reverse(y, x).tobytes()
 
@@ -945,6 +966,19 @@ class TestBatchedOracle:
         finally:
             tracemalloc.stop()
         # About 8.76e6 bytes with the curves evaluated per 512-step coefficient
-        # chunk, only their nodes kept, and agent pairs in the residual pass;
+        # chunk, only their nodes kept, and one agent per residual pass;
         # 10.9e6 with the whole half-step grid of curves held, 28.8e6 unchunked.
         assert peak <= 9.2e6
+
+    @pytest.mark.parametrize("delta, mu", [(2.0, 0.5), (0.5, 0.5), (0.5, 1.2)])
+    def test_identical_agents_get_identical_residuals(self, delta, mu):
+        # At theta = 0 these deltas make 1/gamma or 1 - gamma exactly 0.5, 2 or
+        # -1, where numpy raises to a one-element exponent by sqrt, square or
+        # reciprocal; an agent's residuals must not depend on its position.
+        agent = AgentType(x0=1.0, delta=delta, theta=0.0, eps=1.0, mu=mu, nu=0.3, sigma=0.7)
+        p = Population(horizon=1.0, agents=(agent,) * 3)
+        rep = fixed_point_check(p, solve_n(p), steps=2000)
+        for field in ("f_gap_ode_closed", "f_gap_ode_exp", "f_gap_closed_exp",
+                      "f_rel_gap_ode_closed", "f_rel_gap_ode_exp", "f_rel_gap_closed_exp"):
+            values = getattr(rep, field)
+            assert values.tobytes() == np.full(3, values[0]).tobytes(), field
