@@ -2,16 +2,17 @@
 
 Three routes confirm the consumption fixed point: a classical RK4
 integration of the per-agent value-factor ODE (linearized by the power
-substitution), a quadrature evaluation of its closed-form solution, and an
-exponential-integral identity that ties the factor back to the equilibrium
-consumption itself.  The linearized ODE is affine in its unknown, so each
-RK4 step is an affine map, built for all agents at once and applied by
-one loop over steps; the residuals are then computed one agent at a
-time, and gated relative to the magnitudes they compare.  On top of
-that, a paired common-random-numbers Monte Carlo scan asserts that no
-perturbed strategy in a (dpi, a, b) grid beats the equilibrium, and a
-replication harness measures how fast the finite game approaches its
-mean-field limit.
+substitution), which reads only the curves (`policy._rate`); its
+closed-form solution, which also reads their exact integrals
+(`policy._cumulative`) and one Simpson sum; and an exponential identity
+that reads only the integrals.  The linearized ODE is affine in its
+unknown, so each RK4 step is an affine map, built for all agents at once
+and applied by one loop over steps; the residuals are then computed one
+agent at a time, and gated relative to the magnitudes they compare.  On
+top of that, a paired common-random-numbers Monte Carlo scan asserts
+that no perturbed strategy in a (dpi, a, b) grid beats the equilibrium,
+and a replication harness measures how fast the finite game approaches
+its mean-field limit.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviati
 # benchmarks/tracing.py wraps verification.solve_mf, .solve_n and .block_normals.
 from .mfg import _solve_mf, solve_mf  # noqa: F401
 from .nplayer import IDENTITY_TOL, EquilibriumProfile, _gamma, _identity_residual, _solve, solve_n  # noqa: F401
-from .policy import _rate
+from .policy import _cumulative, _rate
 from .simulation import (
     DEFAULT_GRID,
     UtilityEstimate,
@@ -92,6 +93,12 @@ class BernoulliInputs:
 _RK4_CHUNK = 512  # steps whose coefficients are held at once
 
 
+def _check_steps(steps) -> None:
+    """ValueError unless ``steps``, the ODE grid's step count, is an integer >= 2."""
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+
+
 def _rk4_backward(gamma: np.ndarray, coefficients: Callable, steps: int,
                   horizon: float) -> np.ndarray:
     """Classical RK4 for u'/gamma + a u + b = 0, u(T) = 1, for m equations.
@@ -145,8 +152,7 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
     uniform grid, then maps back via f = u^(1/gamma).  Returns (times, f)
     with times ascending on [0, T].
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    _check_steps(steps)
     gamma = inputs.gamma
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -268,26 +274,32 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     """Confirm that the closed-form consumption solves the coupled system.
 
     Builds each agent's leave-one-out consumption averages from the
-    closed-form curves, obtains the value factor three independent ways
-    (RK4 oracle, quadrature of the closed form, exponential identity), and
-    reports the maxima of the best-response residual, the ODE defect of
+    closed-form curves, obtains the value factor three independent ways,
+    and reports the maxima of the best-response residual, the ODE defect of
     the exponential form, and the volatility identity over a subsampled
-    grid, absolute and relative (see `FixedPointReport`).
+    grid, absolute and relative (see `FixedPointReport`).  The routes:
+
+    - RK4 oracle: reads only the curves c_k (`_rate`);
+    - closed form f^gamma = e^(gamma A) (1 + int_t^T gamma b e^(-gamma A)):
+      reads `_rate`, `_cumulative` and one Simpson sum, the tail, since
+      A(t) = rho tau + theta (1 - 1/delta) (sum_j C_j - C_k) / n exactly;
+    - exponential identity f = exp(A + C_k (theta (1 - 1/delta) / n + 1/delta)):
+      reads only `_cumulative`.
 
     The RK4 oracle asks for the coefficients of `BernoulliInputs` for all
     agents a chunk of steps at a time; all agents' curves are evaluated for
     that chunk alone, on its stretch of the half-step grid, and only their
-    node rows are kept.  Each agent's leave-one-out averages are the full
-    sums minus its own term, and one affine map per step advances every
-    agent.  The residuals are then computed one agent at a time on its
-    (steps + 1,) time series; the Simpson coefficients of the node grid
-    are built once for all of them.  p is validated as ``solve_n``
-    validates it; ValueError when ``steps`` < 2, e has a different agent
-    count from p or a lambda is not positive.
+    node rows are kept, with the nodes' sum of the integrals C_j.  Each
+    agent's leave-one-out averages are the full sums minus its own term,
+    and one affine map per step advances every agent.  The residuals are
+    then computed one agent at a time on its (steps + 1,) time series; the
+    Simpson coefficients of the node grid are built once for all of them.
+    p is validated as ``solve_n`` validates it; ValueError when ``steps``
+    is no integer >= 2, e has a different agent count from p or a lambda
+    is not positive.
     """
     ar = validate_population(p)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    _check_steps(steps)
     _check_agents("profile", len(e.pi), p)
     n = p.n
     T = p.horizon
@@ -301,6 +313,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
 
     half_times = np.linspace(0.0, T, 2 * steps + 1)
     times = half_times[::2].copy()  # bitwise np.linspace(0, T, steps + 1)
+    tau = T - times
     if not np.all(e.lam > 0):
         raise ValueError(f"lambda must be positive, got {e.lam[~(e.lam > 0)][0]}")
 
@@ -315,10 +328,12 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         return a, b
 
     # Each chunk's curves are evaluated on its stretch of the half-step grid;
-    # its nodes are kept agent-major, with their sums over the agents.
+    # its nodes are kept agent-major, with their sums over the agents and the
+    # sum of their integrals C_j(t) = int_t^T c_j.
     c_rows = np.empty((n, steps + 1))
     c_sum = np.empty(steps + 1)
     log_c_sum = np.empty(steps + 1)
+    big_c_sum = np.empty(steps + 1)
 
     def chunk_coefficients(lo, hi):
         c = _rate(e.beta, e.lam, T - half_times[2 * lo:2 * hi + 1, None])
@@ -326,10 +341,10 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         sums = c.sum(axis=1, keepdims=True), log_c.sum(axis=1, keepdims=True)
         c_rows[:, lo:hi + 1] = c[::2].T
         c_sum[lo:hi + 1], log_c_sum[lo:hi + 1] = (s[::2, 0] for s in sums)
+        big_c_sum[lo:hi + 1] = _cumulative(e.beta, e.lam, tau[lo:hi + 1, None]).sum(axis=1)
         return coefficients(c, log_c, *sums, slice(None))
 
     u = _rk4_backward(gammas, chunk_coefficients, steps, T)
-    chat_full = c_sum / n  # bitwise the mean over the agents
     reverse_cumulative = _simpson_plan(times)
     stride = max(1, steps // REPORT_POINTS)
     report_idx = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
@@ -349,14 +364,19 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         f_ode = u[:, k] ** (1.0 / gamma)
         # Integrating-factor solution of the linearized equation:
         # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds),
-        # A(t) = int_t^T a.  Verified against the ODE by substitution.
-        weight = np.exp(gamma * reverse_cumulative(a_vals))
+        # A(t) = int_t^T a, exact.  Verified against the ODE by substitution.
+        # C_k(T) = 0 is appended: a tau = 0 entry would send the whole row
+        # through the kernel's beta = 0 masks, at twice the cost, same bits.
+        own = np.append(_cumulative(e.beta[k], e.lam[k], tau[:-1]), 0.0)
+        big_a = rho[k] * tau + coef[k] * ((big_c_sum - own) / n)
+        weight = np.exp(gamma * big_a)
         tail = reverse_cumulative(gamma * b_vals / weight)
         f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
         del weight, tail
-
-        shrink = rho[k] + coef[k] * chat_full + c / ar.delta[k]
-        f_exp = np.exp(reverse_cumulative(shrink))
+        # The exponential identity f = exp int_t^T shrink, where
+        # shrink = rho + coef c_hat + c / delta = a + (coef / n + 1 / delta) c.
+        f_exp = np.exp(big_a + own * (coef[k] / n + 1.0 / ar.delta[k]))
+        del own, big_a
 
         # All three value factors are positive, so the larger one is the scale.
         for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
@@ -368,8 +388,9 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
 
         # The best response and the ODE defect on the report grid only.
         del x, y, diff, f_closed
-        c, log_c, f_ode, f_exp, shrink, a_vals, b_vals = (
-            v[report_idx] for v in (c, log_c, f_ode, f_exp, shrink, a_vals, b_vals))
+        c, log_c, f_ode, f_exp, a_vals, b_vals = (
+            v[report_idx] for v in (c, log_c, f_ode, f_exp, a_vals, b_vals))
+        shrink = rho[k] + coef[k] * (c_sum[report_idx] / n) + c / ar.delta[k]
         log_bar_minus = (log_c_sum[report_idx] - log_c) / n
         best_response = np.exp(-gamma * log_eps[k] + b_power[k] * log_bar_minus
                                - gamma * np.log(f_ode))

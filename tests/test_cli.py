@@ -874,6 +874,33 @@ class TestNoOracleInternals:
         assert "_FP_GROUP" not in TestOnePartition.names(verification)
 
 
+class TestOracleQuadrature:
+    """The fixed-point oracle takes its exponents from the integrated curves."""
+
+    def test_only_the_tail_is_a_simpson_sum(self):
+        # A(t) and the exponential route's exponent are sums of C_k = int_t^T c_k;
+        # only the closed route's tail, int_t^T gamma b e^(-gamma A), has no closed form.
+        from merton_arena import verification
+        with open(verification.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        check = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "fixed_point_check")
+        assert "_cumulative" in {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
+        plans = {target.id for node in ast.walk(check) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Call)
+                 and ast.unparse(node.value.func) == "_simpson_plan" for target in node.targets}
+
+        def is_sum(call):
+            func = ast.unparse(call.func)
+            return func in plans or func.startswith("_simpson_plan(")
+
+        sums = [node for node in ast.walk(check) if isinstance(node, ast.Call) and is_sum(node)]
+        assigned = [ast.unparse(target) for node in ast.walk(check) if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call) and is_sum(node.value)
+                    for target in node.targets]
+        assert len(sums) == 1 and assigned == ["tail"]
+
+
 class TestOneCurveKernel:
     """c(t) and its integral are each one broadcast kernel behind one shared time check."""
 

@@ -86,6 +86,16 @@ class TestBernoulliOracle:
         with pytest.raises(ValueError):
             bernoulli_oracle(inp, 1.0, steps=100)
 
+    @pytest.mark.parametrize("steps", [100.0, "100", None, 1, np.int64(1)])
+    def test_steps_must_be_an_integer(self, steps):
+        inp = BernoulliInputs(gamma=1.0, theta=0.5, delta=1.0, eps=2.0, rho=0.0,
+                              hat_c_minus=const(0.0), bar_c_minus=const(1.0))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"steps must be an integer >= 2, got {steps!r}")):
+            bernoulli_oracle(inp, 1.0, steps=steps)
+        times, _ = bernoulli_oracle(inp, 1.0, steps=np.int64(100))
+        assert len(times) == 101
+
 
 class TestFixedPoint:
     def test_reference_population(self, ref_n2):
@@ -151,6 +161,37 @@ class TestFixedPoint:
         e = solve_n(ref_n2)
         with pytest.raises(ValueError, match=f"lambda must be positive, got {bad}"):
             fixed_point_check(ref_n2, dataclasses.replace(e, lam=np.array([1.0, bad])))
+
+    @pytest.mark.parametrize("steps", [100.0, "100", None, 1, np.int64(1)])
+    def test_steps_must_be_an_integer(self, ref_n2, steps):
+        e = solve_n(ref_n2)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"steps must be an integer >= 2, got {steps!r}")):
+            fixed_point_check(ref_n2, e, steps=steps)
+        assert (fixed_point_check(ref_n2, e, steps=np.int64(100)).as_dict()
+                == fixed_point_check(ref_n2, e, steps=100).as_dict())
+
+    def test_exact_integrals_clear_quadrature_failures(self):
+        # These six of the first 100 seed-5 draws failed while A(t) and the
+        # exponential route's exponent were Simpson sums.  Both now come from
+        # the integrated curves: the closed and exponential routes agree, the
+        # ODE defect of the exponential form is rounding, and draws 3, 17 and
+        # 88 pass.  Draws 21, 73 and 97 fail on the RK4 route alone.
+        rng = np.random.default_rng(5)
+        corpus = [random_population(rng) for _ in range(100)]
+        reports = {draw: fixed_point_check(corpus[draw], solve_n(corpus[draw]))
+                   for draw in (3, 17, 21, 73, 88, 97)}
+        closed_exp = {draw: rep.f_rel_gap_closed_exp.max() for draw, rep in reports.items()}
+        systeq2 = {draw: rep.systeq2_rel_max for draw, rep in reports.items()}
+        assert max(closed_exp.values()) <= 1e-10, closed_exp
+        assert max(systeq2.values()) <= 1e-13, systeq2
+        assert [draw for draw in (3, 17, 88) if not reports[draw].passes()] == []
+
+    def test_exact_integrals_at_a_hundred_agents(self):
+        # 5.3e-5 when both exponents were Simpson sums
+        p = random_population(np.random.default_rng(4), 100)
+        rep = fixed_point_check(p, solve_n(p))
+        assert rep.f_rel_gap_closed_exp.max() <= 1e-10
 
     def test_random_corpus_small(self):
         rng = np.random.default_rng(2024)
@@ -745,6 +786,10 @@ def scalar_affine_rk4(gamma, a, b, horizon, steps):
 def reference_fixed_point(p, e, steps):
     """Fixed-point check with O(n^2) leave-one-out closures, one oracle call per agent.
 
+    The exponents of the closed and the exponential route are built from
+    each policy's own ``cumulative`` curve, with sums over the other agents
+    written out per agent; only the closed route's tail is a Simpson sum.
+
     Returns the report fields, absolute and relative, plus, per absolute
     field, the magnitude of the quantities whose difference it measures:
     value factors for the gaps, consumption for the best-response residual,
@@ -757,6 +802,7 @@ def reference_fixed_point(p, e, steps):
     policies = [ConsumptionPolicy(float(b), float(l), T) for b, l in zip(e.beta, e.lam)]
     times = np.linspace(0.0, T, steps + 1)
     c_nodes = np.array([pol.rate(times) for pol in policies])
+    cum_nodes = np.array([pol.cumulative(times) for pol in policies])
     log_c = np.log(c_nodes)
     chat_full = c_nodes.mean(axis=0)
     idx = np.unique(np.append(np.arange(0, steps + 1, max(1, steps // 1000)), steps))
@@ -780,13 +826,14 @@ def reference_fixed_point(p, e, steps):
                                  bar_c_minus=bar_minus)
         _, f_ode = bernoulli_oracle(inputs, T, steps)
         a_vals, b_vals, gamma = inputs.a(times), inputs.b(times), inputs.gamma
-        big_a = verification._simpson_plan(times)(a_vals)
+        coef = ar.theta[i] * (1.0 - 1.0 / ar.delta[i])
+        big_a = e.rho[i] * (T - times) + coef * sum(cum_nodes[k] for k in others) / n
         weight = np.exp(gamma * big_a)
         tail = verification._simpson_plan(times)(gamma * b_vals / weight)
         f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
-        shrink = e.rho[i] + ar.theta[i] * (1.0 - 1.0 / ar.delta[i]) * chat_full \
-            + c_nodes[i] / ar.delta[i]
-        f_exp = np.exp(verification._simpson_plan(times)(shrink))
+        shrink = e.rho[i] + coef * chat_full + c_nodes[i] / ar.delta[i]
+        f_exp = np.exp(e.rho[i] * (T - times) + coef * cum_nodes.mean(axis=0)
+                       + cum_nodes[i] / ar.delta[i])
         for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
                            ("closed_exp", f_closed, f_exp)):
             out[f"f_gap_{name}"].append(np.max(np.abs(x - y)))
@@ -965,9 +1012,10 @@ class TestBatchedOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # About 8.76e6 bytes with the curves evaluated per 512-step coefficient
-        # chunk, only their nodes kept, and one agent per residual pass;
-        # 10.9e6 with the whole half-step grid of curves held, 28.8e6 unchunked.
+        # About 8.92e6 bytes with the curves and their integrals evaluated per
+        # 512-step coefficient chunk, only their nodes kept, and one agent per
+        # residual pass (8.76e6 before the integrals); 10.9e6 with the whole
+        # half-step grid of curves held, 28.8e6 unchunked.
         assert peak <= 9.2e6
 
     @pytest.mark.parametrize("delta, mu", [(2.0, 0.5), (0.5, 0.5), (0.5, 1.2)])
