@@ -4,7 +4,8 @@ Three routes confirm the consumption fixed point: a classical RK4
 integration of the per-agent value-factor ODE (linearized by the power
 substitution), which reads only the curves (`policy._rate`); its
 closed-form solution, which also reads their exact integrals
-(`policy._cumulative`) and one Simpson sum; and an exponential identity
+(`policy._cumulative`) and sums its one other integral, the tail, by
+Simpson's rule on the RK4's half-step grid; and an exponential identity
 that reads only the integrals.  The linearized ODE is affine in its
 unknown, so each RK4 step is an affine map, built for all agents at once
 and applied by one loop over steps; the residuals are then computed one
@@ -24,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound, TooFewAgents
+from .errors import (NonPositiveParameter, NonPositiveSolution, NonReplicableWeights,
+                     ProfitableDeviationFound, TooFewAgents)
 # solve_mf, solve_n and block_normals are unused here but stay attributes:
 # benchmarks/tracing.py wraps verification.solve_mf, .solve_n and .block_normals.
 from .mfg import _solve_mf, solve_mf  # noqa: F401
@@ -150,9 +152,12 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
     Integrates the linearized variable u = f^gamma, for which
     u'/gamma + a u + b = 0, with classical fourth-order Runge-Kutta on a
     uniform grid, then maps back via f = u^(1/gamma).  Returns (times, f)
-    with times ascending on [0, T].
+    with times ascending on [0, T].  NonPositiveParameter unless
+    0 < T < inf.
     """
     _check_steps(steps)
+    if not 0.0 < horizon < math.inf:
+        raise NonPositiveParameter("horizon")
     gamma = inputs.gamma
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -166,52 +171,6 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
 
     u = _rk4_backward(np.array([gamma]), coefficients, steps, horizon)[:, 0]
     return half_times[::2], u ** (1.0 / gamma)
-
-
-def _simpson_plan(times: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """int_t^T of sampled integrands along the last axis, via cumulative Simpson.
-
-    Returns that function of the value arrays on one strictly increasing
-    time grid of at least three points, its interval coefficients computed
-    once.  The forward sums are bitwise those of scipy's
-    ``cumulative_simpson`` with ``initial=0.0``: Cartwright's eq. (8) for
-    unequal intervals (J. Math. Sci. Math. Educ. 12(2)), in scipy's
-    formula and operation order: each even interval takes the Simpson
-    integral of the triple it opens, each odd one and the last that of the
-    triple it closes (scipy's flipped pass, here aligned to forward
-    order).  Only the pieces kept are evaluated, on stride-2 slices of the
-    values.
-    """
-    dx = np.diff(times)
-    n = len(dx)
-
-    def coefficients(x21, x32):
-        x31 = x21 + x32
-        x21_x31 = x21 / x31
-        x21_x32 = x21 / x32
-        x21x21_x31x32 = x21_x31 * x21_x32
-        return x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31, -x21x21_x31x32
-
-    # Interval i of triple (i, i+1, i+2) for even i, interval i + 1 of the
-    # same triple, and the last interval, closing the last triple.
-    opens = coefficients(dx[0:n - 1:2], dx[1:n:2])
-    closes = coefficients(dx[1:n:2], dx[0:n - 1:2])
-    last = coefficients(dx[-1], dx[-2])
-
-    def reverse(values: np.ndarray) -> np.ndarray:
-        first, mid, third = values[..., 0:n - 1:2], values[..., 1:n:2], values[..., 2:n + 1:2]
-        forward = np.zeros(values.shape)
-        pieces = forward[..., 1:]
-        for out, (w, c1, c2, c3), (f1, f2, f3) in (
-                (pieces[..., 0:n - 1:2], opens, (first, mid, third)),
-                (pieces[..., 1::2], closes, (third, mid, first)),
-                (pieces[..., -1], last, (values[..., -1], values[..., -2], values[..., -3]))):
-            np.multiply(w, c1 * f1 + c2 * f2 + c3 * f3, out=out)
-        np.cumsum(pieces, axis=-1, out=pieces)
-        forward += 0.0  # as scipy adds its initial value: -0.0 becomes +0.0
-        return forward[..., -1:] - forward
-
-    return reverse
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +240,22 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
 
     - RK4 oracle: reads only the curves c_k (`_rate`);
     - closed form f^gamma = e^(gamma A) (1 + int_t^T gamma b e^(-gamma A)):
-      reads `_rate`, `_cumulative` and one Simpson sum, the tail, since
-      A(t) = rho tau + theta (1 - 1/delta) (sum_j C_j - C_k) / n exactly;
+      reads `_rate` and `_cumulative`, since
+      A(t) = rho tau + theta (1 - 1/delta) (sum_j C_j - C_k) / n exactly,
+      and sums the tail by Simpson's rule over each RK4 step;
     - exponential identity f = exp(A + C_k (theta (1 - 1/delta) / n + 1/delta)):
       reads only `_cumulative`.
 
     The RK4 oracle asks for the coefficients of `BernoulliInputs` for all
     agents a chunk of steps at a time; all agents' curves are evaluated for
-    that chunk alone, on its stretch of the half-step grid, and only their
-    node rows are kept, with the nodes' sum of the integrals C_j.  Each
-    agent's leave-one-out averages are the full sums minus its own term,
-    and one affine map per step advances every agent.  The residuals are
-    then computed one agent at a time on its (steps + 1,) time series; the
-    Simpson coefficients of the node grid are built once for all of them.
+    that chunk alone, on its stretch of the half-step grid, with their
+    integrals C_j.  Only the nodes' sums over the agents are kept, and each
+    agent's tail, summed there from the chunk's node, midpoint and node
+    values.  Each agent's leave-one-out averages are the full sums minus
+    its own term, and one affine map per step advances every agent.  The
+    value-factor gaps are then computed one agent at a time on its
+    (steps + 1,) time series, and the best response and ODE defect on the
+    report grid, where the curves are evaluated again.
     p is validated as ``solve_n`` validates it; ValueError when ``steps``
     is no integer >= 2, e has a different agent count from p or a lambda
     is not positive.
@@ -312,8 +274,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     log_eps = np.array([math.log(eps) for eps in ar.eps.tolist()])
 
     half_times = np.linspace(0.0, T, 2 * steps + 1)
-    times = half_times[::2].copy()  # bitwise np.linspace(0, T, steps + 1)
-    tau = T - times
+    tau = T - half_times[::2]
     if not np.all(e.lam > 0):
         raise ValueError(f"lambda must be positive, got {e.lam[~(e.lam > 0)][0]}")
 
@@ -327,27 +288,49 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         b = b_scale[k] * np.power(np.exp((log_sum - log_c) / n), b_power[k])
         return a, b
 
-    # Each chunk's curves are evaluated on its stretch of the half-step grid;
-    # its nodes are kept agent-major, with their sums over the agents and the
-    # sum of their integrals C_j(t) = int_t^T c_j.
-    c_rows = np.empty((n, steps + 1))
+    # Each chunk's curves and their integrals C_j(t) = int_t^T c_j are
+    # evaluated on its stretch of the half-step grid; the nodes keep the
+    # curves' sums over the agents and the integrals' sum.  The closed
+    # route's tail int_t^T gamma b e^(-gamma A) is summed there too, by
+    # Simpson's rule on each step's node, midpoint and node: each chunk adds
+    # the tail at its last node to its last step, so the chunks make one
+    # sequential sum from T, whatever their size.
     c_sum = np.empty(steps + 1)
     log_c_sum = np.empty(steps + 1)
     big_c_sum = np.empty(steps + 1)
+    tail_rows = np.zeros((n, steps + 1))
+    tail_gain, tail_drift = -gammas * coef / n, -gammas * rho  # -gamma A, term by term
+    tail_scale = gammas * (T / steps / 6.0)
 
     def chunk_coefficients(lo, hi):
-        c = _rate(e.beta, e.lam, T - half_times[2 * lo:2 * hi + 1, None])
+        tau_half = T - half_times[2 * lo:2 * hi + 1, None]
+        c = _rate(e.beta, e.lam, tau_half)
         log_c = np.log(c)
         sums = c.sum(axis=1, keepdims=True), log_c.sum(axis=1, keepdims=True)
-        c_rows[:, lo:hi + 1] = c[::2].T
         c_sum[lo:hi + 1], log_c_sum[lo:hi + 1] = (s[::2, 0] for s in sums)
-        big_c_sum[lo:hi + 1] = _cumulative(e.beta, e.lam, tau[lo:hi + 1, None]).sum(axis=1)
-        return coefficients(c, log_c, *sums, slice(None))
+        a, b = coefficients(c, log_c, *sums, slice(None))
+        del c, log_c
+        # g = b e^(-gamma A), A = rho tau + coef (sum_j C_j - C_k) / n, in
+        # place on the integrals; the Simpson weights carry the factor gamma.
+        g = _cumulative(e.beta, e.lam, tau_half)
+        total = g.sum(axis=1, keepdims=True)
+        big_c_sum[lo:hi + 1] = total[::2, 0]
+        np.subtract(total, g, out=g)
+        g *= tail_gain
+        g += tail_drift * tau_half
+        np.exp(g, out=g)
+        g *= b
+        step = g[:-1:2] + 4.0 * g[1::2]
+        step += g[2::2]
+        step *= tail_scale
+        step[-1] += tail_rows[:, hi]
+        tail_rows[:, lo:hi] = np.cumsum(step[::-1], axis=0)[::-1].T
+        return a, b
 
     u = _rk4_backward(gammas, chunk_coefficients, steps, T)
-    reverse_cumulative = _simpson_plan(times)
     stride = max(1, steps // REPORT_POINTS)
     report_idx = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
+    c_report = _rate(e.beta, e.lam, tau[report_idx, None])
 
     gaps = {name: np.zeros(n) for name in ("f_gap_ode_closed", "f_gap_ode_exp",
                                            "f_gap_closed_exp", "f_rel_gap_ode_closed",
@@ -358,9 +341,6 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     r2_rel = np.zeros(n)
     for k in range(n):
         gamma = gammas[k]
-        c = c_rows[k]
-        log_c = np.log(c)
-        a_vals, b_vals = coefficients(c, log_c, c_sum, log_c_sum, k)
         f_ode = u[:, k] ** (1.0 / gamma)
         # Integrating-factor solution of the linearized equation:
         # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds),
@@ -369,10 +349,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         # through the kernel's beta = 0 masks, at twice the cost, same bits.
         own = np.append(_cumulative(e.beta[k], e.lam[k], tau[:-1]), 0.0)
         big_a = rho[k] * tau + coef[k] * ((big_c_sum - own) / n)
-        weight = np.exp(gamma * big_a)
-        tail = reverse_cumulative(gamma * b_vals / weight)
-        f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
-        del weight, tail
+        f_closed = (np.exp(gamma * big_a) * (1.0 + tail_rows[k])) ** (1.0 / gamma)
         # The exponential identity f = exp int_t^T shrink, where
         # shrink = rho + coef c_hat + c / delta = a + (coef / n + 1 / delta) c.
         f_exp = np.exp(big_a + own * (coef[k] / n + 1.0 / ar.delta[k]))
@@ -388,10 +365,13 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
 
         # The best response and the ODE defect on the report grid only.
         del x, y, diff, f_closed
-        c, log_c, f_ode, f_exp, a_vals, b_vals = (
-            v[report_idx] for v in (c, log_c, f_ode, f_exp, a_vals, b_vals))
-        shrink = rho[k] + coef[k] * (c_sum[report_idx] / n) + c / ar.delta[k]
-        log_bar_minus = (log_c_sum[report_idx] - log_c) / n
+        c = c_report[:, k]
+        log_c = np.log(c)
+        sums = c_sum[report_idx], log_c_sum[report_idx]
+        a_vals, b_vals = coefficients(c, log_c, *sums, k)
+        f_ode, f_exp = f_ode[report_idx], f_exp[report_idx]
+        shrink = rho[k] + coef[k] * (sums[0] / n) + c / ar.delta[k]
+        log_bar_minus = (sums[1] - log_c) / n
         best_response = np.exp(-gamma * log_eps[k] + b_power[k] * log_bar_minus
                                - gamma * np.log(f_ode))
         miss = np.abs(c - best_response)
@@ -561,14 +541,20 @@ def mfg_convergence(d: TypeDistribution, ns: Sequence[int]) -> list[ConvergenceR
     matched to their atoms when measuring gaps.  The n-agent game is
     solved on the atom columns repeated by their agent counts, the same
     numbers as ``solve_n(replicate(d, n))`` without building n agents.
+    Each n is checked before its weights: ValueError unless it is an
+    integer (``operator.index``), TooFewAgents below 2.
     """
     a = validate_distribution(d)
     mf = _solve_mf(a)
     rows = []
     for n in ns:
-        idx = np.repeat(np.arange(len(d.atoms)), _counts(d, n))
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"agent count must be an integer, got {n!r}") from None
         if n < 2:
             raise TooFewAgents(n)
+        idx = np.repeat(np.arange(len(d.atoms)), _counts(d, n))
         e = _solve(SimpleNamespace(**{k: v[idx] for k, v in vars(a).items()}), n)
         rows.append(ConvergenceRow(
             n=n,

@@ -879,26 +879,17 @@ class TestOracleQuadrature:
 
     def test_only_the_tail_is_a_simpson_sum(self):
         # A(t) and the exponential route's exponent are sums of C_k = int_t^T c_k;
-        # only the closed route's tail, int_t^T gamma b e^(-gamma A), has no closed form.
+        # the closed route's tail, int_t^T gamma b e^(-gamma A), is summed in the
+        # RK4 chunks, on their half-step grid, with no separate quadrature.
         from merton_arena import verification
         with open(verification.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_simpson_plan" not in names | defined
         check = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                      and node.name == "fixed_point_check")
         assert "_cumulative" in {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
-        plans = {target.id for node in ast.walk(check) if isinstance(node, ast.Assign)
-                 and isinstance(node.value, ast.Call)
-                 and ast.unparse(node.value.func) == "_simpson_plan" for target in node.targets}
-
-        def is_sum(call):
-            func = ast.unparse(call.func)
-            return func in plans or func.startswith("_simpson_plan(")
-
-        sums = [node for node in ast.walk(check) if isinstance(node, ast.Call) and is_sum(node)]
-        assigned = [ast.unparse(target) for node in ast.walk(check) if isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call) and is_sum(node.value)
-                    for target in node.targets]
-        assert len(sums) == 1 and assigned == ["tail"]
 
 
 class TestOneCurveKernel:

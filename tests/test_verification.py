@@ -96,6 +96,14 @@ class TestBernoulliOracle:
         times, _ = bernoulli_oracle(inp, 1.0, steps=np.int64(100))
         assert len(times) == 101
 
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # -1 gave descending times, 0 a row of ones, NaN NaNs and inf a RuntimeWarning
+        inp = BernoulliInputs(gamma=1.0, theta=0.5, delta=1.0, eps=2.0, rho=0.0,
+                              hat_c_minus=const(0.0), bar_c_minus=const(1.0))
+        with pytest.raises(NonPositiveParameter, match="'horizon'"):
+            bernoulli_oracle(inp, horizon, steps=100)
+
 
 class TestFixedPoint:
     def test_reference_population(self, ref_n2):
@@ -174,7 +182,9 @@ class TestFixedPoint:
     def test_exact_integrals_clear_quadrature_failures(self):
         # These six of the first 100 seed-5 draws failed while A(t) and the
         # exponential route's exponent were Simpson sums.  Both now come from
-        # the integrated curves: the closed and exponential routes agree, the
+        # the integrated curves, and the tail is summed on the half-step grid
+        # (1.9e-12 when it was a Simpson sum on the nodes, 2.8e-14 on it):
+        # the closed and exponential routes agree, the
         # ODE defect of the exponential form is rounding, and draws 3, 17 and
         # 88 pass.  Draws 21, 73 and 97 fail on the RK4 route alone.
         rng = np.random.default_rng(5)
@@ -183,15 +193,16 @@ class TestFixedPoint:
                    for draw in (3, 17, 21, 73, 88, 97)}
         closed_exp = {draw: rep.f_rel_gap_closed_exp.max() for draw, rep in reports.items()}
         systeq2 = {draw: rep.systeq2_rel_max for draw, rep in reports.items()}
-        assert max(closed_exp.values()) <= 1e-10, closed_exp
+        assert max(closed_exp.values()) <= 1e-13, closed_exp
         assert max(systeq2.values()) <= 1e-13, systeq2
         assert [draw for draw in (3, 17, 88) if not reports[draw].passes()] == []
 
     def test_exact_integrals_at_a_hundred_agents(self):
-        # 5.3e-5 when both exponents were Simpson sums
+        # 5.3e-5 when both exponents were Simpson sums, 1.8e-11 with the tail
+        # a Simpson sum on the nodes, 1.3e-13 on the half-step grid
         p = random_population(np.random.default_rng(4), 100)
         rep = fixed_point_check(p, solve_n(p))
-        assert rep.f_rel_gap_closed_exp.max() <= 1e-10
+        assert rep.f_rel_gap_closed_exp.max() <= 1e-12
 
     def test_random_corpus_small(self):
         rng = np.random.default_rng(2024)
@@ -726,10 +737,23 @@ class TestConvergence:
         d = single_atom(self.ATOM_NU)
         with pytest.raises(TooFewAgents):
             mfg_convergence(d, [1])
-        with pytest.raises(NonReplicableWeights):
-            mfg_convergence(d, [0])
         with pytest.raises(TooFewAgents):
             solve_n(replicate(d, 1))
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_agent_count_checked_before_weights(self, n):
+        # A single atom realizes any n >= 1; 0 and -4 would otherwise fail
+        # on the weights, as NonReplicableWeights.
+        with pytest.raises(TooFewAgents, match=f"got {int(n)}$"):
+            mfg_convergence(single_atom(self.ATOM_NU), [4, n])
+
+    @pytest.mark.parametrize("n", [4.0, "4", None, 4.5])
+    def test_agent_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"agent count must be an integer, got {n!r}")):
+            mfg_convergence(single_atom(self.ATOM_NU), [n])
+        rows = mfg_convergence(single_atom(self.ATOM_NU), [np.int64(4)])
+        assert type(rows[0].n) is int and rows == mfg_convergence(single_atom(self.ATOM_NU), [4])
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +812,8 @@ def reference_fixed_point(p, e, steps):
 
     The exponents of the closed and the exponential route are built from
     each policy's own ``cumulative`` curve, with sums over the other agents
-    written out per agent; only the closed route's tail is a Simpson sum.
+    written out per agent.  The closed route's tail is scipy's
+    ``cumulative_simpson`` on the half-step grid, read at its nodes.
 
     Returns the report fields, absolute and relative, plus, per absolute
     field, the magnitude of the quantities whose difference it measures:
@@ -800,9 +825,11 @@ def reference_fixed_point(p, e, steps):
     n, T = p.n, p.horizon
     gammas = gamma_n(p)
     policies = [ConsumptionPolicy(float(b), float(l), T) for b, l in zip(e.beta, e.lam)]
-    times = np.linspace(0.0, T, steps + 1)
+    half = np.linspace(0.0, T, 2 * steps + 1)
+    times = half[::2]
     c_nodes = np.array([pol.rate(times) for pol in policies])
-    cum_nodes = np.array([pol.cumulative(times) for pol in policies])
+    cum_half = np.array([pol.cumulative(half) for pol in policies])
+    cum_nodes = cum_half[:, ::2]
     log_c = np.log(c_nodes)
     chat_full = c_nodes.mean(axis=0)
     idx = np.unique(np.append(np.arange(0, steps + 1, max(1, steps // 1000)), steps))
@@ -827,10 +854,11 @@ def reference_fixed_point(p, e, steps):
         _, f_ode = bernoulli_oracle(inputs, T, steps)
         a_vals, b_vals, gamma = inputs.a(times), inputs.b(times), inputs.gamma
         coef = ar.theta[i] * (1.0 - 1.0 / ar.delta[i])
-        big_a = e.rho[i] * (T - times) + coef * sum(cum_nodes[k] for k in others) / n
-        weight = np.exp(gamma * big_a)
-        tail = verification._simpson_plan(times)(gamma * b_vals / weight)
-        f_closed = (weight * (1.0 + tail)) ** (1.0 / gamma)
+        big_a = e.rho[i] * (T - half) + coef * sum(cum_half[k] for k in others) / n
+        forward = cumulative_simpson(gamma * inputs.b(half) * np.exp(-gamma * big_a),
+                                     x=half, initial=0.0)
+        tail = (forward[-1] - forward)[::2]
+        f_closed = (np.exp(gamma * big_a[::2]) * (1.0 + tail)) ** (1.0 / gamma)
         shrink = e.rho[i] + coef * chat_full + c_nodes[i] / ar.delta[i]
         f_exp = np.exp(e.rho[i] * (T - times) + coef * cum_nodes.mean(axis=0)
                        + cum_nodes[i] / ar.delta[i])
@@ -856,57 +884,6 @@ def reference_fixed_point(p, e, steps):
                                    max(float(np.max(np.abs(x)[idx])) for x in terms))
     out["identity_residual"] = identity_residual(p, e.pi, e.aggregates)
     return out, scale
-
-
-class TestReverseCumulative:
-    """The package's own Simpson sums are bitwise scipy's ``cumulative_simpson``."""
-
-    @staticmethod
-    def scipy_reverse(y, x):
-        forward = cumulative_simpson(y, x=x, axis=-1, initial=0.0)
-        return forward[..., -1:] - forward
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_bitwise_equal_to_scipy(self, data):
-        m = data.draw(st.integers(3, 40), label="points")
-        if data.draw(st.booleans(), label="linspace"):
-            x = np.linspace(0.0, data.draw(st.floats(0.01, 5.0), label="end"), m)
-        else:
-            steps = data.draw(hnp.arrays(float, m - 1, elements=st.floats(1e-3, 1.0)),
-                              label="steps")
-            x = data.draw(st.floats(-2.0, 2.0), label="start") \
-                + np.concatenate(([0.0], np.cumsum(steps)))
-        rows = data.draw(st.sampled_from([(), (2,)]), label="rows")
-        y = data.draw(hnp.arrays(float, rows + (m,), elements=st.one_of(
-            st.just(-0.0), st.floats(-1.0, 1.0))), label="values")
-        y *= 10.0 ** data.draw(st.integers(0, 35), label="exponent")
-        got = verification._simpson_plan(x)(y)
-        assert got.shape == y.shape
-        assert got.tobytes() == self.scipy_reverse(y, x).tobytes()
-
-    @pytest.mark.parametrize("m", [3, 4, 9, 10])
-    def test_negative_zeros(self, m):
-        x = np.linspace(0.0, 1.0, m)
-        y = np.full((2, m), -0.0)
-        y[1, ::2] = 1e35
-        got = verification._simpson_plan(x)(y)
-        assert not np.signbit(got[0]).any()
-        assert got.tobytes() == self.scipy_reverse(y, x).tobytes()
-
-    @pytest.mark.parametrize("uniform", [True, False])
-    @pytest.mark.parametrize("m", [3, 4, 9, 10])
-    def test_plan_reused_across_arrays(self, m, uniform):
-        # one plan, as fixed_point_check builds it, for values of several shapes
-        rng = np.random.default_rng(m)
-        x = np.linspace(0.0, 1.3, m) if uniform else np.cumsum(rng.uniform(1e-3, 1.0, m)) - 0.7
-        reverse = verification._simpson_plan(x)
-        for shape in [(m,), (2, m), (3, m), (2, m), (m,), (3, m)]:
-            y = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(0, 35)
-            y[..., ::3] = -0.0
-            got = reverse(y)
-            assert got.shape == y.shape
-            assert got.tobytes() == self.scipy_reverse(y, x).tobytes()
 
 
 class TestBatchedOracle:
@@ -1003,6 +980,16 @@ class TestBatchedOracle:
                                              "f_rel_gap_ode_exp", "f_rel_gap_closed_exp")}
         ).passes()
 
+    @pytest.mark.parametrize("chunk", [1, 7, 2000])
+    def test_fixed_point_does_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        # Each chunk carries the tail at its last node into its last step, so
+        # the tail is one sequential sum from T whatever the chunk size.
+        p = random_population(np.random.default_rng(3), n=5)
+        e = solve_n(p)
+        want = json.dumps(fixed_point_check(p, e, steps=2000).as_dict())
+        monkeypatch.setattr(verification, "_RK4_CHUNK", chunk)
+        assert json.dumps(fixed_point_check(p, e, steps=2000).as_dict()) == want
+
     def test_fixed_point_peak_memory(self):
         p = random_population(np.random.default_rng(3), n=32)
         e = solve_n(p)
@@ -1012,10 +999,13 @@ class TestBatchedOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # About 8.92e6 bytes with the curves and their integrals evaluated per
-        # 512-step coefficient chunk, only their nodes kept, and one agent per
-        # residual pass (8.76e6 before the integrals); 10.9e6 with the whole
-        # half-step grid of curves held, 28.8e6 unchunked.
+        # About 8.85e6 bytes with the curves and their integrals evaluated per
+        # 512-step coefficient chunk, the closed route's tail summed there
+        # into an agent-major (n, steps + 1) array in place of the curves'
+        # nodes, and one agent per residual pass (8.92e6 with those nodes
+        # kept and the tail a Simpson sum on them, 8.76e6 before the
+        # integrals); 10.9e6 with the whole half-step grid of curves held,
+        # 28.8e6 unchunked.
         assert peak <= 9.2e6
 
     @pytest.mark.parametrize("delta, mu", [(2.0, 0.5), (0.5, 0.5), (0.5, 1.2)])
