@@ -137,7 +137,7 @@ def _representative_grid(d: TypeDistribution, raw: dict, deltas: np.ndarray,
     for i in np.flatnonzero(_failing(t)):
         dataclasses.replace(rep, delta=float(t.delta[i]), theta=float(t.theta[i])).check()
     m = mfg.representative(d, t)
-    for i in np.flatnonzero(~(m.lam > 0)):
+    for i in np.flatnonzero(~(np.isfinite(m.lam) & (m.lam > 0))):
         raise DomainError(f"lambda = {float(m.lam[i])!r} is outside the float range at "
                           f"delta = {float(t.delta[i])!r}, theta = {float(t.theta[i])!r}")
     return t, m

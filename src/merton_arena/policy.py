@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveParameter, OutOfDomain
+from .errors import OutOfDomain
+from .types import _check_horizon
 
 _BRANCH_TOL = 1e-12
 _REGIME_TOL = 1e-12
@@ -40,8 +41,7 @@ class ConsumptionPolicy:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not self.horizon > 0:
-            raise NonPositiveParameter("horizon")
+        _check_horizon(self.horizon)
 
     def rate(self, t):
         return consumption_rate(self, t)
@@ -55,29 +55,26 @@ def _branches(beta, lam, tau, general, flipped, exponent, at_zero):
 
     Gives at_zero(lambda, tau), the beta = 0 limit, where |beta tau| < 1e-12;
     else general(x, beta, lambda) at x = beta tau, or flipped(...) where
-    the general form's exponent(...) passes _EXP_LIMIT.  Only when some
-    entry is that small do the other forms see beta = 1 and x = 0 there, so
-    beta = 0 never divides 0 by 0; otherwise they see beta itself, and the
-    exponent's tau-free part is taken per column.  x is a fresh array that
-    general may overwrite, so its temporaries stay few.
+    the general form's exponent(...) passes _EXP_LIMIT.  general runs on the
+    whole block; the others overwrite their own entries, the only ones where
+    it can leave the float range, so only the exponent's warnings are kept.
+    A beta with |beta| max|tau| < 1e-12 is read as 1, so nothing divides by
+    it.  x is a fresh array that general may overwrite, so its temporaries stay few.
     """
     x = np.empty(np.broadcast_shapes(np.shape(beta), np.shape(lam), np.shape(tau)))
     np.multiply(beta, tau, out=x)
     small = np.abs(x) < _BRANCH_TOL
     masked = small.any()
-    b = np.where(small, 1.0, beta) if masked else beta
-    x[small] = 0.0
+    b = np.where(np.abs(beta) * np.max(np.abs(tau)) < _BRANCH_TOL, 1.0, beta) if masked else beta
     flip = ~small & (exponent(x, b, lam) > _EXP_LIMIT)
-    if flip.any():
-        x, b, lam_x = np.broadcast_arrays(x, b, lam)
-        out = np.empty(x.shape)
-        keep = ~flip
-        out[keep] = general(x[keep], b[keep], lam_x[keep])
-        out[flip] = flipped(x[flip], b[flip], lam_x[flip])
-    else:
+    flipped_args = [np.broadcast_to(v, x.shape)[flip] for v in (x, b, lam)] if flip.any() else None
+    with np.errstate(over="ignore", invalid="ignore"):
         out = general(x, b, lam)
+    if flipped_args is not None:
+        out[flip] = flipped(*flipped_args)
     if masked:
-        out[small] = at_zero(*(np.broadcast_to(v, out.shape)[small] for v in (lam, tau)))
+        at = np.flatnonzero(small)  # few entries, typically a t = T row: index them, not the mask
+        out.flat[at] = at_zero(*(np.broadcast_to(v, out.shape).flat[at] for v in (lam, tau)))
     return out
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -194,17 +194,32 @@ def _failing(a: SimpleNamespace) -> np.ndarray:
         return ~ok | (a.sigma + a.nu <= 0)
 
 
+def _check_horizon(horizon) -> None:
+    """NonPositiveParameter("horizon") unless 0 < T < inf; NaN fails too."""
+    if not 0.0 < horizon < math.inf:
+        raise NonPositiveParameter("horizon")
+
+
+def _agent_count(n) -> int:
+    """n as an int: ValueError unless it is an integer (``operator.index``), TooFewAgents below 2."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"agent count must be an integer, got {n!r}") from None
+    if n < 2:
+        raise TooFewAgents(n)
+    return n
+
+
 def validate_population(p: Population) -> SimpleNamespace:
-    """Check every agent invariant plus n >= 2 and T > 0.
+    """Check every agent invariant plus n >= 2 and 0 < T < inf.
 
     Raises the subclass of ValidationError naming the first violation;
     returns the parameter columns (``p.arrays()``) when the population is
     valid, so callers build them once.
     """
-    if p.n < 2:
-        raise TooFewAgents(p.n)
-    if not p.horizon > 0:
-        raise NonPositiveParameter("horizon")
+    _agent_count(p.n)
+    _check_horizon(p.horizon)
     a = p.arrays()
     for i in np.flatnonzero(_failing(a)):
         p.agents[i].check(int(i))
@@ -218,13 +233,12 @@ def _check_agents(name: str, count: int, p: Population) -> None:
 
 
 def validate_distribution(d: TypeDistribution) -> SimpleNamespace:
-    """Check atom validity, positive weights and unit total weight.
+    """Check atom validity, positive weights, unit total weight and 0 < T < inf.
 
     Returns the parameter columns (``d.arrays()``) when the distribution
     is valid.
     """
-    if not d.horizon > 0:
-        raise NonPositiveParameter("horizon")
+    _check_horizon(d.horizon)
     if len(d.atoms) == 0:
         raise InvalidWeights("distribution has no atoms")
     a = d.arrays()

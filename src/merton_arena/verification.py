@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (NonPositiveParameter, NonPositiveSolution, NonReplicableWeights,
-                     ProfitableDeviationFound, TooFewAgents)
+from .errors import NonPositiveSolution, NonReplicableWeights, ProfitableDeviationFound
 # solve_mf, solve_n and block_normals are unused here but stay attributes:
 # benchmarks/tracing.py wraps verification.solve_mf, .solve_n and .block_normals.
 from .mfg import _solve_mf, solve_mf  # noqa: F401
@@ -42,8 +41,8 @@ from .simulation import (
     equilibrium_strategy,
 )
 from .simulation import block_normals  # noqa: F401
-from .types import (Population, TypeDistribution, _check_agents, validate_distribution,
-                    validate_population)
+from .types import (Population, TypeDistribution, _agent_count, _check_agents, _check_horizon,
+                    validate_distribution, validate_population)
 
 DEFAULT_ODE_STEPS = 10_000
 REPORT_POINTS = 1000  # grid points where the best response and the ODE defect are checked
@@ -156,8 +155,7 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
     0 < T < inf.
     """
     _check_steps(steps)
-    if not 0.0 < horizon < math.inf:
-        raise NonPositiveParameter("horizon")
+    _check_horizon(horizon)
     gamma = inputs.gamma
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -329,7 +327,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
 
     u = _rk4_backward(gammas, chunk_coefficients, steps, T)
     stride = max(1, steps // REPORT_POINTS)
-    report_idx = np.unique(np.append(np.arange(0, steps + 1, stride), steps))
+    report_idx = np.union1d(np.arange(0, steps + 1, stride), steps)
     c_report = _rate(e.beta, e.lam, tau[report_idx, None])
 
     gaps = {name: np.zeros(n) for name in ("f_gap_ode_closed", "f_gap_ode_exp",
@@ -345,9 +343,7 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         # Integrating-factor solution of the linearized equation:
         # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds),
         # A(t) = int_t^T a, exact.  Verified against the ODE by substitution.
-        # C_k(T) = 0 is appended: a tau = 0 entry would send the whole row
-        # through the kernel's beta = 0 masks, at twice the cost, same bits.
-        own = np.append(_cumulative(e.beta[k], e.lam[k], tau[:-1]), 0.0)
+        own = _cumulative(e.beta[k], e.lam[k], tau)
         big_a = rho[k] * tau + coef[k] * ((big_c_sum - own) / n)
         f_closed = (np.exp(gamma * big_a) * (1.0 + tail_rows[k])) ** (1.0 / gamma)
         # The exponential identity f = exp int_t^T shrink, where
@@ -527,9 +523,9 @@ def _counts(d: TypeDistribution, n: int) -> list[int]:
 
 
 def replicate(d: TypeDistribution, n: int) -> Population:
-    """An n-agent population realizing the distribution's weights exactly."""
+    """An n-agent population realizing the distribution's weights; n is checked first."""
     agents = []
-    for (_, atom), c in zip(d.atoms, _counts(d, n)):
+    for (_, atom), c in zip(d.atoms, _counts(d, _agent_count(n))):
         agents.extend([atom] * c)
     return Population(horizon=d.horizon, agents=tuple(agents))
 
@@ -541,19 +537,12 @@ def mfg_convergence(d: TypeDistribution, ns: Sequence[int]) -> list[ConvergenceR
     matched to their atoms when measuring gaps.  The n-agent game is
     solved on the atom columns repeated by their agent counts, the same
     numbers as ``solve_n(replicate(d, n))`` without building n agents.
-    Each n is checked before its weights: ValueError unless it is an
-    integer (``operator.index``), TooFewAgents below 2.
+    Each n is checked before its weights, by `types._agent_count`.
     """
     a = validate_distribution(d)
     mf = _solve_mf(a)
     rows = []
-    for n in ns:
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"agent count must be an integer, got {n!r}") from None
-        if n < 2:
-            raise TooFewAgents(n)
+    for n in map(_agent_count, ns):
         idx = np.repeat(np.arange(len(d.atoms)), _counts(d, n))
         e = _solve(SimpleNamespace(**{k: v[idx] for k, v in vars(a).items()}), n)
         rows.append(ConvergenceRow(

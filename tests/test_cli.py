@@ -636,6 +636,12 @@ class TestRangeParsing:
                      "--delta-range", "oops"]) == 2
 
 
+# lambda = eps^-delta ... overflows at delta = 3 and is finite at delta = 1
+LAMBDA_OVERFLOW_CONFIG = {
+    "horizon": 1.0,
+    "atoms": [{"weight": 1.0, "x0": 1.0, "delta": 3.0, "theta": 0.0, "eps": 1e-300,
+               "mu": 0.5, "nu": 0.0, "sigma": 0.4}],
+}
 # A single-stock pair whose representative trades another stock.
 OFF_STOCK_CONFIG = {
     "horizon": 1.0,
@@ -715,6 +721,12 @@ class TestInvalidInput:
          "length must match the agent count"),
         ("simulate", dict(POP_CONFIG, strategy={"pi": [0.1], "c": [1.0, 1.0]}), [],
          "length must match the agent count"),
+        # a closed form whose lambda overflows to inf, which these commands wrote out with exit 0
+        ("curves", LAMBDA_OVERFLOW_CONFIG, ["--deltas", "1,3", "--time-grid", "3"],
+         "lambda = inf is outside the float range at delta = 3.0, theta = 0.0"),
+        *[(command, LAMBDA_OVERFLOW_CONFIG, ["--delta-range", "1:3:2", "--theta-range", "0:0:1"],
+           "lambda = inf is outside the float range at delta = 3.0, theta = 0.0")
+          for command in ("regime", "sweep")],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, config, flags, names):
         cfg = tmp_path / "config.json"
@@ -726,6 +738,18 @@ class TestInvalidInput:
         assert len(lines) == 1
         assert lines[0].startswith("merton-arena: invalid input: ")
         assert names in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve-n", []), ("simulate", []), ("verify", ["--paths", "100", "--grid", "10"])])
+    def test_infinite_horizon(self, tmp_path, capsys, command, flags):
+        # JSON's Infinity parses; solve-n echoed it with exit 0, and simulate
+        # and verify blamed the time grid, with a RuntimeWarning
+        cfg = write_json(tmp_path, "config.json", dict(POP_CONFIG, horizon=math.inf))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err == (
+            "merton-arena: invalid input: parameter 'horizon' must be strictly positive\n")
         assert not out.exists()
 
     def test_verify_objective_out_of_range(self, tmp_path, capsys):
@@ -911,6 +935,27 @@ class TestOneCurveKernel:
         # the oracle evaluates every agent's curve with the kernel, not per policy
         assert "ConsumptionPolicy" not in TestOnePartition.names(verification)
         assert "_rate" in TestOnePartition.names(verification)
+
+    @staticmethod
+    def function_names(module, name) -> set[str]:
+        """Every name and attribute in the body of one top-level function of a module."""
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        return ({node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+                | {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)})
+
+    def test_each_form_overwrites_only_its_own_entries(self):
+        # the kernel runs the general form on the whole block, with no
+        # gather of the kept entries, and a t = T node needs no special case
+        from merton_arena import policy, verification
+        kernel = self.function_names(policy, "_branches")
+        assert "broadcast_arrays" not in kernel
+        assert {"general", "flipped", "at_zero"} <= kernel  # the walk sees the body
+        check = self.function_names(verification, "fixed_point_check")
+        assert "append" not in check
+        assert "_cumulative" in check
 
 
 class TestImports:

@@ -6,6 +6,7 @@ lambda = 1, T = 1:
     int_0^T c   = 1.860969350357791
 """
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -203,8 +204,9 @@ class TestBroadcastKernels:
     def assert_block_equals_alone(beta, lam, horizon, t):
         """A (times, n) block equals the masked form, the per-policy curves and each entry alone.
 
-        A block takes the beta = 0 masks only when one of its entries needs
-        them, and an entry alone only when it does, so the routes meet.
+        Each form overwrites only its own entries, and a column reads beta
+        as 1 only when all its entries take the beta = 0 limit, so a block,
+        a column and an entry alone meet.
         """
         tau = (horizon - t)[:, None]
         columns = list(zip(beta.tolist(), lam.tolist()))
@@ -226,7 +228,7 @@ class TestBroadcastKernels:
            st.floats(0.01, 10.0), st.integers(1, 40))
     def test_blocks_with_positive_time_to_go(self, agents, horizon, count):
         # t < T throughout, as in every oracle chunk but the last: no entry is
-        # the beta = 0 limit, so the kernels skip its masks
+        # the beta = 0 limit, so at_zero overwrites nothing
         beta = np.array([b for b, _ in agents])
         lam = 10.0 ** np.array([e for _, e in agents])
         t = np.linspace(0.0, horizon, count + 1)[:-1]
@@ -236,11 +238,53 @@ class TestBroadcastKernels:
     @pytest.mark.parametrize("last", [False, True])
     def test_blocks_with_flipped_entries(self, last):
         # beta tau = -800 passes the rate's exponent limit and +800 the
-        # integral's; with t = T the block takes the masks as well
+        # integral's; with t = T at_zero overwrites that row as well
         beta = np.array([-800.0, 800.0, -400.0, 3.0, 1e-3, -2.0])
         lam = np.array([1e-5, 1.0, 1e300, 2.0, 1.0, 1e-300])
         t = np.linspace(0.0, 2.0, 41 if last else 40)
         self.assert_block_equals_alone(beta, lam, 2.0, t)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+               st.one_of(st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 5e-13, 1e-300, -1e-300,
+                                          5e-324]),
+                         st.floats(-1e3, 1e3)),
+               st.floats(-3.0, 3.0)),
+               min_size=1, max_size=6),
+           st.floats(0.01, 10.0), st.integers(1, 40))
+    def test_t_equals_T_row_changes_no_other_row(self, agents, horizon, count):
+        # A grid that reaches t = T gives the other rows bitwise as a grid
+        # that stops before it, and the beta = 0 limit on the last row.  No
+        # errstate here: the suite turns any RuntimeWarning into an error.
+        beta = np.array([b for b, _ in agents])
+        lam = 10.0 ** np.array([e for _, e in agents])
+        t = np.linspace(0.0, horizon, count + 1)
+        tau = (horizon - t)[:, None]
+        assert tau[-1, 0] == 0.0
+        for kernel, curve in ((_rate, "rate"), (_cumulative, "cumulative")):
+            with_t = kernel(beta, lam, tau)
+            before = kernel(beta, lam, tau[:-1])
+            at_zero = MASKED_FORMS[curve][3](lam, 0.0)
+            assert np.array_equal(with_t[:-1].view(np.int64), before.view(np.int64))
+            assert np.array_equal(with_t[-1].view(np.int64), at_zero.view(np.int64))
+
+    def test_t_equals_T_row_costs_no_full_size_temporaries(self):
+        # A (20001, 32) block whose last row is t = T, as the oracle's
+        # half-step grid: 2.38 times its output, as a block without that
+        # row; 4.26 when a t = T entry rebuilt beta and gathered the block.
+        rng = np.random.default_rng(3)
+        beta = rng.uniform(-5.0, 5.0, 32)
+        lam = 10.0 ** rng.uniform(-3.0, 3.0, 32)
+        tau = (1.0 - np.linspace(0.0, 1.0, 20001))[:, None]
+        for kernel in (_rate, _cumulative):
+            tracemalloc.start()
+            try:
+                out = kernel(beta, lam, tau)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * out.nbytes, (kernel.__name__, peak / out.nbytes)
 
 
 class TestClassifyRegime:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from merton_arena import (
     AgentType,
+    ConsumptionPolicy,
     DegenerateVolatility,
     InvalidWeights,
     NegativeParameter,
@@ -84,6 +85,18 @@ class TestValidatePopulation:
     def test_nonpositive_horizon(self):
         with pytest.raises(NonPositiveParameter) as exc:
             validate_population(pop(agent(), agent(), horizon=0.0))
+        assert exc.value.field == "horizon"
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("build", [
+        lambda T: validate_population(pop(agent(), agent(), horizon=T)),
+        lambda T: validate_distribution(TypeDistribution(T, ((1.0, agent()),))),
+        lambda T: ConsumptionPolicy(0.3, 1.0, T),
+    ], ids=["population", "distribution", "policy"])
+    def test_horizon_is_positive_and_finite(self, build, horizon):
+        # one rule, 0 < T < inf; an infinite horizon used to pass all three
+        with pytest.raises(NonPositiveParameter) as exc:
+            build(horizon)
         assert exc.value.field == "horizon"
 
     def test_theta_boundaries_allowed(self):
@@ -227,14 +240,14 @@ class TestImmutability:
 def loop_validate_population(p):
     if p.n < 2:
         raise TooFewAgents(p.n)
-    if not p.horizon > 0:
+    if not 0.0 < p.horizon < math.inf:
         raise NonPositiveParameter("horizon")
     for i, a in enumerate(p.agents):
         a.check(i)
 
 
 def loop_validate_distribution(d):
-    if not d.horizon > 0:
+    if not 0.0 < d.horizon < math.inf:
         raise NonPositiveParameter("horizon")
     if len(d.atoms) == 0:
         raise InvalidWeights("distribution has no atoms")

@@ -747,6 +747,22 @@ class TestConvergence:
         with pytest.raises(TooFewAgents, match=f"got {int(n)}$"):
             mfg_convergence(single_atom(self.ATOM_NU), [4, n])
 
+    @pytest.mark.parametrize("atoms, n", [(1, 1), (2, 0), (2, -2)])
+    def test_replicate_checks_agent_count_before_weights(self, atoms, n):
+        # replicate(one atom, 1) built a 1-agent population; two half atoms
+        # at 0 or -2 agents failed on the weights instead
+        d = TypeDistribution(1.0, tuple((1.0 / atoms, self.ATOM_NU) for _ in range(atoms)))
+        with pytest.raises(TooFewAgents, match=f"got {n}$"):
+            replicate(d, n)
+
+    @pytest.mark.parametrize("n", [4.0, "4", None, 4.5])
+    def test_replicate_agent_count_must_be_an_integer(self, n):
+        # replicate(d, 4.0) built a 4-agent population
+        with pytest.raises(ValueError,
+                           match=re.escape(f"agent count must be an integer, got {n!r}")):
+            replicate(single_atom(self.ATOM_NU), n)
+        assert replicate(single_atom(self.ATOM_NU), np.int64(4)).n == 4
+
     @pytest.mark.parametrize("n", [4.0, "4", None, 4.5])
     def test_agent_count_must_be_an_integer(self, n):
         with pytest.raises(ValueError,
