@@ -15,13 +15,16 @@ class ValidationError(MertonArenaError, ValueError):
 
 
 class NonPositiveParameter(ValidationError):
+    """A parameter is not strictly positive, or the horizon is not positive and finite."""
+
     requirement = "strictly positive"
 
     def __init__(self, field: str, index: int | None = None):
         self.field = field
         self.index = index
         where = "" if index is None else f" (agent {index})"
-        super().__init__(f"parameter '{field}' must be {self.requirement}{where}")
+        requirement = "positive and finite" if field == "horizon" else self.requirement
+        super().__init__(f"parameter '{field}' must be {requirement}{where}")
 
 
 class NegativeParameter(NonPositiveParameter):

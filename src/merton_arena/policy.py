@@ -58,12 +58,16 @@ def _branches(beta, lam, tau, general, flipped, exponent, at_zero):
     the general form's exponent(...) passes _EXP_LIMIT.  general runs on the
     whole block; the others overwrite their own entries, the only ones where
     it can leave the float range, so only the exponent's warnings are kept.
+    A block that is all at the limit gets at_zero alone, on its shape.
     A beta with |beta| max|tau| < 1e-12 is read as 1, so nothing divides by
     it.  x is a fresh array that general may overwrite, so its temporaries stay few.
     """
     x = np.empty(np.broadcast_shapes(np.shape(beta), np.shape(lam), np.shape(tau)))
     np.multiply(beta, tau, out=x)
     small = np.abs(x) < _BRANCH_TOL
+    if small.all():  # a beta = 0 curve: the limit alone, with x freed first
+        del x
+        return at_zero(lam, np.broadcast_to(tau, small.shape))
     masked = small.any()
     b = np.where(np.abs(beta) * np.max(np.abs(tau)) < _BRANCH_TOL, 1.0, beta) if masked else beta
     flip = ~small & (exponent(x, b, lam) > _EXP_LIMIT)

@@ -6,14 +6,16 @@ substitution), which reads only the curves (`policy._rate`); its
 closed-form solution, which also reads their exact integrals
 (`policy._cumulative`) and sums its one other integral, the tail, by
 Simpson's rule on the RK4's half-step grid; and an exponential identity
-that reads only the integrals.  The linearized ODE is affine in its
-unknown, so each RK4 step is an affine map, built for all agents at once
-and applied by one loop over steps; the residuals are then computed one
-agent at a time, and gated relative to the magnitudes they compare.  On
-top of that, a paired common-random-numbers Monte Carlo scan asserts
-that no perturbed strategy in a (dpi, a, b) grid beats the equilibrium,
-and a replication harness measures how fast the finite game approaches
-its mean-field limit.
+that reads only the integrals.  The check makes one pass backward over
+chunks of RK4 steps, for all agents at once: each chunk evaluates the
+curves and their integrals once, advances u by one affine map per step,
+sums its stretch of the tail, and folds the three routes' gaps and the
+residuals into per-agent running maxima, so memory is O(chunk n) at any
+step count.  The residuals are gated relative to the magnitudes they
+compare.  On top of that, a paired common-random-numbers Monte Carlo
+scan asserts that no perturbed strategy in a (dpi, a, b) grid beats the
+equilibrium, and a replication harness measures how fast the finite game
+approaches its mean-field limit.
 """
 from __future__ import annotations
 
@@ -91,7 +93,7 @@ class BernoulliInputs:
         return math.exp(-self.gamma * math.log(self.eps)) / self.gamma * bar**expo
 
 
-_RK4_CHUNK = 512  # steps whose coefficients are held at once
+_RK4_CHUNK = 512  # steps the fixed-point check evaluates at once
 
 
 def _check_steps(steps) -> None:
@@ -100,45 +102,38 @@ def _check_steps(steps) -> None:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
 
 
-def _rk4_backward(gamma: np.ndarray, coefficients: Callable, steps: int,
-                  horizon: float) -> np.ndarray:
-    """Classical RK4 for u'/gamma + a u + b = 0, u(T) = 1, for m equations.
+def _rk4_steps(u_top, gamma, a, b, h: float) -> np.ndarray:
+    """Classical RK4 for u'/gamma + a u + b = 0 over one run of k steps, for m equations.
 
-    ``coefficients(lo, hi)`` returns (a, b) on the half-step grid from node
-    lo to node hi: (2 (hi - lo) + 1, m) arrays, column k for equation k,
-    nodes at even rows and midpoints at odd rows.  They are asked for a
-    chunk of steps at a time, so memory beyond u stays O(chunk m).  The
-    chunk's steps become affine maps u_{j-1} = P_j u_j + Q_j for all
-    equations at once, and one loop over steps applies them to
-    length-m rows.  Every operation is elementwise, so each column is
-    bitwise what it would be alone.  Returns u as (steps + 1, m).
+    ``a`` and ``b`` are (2k + 1, m) arrays on the run's half-step grid,
+    column j for equation j, nodes at even rows and midpoints at odd rows;
+    ``u_top`` is u at the last node, and the steps of size h < 0 run back
+    from it.  Each step is an affine map u_r = P_r u_(r+1) + Q_r, built for
+    all equations at once and applied by one loop over steps to length-m
+    rows.  Every operation is elementwise, so each column is bitwise what
+    it would be alone, and runs chained through their top node are bitwise
+    one run.  Returns u at the k + 1 nodes, as (k + 1, m).
     """
-    m = len(gamma)
-    h = -horizon / steps
+    if np.any(b < 0.0):
+        raise ValueError("coefficient b(t) must be nonnegative")
     half, sixth = 0.5 * h, h / 6.0
-    g = -np.asarray(gamma, dtype=float)
-    u = np.empty((steps + 1, m))
-    u[steps] = 1.0
-    for hi in range(steps, 0, -_RK4_CHUNK):
-        lo = max(hi - _RK4_CHUNK, 0)
-        a, b = coefficients(lo, hi)
-        if np.any(b < 0.0):
-            raise ValueError("coefficient b(t) must be nonnegative")
-        # Each stage k = g (a (u + c h k_prev) + b) is affine in u: carry its
-        # slope (p) and offset (q).  Row r is the step from node lo + r + 1
-        # (coefficients a0, b0) over the midpoint (am, bm) to node lo + r (a1, b1).
-        a0, am, a1 = a[2::2], a[1::2], a[:-1:2]
-        b0, bm, b1 = b[2::2], b[1::2], b[:-1:2]
-        k1p, k1q = g * a0, g * b0
-        k2p, k2q = g * (am * (1.0 + half * k1p)), g * (am * (half * k1q) + bm)
-        k3p, k3q = g * (am * (1.0 + half * k2p)), g * (am * (half * k2q) + bm)
-        k4p, k4q = g * (a1 * (1.0 + h * k3p)), g * (a1 * (h * k3q) + b1)
-        P = 1.0 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        Q = sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        rows = u[lo:hi + 1]
-        for p, q, row, nxt in zip(P[::-1], Q[::-1], rows[-2::-1], rows[:0:-1]):
-            np.multiply(p, nxt, out=row)
-            row += q
+    g = -gamma
+    # Each stage k = g (a (u + c h k_prev) + b) is affine in u: carry its
+    # slope (p) and offset (q).  Row r is the step from node r + 1
+    # (coefficients a0, b0) over the midpoint (am, bm) to node r (a1, b1).
+    a0, am, a1 = a[2::2], a[1::2], a[:-1:2]
+    b0, bm, b1 = b[2::2], b[1::2], b[:-1:2]
+    k1p, k1q = g * a0, g * b0
+    k2p, k2q = g * (am * (1.0 + half * k1p)), g * (am * (half * k1q) + bm)
+    k3p, k3q = g * (am * (1.0 + half * k2p)), g * (am * (half * k2q) + bm)
+    k4p, k4q = g * (a1 * (1.0 + h * k3p)), g * (a1 * (h * k3q) + b1)
+    P = 1.0 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    Q = sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    u = np.empty((len(P) + 1, P.shape[1]))
+    u[-1] = u_top
+    for p, q, row, nxt in zip(P[::-1], Q[::-1], u[-2::-1], u[:0:-1]):
+        np.multiply(p, nxt, out=row)
+        row += q
     if np.any(u <= 0.0):
         raise NonPositiveSolution("linearized value factor hit a nonpositive value")
     return u
@@ -162,12 +157,7 @@ def bernoulli_oracle(inputs: BernoulliInputs, horizon: float,
     half_times = np.linspace(0.0, horizon, 2 * steps + 1)
     a = np.broadcast_to(np.asarray(inputs.a(half_times), dtype=float), half_times.shape)
     b = np.broadcast_to(np.asarray(inputs.b(half_times), dtype=float), half_times.shape)
-
-    def coefficients(lo, hi):
-        rows = slice(2 * lo, 2 * hi + 1)
-        return a[rows, None], b[rows, None]
-
-    u = _rk4_backward(np.array([gamma]), coefficients, steps, horizon)[:, 0]
+    u = _rk4_steps(1.0, np.array([gamma]), a[:, None], b[:, None], -horizon / steps)[:, 0]
     return half_times[::2], u ** (1.0 / gamma)
 
 
@@ -244,16 +234,17 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
     - exponential identity f = exp(A + C_k (theta (1 - 1/delta) / n + 1/delta)):
       reads only `_cumulative`.
 
-    The RK4 oracle asks for the coefficients of `BernoulliInputs` for all
-    agents a chunk of steps at a time; all agents' curves are evaluated for
-    that chunk alone, on its stretch of the half-step grid, with their
-    integrals C_j.  Only the nodes' sums over the agents are kept, and each
-    agent's tail, summed there from the chunk's node, midpoint and node
-    values.  Each agent's leave-one-out averages are the full sums minus
-    its own term, and one affine map per step advances every agent.  The
-    value-factor gaps are then computed one agent at a time on its
-    (steps + 1,) time series, and the best response and ODE defect on the
-    report grid, where the curves are evaluated again.
+    One loop walks back from T over chunks of `_RK4_CHUNK` steps.  Each
+    chunk evaluates every agent's curve and integral C_j once, on its
+    stretch of the half-step grid, and builds the coefficients of
+    `BernoulliInputs` from their sums over the agents: each leave-one-out
+    average is the full sum minus the agent's own term.  It advances u by
+    RK4 (`_rk4_steps`) and the tail by Simpson's rule from their values at
+    the chunk's last node, then folds the gaps between the three value
+    factors on its nodes, and the best response and ODE defect on its
+    report nodes, into per-agent running maxima.  Nothing is kept per node
+    across chunks, so memory is O(chunk n) whatever ``steps`` is, and the
+    chunk size moves no bit of the report.
     p is validated as ``solve_n`` validates it; ValueError when ``steps``
     is no integer >= 2, e has a different agent count from p or a lambda
     is not positive.
@@ -270,49 +261,54 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
                         for g, eps in zip(gammas.tolist(), ar.eps.tolist())])
     b_power = -gammas * ar.theta * (1.0 - 1.0 / ar.delta)
     log_eps = np.array([math.log(eps) for eps in ar.eps.tolist()])
-
-    half_times = np.linspace(0.0, T, 2 * steps + 1)
-    tau = T - half_times[::2]
     if not np.all(e.lam > 0):
         raise ValueError(f"lambda must be positive, got {e.lam[~(e.lam > 0)][0]}")
 
-    def coefficients(c, log_c, c_sum, log_sum, k):
-        """BernoulliInputs.a and .b of agents k, whose curves are c, given the sums over all agents.
-
-        Each leave-one-out sum is the full sum minus the agent's own term.
-        The parameters indexed by k must broadcast against c.
-        """
-        a = rho[k] + coef[k] * ((c_sum - c) / n)
-        b = b_scale[k] * np.power(np.exp((log_sum - log_c) / n), b_power[k])
-        return a, b
-
-    # Each chunk's curves and their integrals C_j(t) = int_t^T c_j are
-    # evaluated on its stretch of the half-step grid; the nodes keep the
-    # curves' sums over the agents and the integrals' sum.  The closed
-    # route's tail int_t^T gamma b e^(-gamma A) is summed there too, by
-    # Simpson's rule on each step's node, midpoint and node: each chunk adds
-    # the tail at its last node to its last step, so the chunks make one
-    # sequential sum from T, whatever their size.
-    c_sum = np.empty(steps + 1)
-    log_c_sum = np.empty(steps + 1)
-    big_c_sum = np.empty(steps + 1)
-    tail_rows = np.zeros((n, steps + 1))
+    half_times = np.linspace(0.0, T, 2 * steps + 1)
+    stride = max(1, steps // REPORT_POINTS)
     tail_gain, tail_drift = -gammas * coef / n, -gammas * rho  # -gamma A, term by term
     tail_scale = gammas * (T / steps / 6.0)
+    peaks = dict.fromkeys(("f_gap_ode_closed", "f_gap_ode_exp", "f_gap_closed_exp",
+                           "f_rel_gap_ode_closed", "f_rel_gap_ode_exp", "f_rel_gap_closed_exp",
+                           "systeq1", "systeq1_rel", "systeq2", "systeq2_rel"), 0.0)
 
-    def chunk_coefficients(lo, hi):
+    def fold(name, values):
+        """Raise each agent's running maximum of one residual by a chunk's (rows, n) values."""
+        peaks[name] = np.maximum(peaks[name], values.max(axis=0, initial=0.0))
+
+    u_top, tail_top = np.ones(n), np.zeros(n)
+    for hi in range(steps, 0, -_RK4_CHUNK):
+        lo = max(hi - _RK4_CHUNK, 0)
         tau_half = T - half_times[2 * lo:2 * hi + 1, None]
+        # BernoulliInputs.a and .b of every agent: each leave-one-out sum is
+        # the full sum over the agents minus the agent's own term.
         c = _rate(e.beta, e.lam, tau_half)
         log_c = np.log(c)
-        sums = c.sum(axis=1, keepdims=True), log_c.sum(axis=1, keepdims=True)
-        c_sum[lo:hi + 1], log_c_sum[lo:hi + 1] = (s[::2, 0] for s in sums)
-        a, b = coefficients(c, log_c, *sums, slice(None))
-        del c, log_c
-        # g = b e^(-gamma A), A = rho tau + coef (sum_j C_j - C_k) / n, in
-        # place on the integrals; the Simpson weights carry the factor gamma.
+        c_sum, log_sum = c.sum(axis=1, keepdims=True), log_c.sum(axis=1, keepdims=True)
+        a = rho + coef * ((c_sum - c) / n)
+        b = b_scale * np.power(np.exp((log_sum - log_c) / n), b_power)
+        u = _rk4_steps(u_top, gammas, a, b, -T / steps)
+        # The best response and the ODE defect are checked on the report nodes only.
+        node = np.arange(lo, hi + 1)
+        report = (node % stride == 0) | (node == steps)
+        c, log_c, a, b_report, c_sum, log_sum = (
+            x[::2][report] for x in (c, log_c, a, b, c_sum, log_sum))
+
+        # The integrals C_j(t) = int_t^T c_j give A(t) = int_t^T a exactly:
+        # A = rho tau + coef (sum_j C_j - C_k) / n.  The exponential identity
+        # is f = exp int_t^T shrink, where shrink = rho + coef c_hat + c / delta
+        # = a + (coef / n + 1 / delta) c.
         g = _cumulative(e.beta, e.lam, tau_half)
         total = g.sum(axis=1, keepdims=True)
-        big_c_sum[lo:hi + 1] = total[::2, 0]
+        big_a = rho * tau_half[::2] + coef * ((total[::2] - g[::2]) / n)
+        f_exp = np.exp(big_a + g[::2] * (coef / n + 1.0 / ar.delta))
+        # Integrating-factor solution of the linearized equation:
+        # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds).
+        # Its tail is summed by Simpson's rule on each step's node, midpoint
+        # and node, of g = b e^(-gamma A), in place on the integrals; the
+        # weights carry the factor gamma.  Summed on from the tail at the
+        # chunk's last node, the chunks make one sequential sum from T,
+        # whatever their size.
         np.subtract(total, g, out=g)
         g *= tail_gain
         g += tail_drift * tau_half
@@ -321,68 +317,39 @@ def fixed_point_check(p: Population, e: EquilibriumProfile,
         step = g[:-1:2] + 4.0 * g[1::2]
         step += g[2::2]
         step *= tail_scale
-        step[-1] += tail_rows[:, hi]
-        tail_rows[:, lo:hi] = np.cumsum(step[::-1], axis=0)[::-1].T
-        return a, b
-
-    u = _rk4_backward(gammas, chunk_coefficients, steps, T)
-    stride = max(1, steps // REPORT_POINTS)
-    report_idx = np.union1d(np.arange(0, steps + 1, stride), steps)
-    c_report = _rate(e.beta, e.lam, tau[report_idx, None])
-
-    gaps = {name: np.zeros(n) for name in ("f_gap_ode_closed", "f_gap_ode_exp",
-                                           "f_gap_closed_exp", "f_rel_gap_ode_closed",
-                                           "f_rel_gap_ode_exp", "f_rel_gap_closed_exp")}
-    r1 = np.zeros(n)
-    r1_rel = np.zeros(n)
-    r2 = np.zeros(n)
-    r2_rel = np.zeros(n)
-    for k in range(n):
-        gamma = gammas[k]
-        f_ode = u[:, k] ** (1.0 / gamma)
-        # Integrating-factor solution of the linearized equation:
-        # u(t) = e^(gamma A(t)) (1 + int_t^T gamma b(s) e^(-gamma A(s)) ds),
-        # A(t) = int_t^T a, exact.  Verified against the ODE by substitution.
-        own = _cumulative(e.beta[k], e.lam[k], tau)
-        big_a = rho[k] * tau + coef[k] * ((big_c_sum - own) / n)
-        f_closed = (np.exp(gamma * big_a) * (1.0 + tail_rows[k])) ** (1.0 / gamma)
-        # The exponential identity f = exp int_t^T shrink, where
-        # shrink = rho + coef c_hat + c / delta = a + (coef / n + 1 / delta) c.
-        f_exp = np.exp(big_a + own * (coef[k] / n + 1.0 / ar.delta[k]))
-        del own, big_a
+        del g, b
+        tail = np.cumsum(np.vstack((step, tail_top))[::-1], axis=0)[::-1]
+        f_closed = (np.exp(gammas * big_a) * (1.0 + tail)) ** (1.0 / gammas)
+        f_ode = u ** (1.0 / gammas)
 
         # All three value factors are positive, so the larger one is the scale.
         for name, x, y in (("ode_closed", f_ode, f_closed), ("ode_exp", f_ode, f_exp),
                            ("closed_exp", f_closed, f_exp)):
             diff = np.abs(x - y)
-            gaps[f"f_gap_{name}"][k] = diff.max()
+            fold(f"f_gap_{name}", diff)
             diff /= np.maximum(x, y)
-            gaps[f"f_rel_gap_{name}"][k] = diff.max()
+            fold(f"f_rel_gap_{name}", diff)
 
-        # The best response and the ODE defect on the report grid only.
-        del x, y, diff, f_closed
-        c = c_report[:, k]
-        log_c = np.log(c)
-        sums = c_sum[report_idx], log_c_sum[report_idx]
-        a_vals, b_vals = coefficients(c, log_c, *sums, k)
-        f_ode, f_exp = f_ode[report_idx], f_exp[report_idx]
-        shrink = rho[k] + coef[k] * (sums[0] / n) + c / ar.delta[k]
-        log_bar_minus = (sums[1] - log_c) / n
-        best_response = np.exp(-gamma * log_eps[k] + b_power[k] * log_bar_minus
-                               - gamma * np.log(f_ode))
+        f_ode, f_exp = f_ode[report], f_exp[report]
+        shrink = rho + coef * (c_sum / n) + c / ar.delta
+        log_bar_minus = (log_sum - log_c) / n
+        best_response = np.exp(-gammas * log_eps + b_power * log_bar_minus
+                               - gammas * np.log(f_ode))
         miss = np.abs(c - best_response)
-        r1[k] = miss.max()
-        r1_rel[k] = (miss / c).max()
-        terms = (-shrink * f_exp, a_vals * f_exp, b_vals * f_exp ** (1.0 - gamma))
+        fold("systeq1", miss)
+        fold("systeq1_rel", miss / c)
+        terms = (-shrink * f_exp, a * f_exp, b_report * f_exp ** (1.0 - gammas))
         defect = np.abs(terms[0] + terms[1] + terms[2])
-        r2[k] = defect.max()
-        r2_rel[k] = (defect / (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))).max()
+        fold("systeq2", defect)
+        fold("systeq2_rel", defect / (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])))
+        u_top, tail_top = u[0], tail[0]
 
     resid = _identity_residual(ar, e.pi, e.aggregates)
-    return FixedPointReport(systeq1_max=float(r1.max()), systeq2_max=float(r2.max()),
+    return FixedPointReport(systeq1_max=float(peaks.pop("systeq1").max()),
+                            systeq2_max=float(peaks.pop("systeq2").max()),
                             identity_residual=resid,
-                            systeq1_rel_max=float(r1_rel.max()),
-                            systeq2_rel_max=float(r2_rel.max()), **gaps)
+                            systeq1_rel_max=float(peaks.pop("systeq1_rel").max()),
+                            systeq2_rel_max=float(peaks.pop("systeq2_rel").max()), **peaks)
 
 
 # ---------------------------------------------------------------------------

@@ -749,7 +749,7 @@ class TestInvalidInput:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
         assert capsys.readouterr().err == (
-            "merton-arena: invalid input: parameter 'horizon' must be strictly positive\n")
+            "merton-arena: invalid input: parameter 'horizon' must be positive and finite\n")
         assert not out.exists()
 
     def test_verify_objective_out_of_range(self, tmp_path, capsys):
@@ -914,6 +914,41 @@ class TestOracleQuadrature:
         check = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                      and node.name == "fixed_point_check")
         assert "_cumulative" in {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
+
+
+class TestOnePassOracle:
+    """The fixed-point check walks back over the RK4 chunks once, with no coefficient callback."""
+
+    @staticmethod
+    def tree():
+        from merton_arena import verification
+        with open(verification.__file__, encoding="utf-8") as fh:
+            return ast.parse(fh.read())
+
+    def test_no_function_calls_a_parameter(self):
+        functions = [node for node in ast.walk(self.tree())
+                     if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        assert "_rk4_backward" not in {getattr(fn, "name", None) for fn in functions}
+        assert "_rk4_steps" in {getattr(fn, "name", None) for fn in functions}
+        for fn in functions:
+            params = {arg.arg for arg in fn.args.args + fn.args.kwonlyargs}
+            called = {node.func.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert params & called == set(), getattr(fn, "name", "lambda")
+
+    def test_each_curve_is_evaluated_once_per_chunk(self):
+        check = next(node for node in self.tree().body if isinstance(node, ast.FunctionDef)
+                     and node.name == "fixed_point_check")
+        loops = [node for node in check.body if isinstance(node, ast.For)]
+        assert len(loops) == 1  # the chunks
+        nested = [node for node in ast.walk(loops[0])
+                  if isinstance(node, ast.For) and node is not loops[0]]
+        for kernel in ("_rate", "_cumulative"):
+            calls = [node for node in ast.walk(check) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id == kernel]
+            assert len(calls) == 1, kernel
+            assert calls[0] in ast.walk(loops[0]), kernel
+            assert not any(calls[0] in ast.walk(loop) for loop in nested), kernel
 
 
 class TestOneCurveKernel:

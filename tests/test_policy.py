@@ -286,6 +286,31 @@ class TestBroadcastKernels:
                 tracemalloc.stop()
             assert peak <= 2.5 * out.nbytes, (kernel.__name__, peak / out.nbytes)
 
+    def test_log_investor_curve_costs_the_limit_alone(self):
+        # beta = 0 puts every entry at the limit, which alone is evaluated:
+        # 3.13 times the output, 8.26 (rate) and 7.26 (cumulative) when the
+        # general form ran on the whole block first
+        policy = ConsumptionPolicy(0.0, 1.3, 1.0)
+        t = np.linspace(0.0, 1.0, 20001)
+        for curve in (policy.rate, policy.cumulative):
+            tracemalloc.start()
+            try:
+                out = curve(t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.5 * out.nbytes, (curve.__name__, peak / out.nbytes)
+
+    def test_block_at_the_limit_keeps_its_shape(self):
+        # beta columns against a scalar lambda: the block's shape, written in
+        # place as the fixed-point check writes the integrals
+        tau = np.array([0.5, 0.2, 0.0])[:, None]
+        for kernel in (_rate, _cumulative):
+            out = kernel(np.zeros(4), 2.0, tau)
+            assert out.shape == (3, 4)
+            out *= 2.0
+            assert np.array_equal(out, 2.0 * np.column_stack([kernel(0.0, 2.0, tau[:, 0])] * 4))
+
 
 class TestClassifyRegime:
     def test_decreasing(self):

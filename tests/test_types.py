@@ -99,6 +99,14 @@ class TestValidatePopulation:
             build(horizon)
         assert exc.value.field == "horizon"
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_message(self, horizon):
+        # an infinite horizon was reported as not strictly positive
+        with pytest.raises(NonPositiveParameter,
+                           match="^parameter 'horizon' must be positive and finite$") as exc:
+            validate_population(pop(agent(), agent(), horizon=horizon))
+        assert exc.value.field == "horizon" and exc.value.index is None
+
     def test_theta_boundaries_allowed(self):
         validate_population(pop(agent(theta=0.0), agent(theta=1.0)))
 

@@ -823,6 +823,22 @@ def scalar_affine_rk4(gamma, a, b, horizon, steps):
     return np.array(u)
 
 
+def rk4_in_runs(gamma, a, b, horizon, steps, run):
+    """u on every node from `_rk4_steps` over runs of ``run`` steps back from T.
+
+    Each run starts from the node value the run after it ended on, as
+    `fixed_point_check` chains its chunks.
+    """
+    h = -horizon / steps
+    u = np.empty((steps + 1, a.shape[1]))
+    u[steps] = 1.0
+    for hi in range(steps, 0, -run):
+        lo = max(hi - run, 0)
+        rows = slice(2 * lo, 2 * hi + 1)
+        u[lo:hi + 1] = verification._rk4_steps(u[hi], gamma, a[rows], b[rows], h)
+    return u
+
+
 def reference_fixed_point(p, e, steps):
     """Fixed-point check with O(n^2) leave-one-out closures, one oracle call per agent.
 
@@ -925,8 +941,7 @@ class TestBatchedOracle:
         a = np.column_stack([inp.a(half) for inp in inputs])
         b = np.column_stack([inp.b(half) for inp in inputs])
         gammas = np.array([inp.gamma for inp in inputs])
-        u = verification._rk4_backward(
-            gammas, lambda lo, hi: (a[2 * lo:2 * hi + 1], b[2 * lo:2 * hi + 1]), steps, horizon)
+        u = rk4_in_runs(gammas, a, b, horizon, steps, verification._RK4_CHUNK)
         for k, inp in enumerate(inputs):
             _, f = bernoulli_oracle(inp, horizon, steps)
             assert np.array_equal(u[:, k] ** (1.0 / inp.gamma), f)
@@ -955,9 +970,8 @@ class TestBatchedOracle:
         b = np.column_stack([b0 * np.exp(b1 * np.cos(w * half)) for _, _, _, b0, b1, w in agents])
 
         def run(k):
-            return verification._rk4_backward(
-                gammas[k], lambda lo, hi: (a[2 * lo:2 * hi + 1, k], b[2 * lo:2 * hi + 1, k]),
-                steps, horizon)
+            return rk4_in_runs(gammas[k], a[:, k], b[:, k], horizon, steps,
+                               verification._RK4_CHUNK)
 
         u = run(slice(None))
         for k in range(len(agents)):
@@ -967,6 +981,21 @@ class TestBatchedOracle:
             assert np.array_equal(u[:, k], run(slice(k, k + 1))[:, 0])
             ref = scalar_rk4(gammas[k], col_a, col_b, horizon, steps)
             assert np.all(np.abs(u[:, k] - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("run", [1, 7, verification._RK4_CHUNK, 1300])
+    def test_chained_runs_equal_one_run_bitwise(self, run):
+        # The fixed-point check integrates chunk by chunk from each chunk's
+        # top node; the chunks' size must not move a bit of u.
+        steps, horizon = 1300, 1.3
+        inputs = self.agent_inputs(np.random.default_rng(12), 4)
+        half = np.linspace(0.0, horizon, 2 * steps + 1)
+        a = np.column_stack([inp.a(half) for inp in inputs])
+        b = np.column_stack([inp.b(half) for inp in inputs])
+        gammas = np.array([inp.gamma for inp in inputs])
+        whole = verification._rk4_steps(1.0, gammas, a, b, -horizon / steps)
+        assert whole.shape == (steps + 1, 4) and np.all(whole[-1] == 1.0)
+        chained = rk4_in_runs(gammas, a, b, horizon, steps, run)
+        assert chained.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("n, seed", [(5, 1), (5, 2), (32, 3)])
     def test_fixed_point_matches_quadratic_reference(self, n, seed):
@@ -1023,6 +1052,23 @@ class TestBatchedOracle:
         # integrals); 10.9e6 with the whole half-step grid of curves held,
         # 28.8e6 unchunked.
         assert peak <= 9.2e6
+
+    def test_fixed_point_memory_does_not_grow_with_steps(self):
+        # Only one chunk's curves, integrals, u and tail are held: about
+        # 4.35e6 bytes at 2000 steps, 3.90e6 at 10 000 and 4.27e6 at 40 000
+        # (4.37e6, 8.85e6 and 25.7e6 with u and the tail kept on every node).
+        p = random_population(np.random.default_rng(3), n=32)
+        e = solve_n(p)
+        peaks = {}
+        for steps in (2000, 10_000, 40_000):
+            tracemalloc.start()
+            try:
+                fixed_point_check(p, e, steps=steps)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10_000] <= 5e6, peaks
+        assert abs(peaks[40_000] - peaks[2000]) <= 1e6, peaks
 
     @pytest.mark.parametrize("delta, mu", [(2.0, 0.5), (0.5, 0.5), (0.5, 1.2)])
     def test_identical_agents_get_identical_residuals(self, delta, mu):
